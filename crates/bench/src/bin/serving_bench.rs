@@ -203,7 +203,7 @@ fn main() {
             .unwrap_or_else(|| "null".to_string());
         let json = format!(
             r#"{{
-  "generated": "2026-08-09",
+  "generated": "2026-10-17",
   "commands": {{
     "regenerate": "cargo run --release -p peering-bench --bin serving_bench -- --write",
     "ci_smoke": "cargo run --release -p peering-bench --bin serving_bench -- --smoke --check"

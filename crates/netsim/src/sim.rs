@@ -54,7 +54,6 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::sync::{mpsc, Mutex, MutexGuard};
 
 use peering_obs::{Counter, DispatchKey, EventKind as ObsEvent, Obs, MAX_LANES};
@@ -251,7 +250,36 @@ struct LinkState {
 struct Topo {
     nodes: Vec<NodeCell>,
     links: Vec<Mutex<LinkState>>,
-    ports: HashMap<(NodeId, PortId), (LinkId, usize)>,
+    /// The link end wired to each port, indexed `ports[node][port]` and
+    /// grown on `connect`: ports are numbered densely from zero, so the
+    /// per-frame lookup is two indexings rather than a hash.
+    ports: Vec<Vec<Option<(LinkId, usize)>>>,
+}
+
+impl Topo {
+    /// The `(link, end)` wired to `(node, port)`, if connected.
+    fn port(&self, node: NodeId, port: PortId) -> Option<(LinkId, usize)> {
+        *self.ports.get(node.0 as usize)?.get(port.0 as usize)?
+    }
+
+    /// The table slot for `(node, port)`, growing the table to reach it.
+    fn port_slot(&mut self, node: NodeId, port: PortId) -> &mut Option<(LinkId, usize)> {
+        let (node, port) = (node.0 as usize, port.0 as usize);
+        if self.ports.len() <= node {
+            self.ports.resize_with(node + 1, Vec::new);
+        }
+        let ports = &mut self.ports[node];
+        if ports.len() <= port {
+            ports.resize(port + 1, None);
+        }
+        &mut ports[port]
+    }
+
+    /// Whether `link` is still wired (`disconnect` clears its ports).
+    fn wired(&self, link: LinkId, state: &LinkState) -> bool {
+        let (node, port) = state.ends[0];
+        self.port(node, port) == Some((link, 0))
+    }
 }
 
 /// The simulator's own metric handles (cloneable, atomics-backed).
@@ -313,11 +341,11 @@ fn apply_actions(
     env: &mut DispatchEnv<'_>,
     node: NodeId,
     now: SimTime,
-    actions: &mut Vec<Action>,
+    actions: impl IntoIterator<Item = Action>,
     src: u32,
     seq: &mut u64,
 ) {
-    for action in actions.drain(..) {
+    for action in actions {
         match action {
             Action::Timer { at, token } => {
                 env.out.push(Event {
@@ -326,7 +354,7 @@ fn apply_actions(
                 });
             }
             Action::Send { port, frame } => {
-                let Some(&(link_id, end)) = env.topo.ports.get(&(node, port)) else {
+                let Some((link_id, end)) = env.topo.port(node, port) else {
                     env.stats.unrouted += 1;
                     continue;
                 };
@@ -448,7 +476,7 @@ fn dispatch_node(
         f(node.as_mut(), &mut ctx);
     }
     slot.node = Some(node);
-    apply_actions(env, id, now, &mut actions, id.0, &mut slot.seq);
+    apply_actions(env, id, now, actions.drain(..), id.0, &mut slot.seq);
     slot.actions = actions;
 }
 
@@ -495,7 +523,8 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
             // Coalesce the consecutive deliveries for the same instant,
             // node and port into one batched callback. Only head-of-queue
             // events are taken, so the key order across nodes is untouched.
-            let mut batch: Option<Vec<EtherFrame>> = None;
+            let mut first = Some(frame);
+            let mut batch = Vec::new();
             while let Some(next) = queue.peek() {
                 let same = next.key.at == now
                     && matches!(
@@ -514,16 +543,12 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
                 };
                 env.stats.processed += 1;
                 trace_rx(env, now, node, port, &frame);
-                batch
-                    .get_or_insert_with(|| Vec::with_capacity(4))
-                    .push(frame);
+                batch.extend(first.take());
+                batch.push(frame);
             }
-            match batch {
-                None => dispatch_node(env, now, node, |n, ctx| n.on_frame(ctx, port, frame)),
-                Some(mut rest) => {
-                    rest.insert(0, frame);
-                    dispatch_node(env, now, node, |n, ctx| n.on_frames(ctx, port, rest));
-                }
+            match first {
+                Some(frame) => dispatch_node(env, now, node, |n, ctx| n.on_frame(ctx, port, frame)),
+                None => dispatch_node(env, now, node, |n, ctx| n.on_frames(ctx, port, batch)),
             }
         }
         EventKind::Timer { node, token } => {
@@ -770,7 +795,8 @@ pub struct Simulator {
     poisoned: Option<String>,
     /// Adaptive-window doubling ceiling (see [`Simulator::set_window_cap`]).
     window_cap: u64,
-    /// Reusable event buffer for the sequential step path.
+    /// Reusable event buffer for the sequential step path and external
+    /// drivers; always empty between uses.
     scratch_out: Vec<Event>,
     obs: Obs,
     counters: SimCounters,
@@ -793,7 +819,7 @@ impl Simulator {
             topo: Topo {
                 nodes: Vec::new(),
                 links: Vec::new(),
-                ports: HashMap::new(),
+                ports: Vec::new(),
             },
             seed,
             rng: SimRng::new(seed),
@@ -920,20 +946,17 @@ impl Simulator {
         }
     }
 
-    fn route_events(&mut self, out: Vec<Event>) {
+    /// Push one event onto its destination shard's queue.
+    fn route_event(&mut self, e: Event) {
         self.ensure_partition();
-        for e in out {
-            let shard = self.shard_of(e.key.dst);
-            self.queues[shard].push(e.key, e.kind);
-        }
+        let shard = self.shard_of(e.key.dst);
+        self.queues[shard].push(e.key, e.kind);
     }
 
-    /// [`Simulator::route_events`] that drains a reusable buffer in place.
-    fn route_events_drain(&mut self, out: &mut Vec<Event>) {
-        self.ensure_partition();
+    /// Route every event in a reusable buffer, leaving it empty.
+    fn route_events(&mut self, out: &mut Vec<Event>) {
         for e in out.drain(..) {
-            let shard = self.shard_of(e.key.dst);
-            self.queues[shard].push(e.key, e.kind);
+            self.route_event(e);
         }
     }
 
@@ -991,11 +1014,11 @@ impl Simulator {
         config: LinkConfig,
     ) -> LinkId {
         assert!(
-            !self.topo.ports.contains_key(&(a, pa)),
+            self.topo.port(a, pa).is_none(),
             "port {pa:?} on {a:?} already connected"
         );
         assert!(
-            !self.topo.ports.contains_key(&(b, pb)),
+            self.topo.port(b, pb).is_none(),
             "port {pb:?} on {b:?} already connected"
         );
         let id = LinkId(self.topo.links.len() as u32);
@@ -1005,8 +1028,8 @@ impl Simulator {
             ends: [(a, pa), (b, pb)],
             rngs: [stream(self.seed, base), stream(self.seed, base | 1)],
         }));
-        self.topo.ports.insert((a, pa), (id, 0));
-        self.topo.ports.insert((b, pb), (id, 1));
+        *self.topo.port_slot(a, pa) = Some((id, 0));
+        *self.topo.port_slot(b, pb) = Some((id, 1));
         id
     }
 
@@ -1020,8 +1043,8 @@ impl Simulator {
     /// unconnected. Link stats are retained until the slot is reused.
     pub fn disconnect(&mut self, link: LinkId) {
         let ends = self.link_state(link).ends;
-        for end in ends {
-            self.topo.ports.remove(&end);
+        for (node, port) in ends {
+            *self.topo.port_slot(node, port) = None;
         }
     }
 
@@ -1092,9 +1115,8 @@ impl Simulator {
                 let id = LinkId(i as u32);
                 let state = slot.lock().expect("link lock poisoned");
                 let touches = state.ends[0].0 == node || state.ends[1].0 == node;
-                // Only links still wired (disconnect removes ports).
-                let wired = self.topo.ports.get(&state.ends[0]) == Some(&(id, 0));
-                (touches && wired).then_some((id, (state.ends[0], state.ends[1])))
+                (touches && self.topo.wired(id, &state))
+                    .then_some((id, (state.ends[0], state.ends[1])))
             })
             .collect()
     }
@@ -1122,27 +1144,26 @@ impl Simulator {
     /// arrived from outside the simulated topology.
     pub fn inject_frame(&mut self, node: NodeId, port: PortId, frame: EtherFrame) {
         let key = self.ext_key(self.time, node.0);
-        self.route_events(vec![Event {
+        self.route_event(Event {
             key,
             kind: EventKind::FrameDelivery { node, port, frame },
-        }]);
+        });
     }
 
     /// Transmit a frame from `(node, port)` over its connected link, exactly
     /// as if the node itself had sent it. Useful for external drivers (the
     /// experiment toolkit injects traffic this way).
     pub fn send_from(&mut self, node: NodeId, port: PortId, frame: EtherFrame) {
-        let mut actions = vec![Action::Send { port, frame }];
-        self.apply_external_actions(node, &mut actions);
+        self.apply_external_actions(node, [Action::Send { port, frame }]);
     }
 
     /// Arm a timer on behalf of a node.
     pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
         let key = self.ext_key(self.time + delay, node.0);
-        self.route_events(vec![Event {
+        self.route_event(Event {
             key,
             kind: EventKind::Timer { node, token },
-        }]);
+        });
     }
 
     /// Invoke a closure with mutable access to a node and a [`Ctx`], so
@@ -1157,7 +1178,7 @@ impl Simulator {
     ) -> R {
         let slot = self.topo.nodes[id.0 as usize].0.get_mut();
         let mut node = slot.node.take().expect("node busy/absent");
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut slot.actions);
         let result = {
             let mut ctx = Ctx {
                 now: self.time,
@@ -1171,15 +1192,16 @@ impl Simulator {
             f(node, &mut ctx)
         };
         slot.node = Some(node);
-        self.apply_external_actions(id, &mut actions);
+        self.apply_external_actions(id, actions.drain(..));
+        self.topo.nodes[id.0 as usize].0.get_mut().actions = actions;
         result
     }
 
     /// Apply actions buffered by an external driver (traffic injection,
     /// `with_node_ctx`): these draw their event sequence numbers from the
     /// shared external counter.
-    fn apply_external_actions(&mut self, node: NodeId, actions: &mut Vec<Action>) {
-        let mut out = Vec::new();
+    fn apply_external_actions(&mut self, node: NodeId, actions: impl IntoIterator<Item = Action>) {
+        let mut out = std::mem::take(&mut self.scratch_out);
         let mut stats = LocalStats::default();
         {
             let mut env = DispatchEnv {
@@ -1199,7 +1221,8 @@ impl Simulator {
             );
         }
         self.unrouted_frames += stats.unrouted;
-        self.route_events(out);
+        self.route_events(&mut out);
+        self.scratch_out = out;
     }
 
     /// The key of the next event in the global order, if any.
@@ -1215,9 +1238,13 @@ impl Simulator {
         best
     }
 
-    /// Process a single event if one is pending. Returns `false` when the
-    /// queues are empty. Always sequential — this is the canonical
-    /// semantics the parallel engine reproduces.
+    /// Process the next event if one is pending: a chaos step, a timer, or
+    /// a frame delivery together with the same-instant deliveries to the
+    /// same `(node, port)` queued right behind it, which reach the node as
+    /// one batch (so one step may process many events; see
+    /// [`Simulator::processed_events`]). Returns `false` when the queues
+    /// are empty. Always sequential — this is the canonical semantics the
+    /// parallel engine reproduces.
     pub fn step(&mut self) -> bool {
         self.check_poisoned();
         self.ensure_partition();
@@ -1246,7 +1273,6 @@ impl Simulator {
         debug_assert!(ev.key.at >= self.time, "time went backwards");
         self.time = ev.key.at;
         let mut out = std::mem::take(&mut self.scratch_out);
-        out.clear();
         let mut stats = LocalStats::default();
         {
             let mut env = DispatchEnv {
@@ -1261,7 +1287,7 @@ impl Simulator {
         peering_obs::clear_dispatch_key();
         self.unrouted_frames += stats.unrouted;
         self.processed_events += stats.processed;
-        self.route_events_drain(&mut out);
+        self.route_events(&mut out);
         self.scratch_out = out;
         true
     }
@@ -1315,37 +1341,6 @@ impl Simulator {
         peering_obs::clear_dispatch_key();
     }
 
-    /// Conservative lookahead: the minimum latency over still-connected
-    /// links whose endpoints live in different shards. `None` disables the
-    /// parallel engine (a zero-latency cross-shard link leaves no safe
-    /// window).
-    fn cross_shard_lookahead(&self) -> Option<SimDuration> {
-        let mut min: Option<SimDuration> = None;
-        for (i, slot) in self.topo.links.iter().enumerate() {
-            let state = slot.lock().expect("link lock poisoned");
-            let id = LinkId(i as u32);
-            if self.topo.ports.get(&state.ends[0]) != Some(&(id, 0)) {
-                continue; // disconnected: no frames can cross it
-            }
-            let a = self.shard_of(state.ends[0].0 .0);
-            let b = self.shard_of(state.ends[1].0 .0);
-            if a == b {
-                continue;
-            }
-            let latency = state.link.config.latency;
-            if latency == SimDuration::ZERO {
-                return None;
-            }
-            min = Some(match min {
-                None => latency,
-                Some(m) => m.min(latency),
-            });
-        }
-        // No cross-shard links at all: the shards are fully independent and
-        // any window length is safe.
-        Some(min.unwrap_or(SimDuration::from_secs(3600)))
-    }
-
     /// Run until the queue is exhausted or `deadline` is reached; the clock
     /// ends at `deadline` if it was reached, otherwise at the last event.
     ///
@@ -1356,14 +1351,9 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.check_poisoned();
         self.ensure_partition();
-        let lookahead = if self.queues.len() > 1 && !self.tracer.enabled() {
-            self.cross_shard_lookahead()
-        } else {
-            None
-        };
-        match lookahead {
-            Some(la) => {
-                self.run_parallel_until(deadline, la, None);
+        match self.per_shard_out_lookahead() {
+            Some(l_out) => {
+                self.run_parallel_until(deadline, &l_out, None);
             }
             None => {
                 while self.next_key().is_some_and(|k| k.at <= deadline) {
@@ -1384,17 +1374,21 @@ impl Simulator {
     }
 
     /// Per-shard minimum latency over cross-shard links incident to each
-    /// shard (`L_out`). Any cross-shard arrival emitted by shard `s` is
-    /// the end of a causal chain whose final hop adds at least
-    /// `L_out(s)`, so shard `s` cannot disturb anyone before
+    /// shard (`L_out`), or `None` when the run must stay on the sequential
+    /// engine: one shard, tracing on, or a zero-latency cross-shard link
+    /// (which leaves no safe window). Any cross-shard arrival emitted by
+    /// shard `s` is the end of a causal chain whose final hop adds at
+    /// least `L_out(s)`, so shard `s` cannot disturb anyone before
     /// `t_s + L_out(s)`. Shards with no cross-shard links get the
     /// saturating "never" bound.
-    fn per_shard_out_lookahead(&self) -> Vec<SimDuration> {
+    fn per_shard_out_lookahead(&self) -> Option<Vec<SimDuration>> {
+        if self.queues.len() < 2 || self.tracer.enabled() {
+            return None;
+        }
         let mut out = vec![SimDuration::from_nanos(u64::MAX); self.queues.len()];
         for (i, slot) in self.topo.links.iter().enumerate() {
             let state = slot.lock().expect("link lock poisoned");
-            let id = LinkId(i as u32);
-            if self.topo.ports.get(&state.ends[0]) != Some(&(id, 0)) {
+            if !self.topo.wired(LinkId(i as u32), &state) {
                 continue; // disconnected: no frames can cross it
             }
             let a = self.shard_of(state.ends[0].0 .0);
@@ -1403,16 +1397,19 @@ impl Simulator {
                 continue;
             }
             let latency = state.link.config.latency;
+            if latency == SimDuration::ZERO {
+                return None;
+            }
             out[a] = out[a].min(latency);
             out[b] = out[b].min(latency);
         }
-        out
+        Some(out)
     }
 
     /// The parallel engine: advance in windows `[gvt, end)` where
     ///
     /// ```text
-    /// end = min( gvt + lookahead × cap,            doubling heuristic
+    /// end = min( gvt + min_s L_out(s) × cap,       doubling heuristic
     ///            min_s (t_s + L_out(s)),           sound emission bound
     ///            next chaos step,
     ///            deadline + 1ns )
@@ -1426,29 +1423,32 @@ impl Simulator {
     /// to [`Simulator::set_window_cap`]) and snaps back to 1 when a lane
     /// carries traffic; the sound bound keeps any schedule correct.
     ///
-    /// With `max_events`, stops early (at a window barrier) once the run
-    /// has processed at least that many events, returning `false`; the
-    /// sequential engine counts per event, so an over-budget parallel run
-    /// may process a window's worth more before noticing.
+    /// The floor `min_s L_out(s)` is the classic conservative bound (the
+    /// minimum cross-shard link latency); with no cross-shard links at all
+    /// the shards are independent and it is an hour.
+    ///
+    /// With `max_events`, stops early (at a window barrier, with events
+    /// still pending) once the run has processed at least that many
+    /// events, returning `false`; a window may overshoot the budget.
     fn run_parallel_until(
         &mut self,
         deadline: SimTime,
-        lookahead: SimDuration,
+        l_out: &[SimDuration],
         max_events: Option<u64>,
     ) -> bool {
         let shard_count = self.queues.len();
         if self.pool.as_ref().map(|p| p.shards) != Some(shard_count) {
             self.pool = Some(WorkerPool::new(shard_count));
         }
-        let l_out = self.per_shard_out_lookahead();
+        let lookahead = l_out
+            .iter()
+            .copied()
+            .min()
+            .filter(|&l| l != SimDuration::from_nanos(u64::MAX))
+            .unwrap_or(SimDuration::from_secs(3600));
         let start_processed = self.processed_events;
         let mut cap_mult: u64 = 1;
         loop {
-            if let Some(max) = max_events {
-                if self.processed_events - start_processed >= max {
-                    return false;
-                }
-            }
             let t_chaos = self.chaos_queue.peek_time();
             let t_node = self.queues.iter().filter_map(|q| q.peek_time()).min();
             let gvt = match (t_chaos, t_node) {
@@ -1459,6 +1459,9 @@ impl Simulator {
             };
             if gvt > deadline {
                 break;
+            }
+            if max_events.is_some_and(|max| self.processed_events - start_processed >= max) {
+                return false;
             }
             if t_chaos == Some(gvt) {
                 // Chaos sorts before node events at the same instant
@@ -1578,34 +1581,36 @@ impl Simulator {
     }
 
     /// Run until no events remain (the network is quiescent), with a safety
-    /// cap on event count to catch livelock in tests. With shards
-    /// configured (and tracing off) this uses the same windowed parallel
-    /// engine as [`Simulator::run_until`] — quiescence is detected at
-    /// window barriers, where the coordinator holds the global queue view —
-    /// and produces results bit-identical to the sequential engine. When
-    /// the cap trips, the parallel engine may have processed up to one
-    /// window more than the sequential engine would before returning
-    /// `false`.
+    /// cap on processed events to catch livelock in tests. Returns `true`
+    /// when the queues drained and `false` when the cap stopped the run
+    /// with events still pending.
+    ///
+    /// Both engines count processed events, and both check the cap only
+    /// between units of work, so a run may overshoot it: the sequential
+    /// engine by one coalesced batch of deliveries, the parallel engine by
+    /// one window. With shards configured (and tracing off) this uses the
+    /// same windowed parallel engine as [`Simulator::run_until`] —
+    /// quiescence is detected at window barriers, where the coordinator
+    /// holds the global queue view — and produces results bit-identical to
+    /// the sequential engine.
     pub fn run_until_idle(&mut self, max_events: u64) -> bool {
         self.check_poisoned();
         self.ensure_partition();
-        let lookahead = if self.queues.len() > 1 && !self.tracer.enabled() {
-            self.cross_shard_lookahead()
-        } else {
-            None
-        };
-        if let Some(la) = lookahead {
+        if let Some(l_out) = self.per_shard_out_lookahead() {
             // Deadline at the saturating horizon: windows stop when the
             // queues drain (or the event budget trips).
-            return self.run_parallel_until(SimTime::from_nanos(u64::MAX), la, Some(max_events));
+            return self.run_parallel_until(
+                SimTime::from_nanos(u64::MAX),
+                &l_out,
+                Some(max_events),
+            );
         }
-        let mut n = 0;
+        let start = self.processed_events;
         while self.pending_events() > 0 {
-            self.step();
-            n += 1;
-            if n >= max_events {
+            if self.processed_events - start >= max_events {
                 return false;
             }
+            self.step();
         }
         true
     }
@@ -1763,6 +1768,49 @@ mod tests {
         assert_eq!(sim.unrouted_frames, 1);
     }
 
+    /// Counts the frames it receives.
+    struct Sink {
+        frames: u64,
+    }
+
+    impl Node for Sink {
+        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _frame: EtherFrame) {
+            self.frames += 1;
+        }
+    }
+
+    #[test]
+    fn idle_cap_counts_events_not_steps() {
+        for shards in [1, 2] {
+            let mut sim = Simulator::new(1);
+            let a = sim.add_node(Box::new(Sink { frames: 0 }));
+            let b = sim.add_node(Box::new(Sink { frames: 0 }));
+            let cfg = LinkConfig::with_latency(SimDuration::from_millis(1));
+            sim.connect(a, PortId(0), b, PortId(0), cfg);
+            sim.set_shards(shards);
+            // Ten same-instant deliveries to one port form one coalesced
+            // step; the timer stays pending behind them.
+            for _ in 0..10 {
+                let frame = EtherFrame::new(
+                    MacAddr::from_id(2),
+                    MacAddr::from_id(1),
+                    EtherType::Other(0x9999),
+                    Bytes::from_static(b"burst"),
+                );
+                sim.inject_frame(b, PortId(0), frame);
+            }
+            sim.set_timer(a, SimDuration::from_millis(10), 0);
+            assert!(
+                !sim.run_until_idle(5),
+                "{shards} shard(s): a burst of 10 events must trip a cap of 5"
+            );
+            assert_eq!(sim.processed_events, 10, "{shards} shard(s)");
+            assert_eq!(sim.pending_events(), 1, "{shards} shard(s)");
+            assert_eq!(sim.node::<Sink>(b).unwrap().frames, 10);
+            assert!(sim.run_until_idle(5), "{shards} shard(s): one timer left");
+        }
+    }
+
     /// A faulty ping-pong workload whose observable outcome must not depend
     /// on the shard count (the tentpole property).
     fn sharded_outcome(shards: usize) -> (u64, u64, u64, u64, u64) {
@@ -1796,6 +1844,29 @@ mod tests {
         assert!(base.0 > 0, "workload should deliver some frames");
         assert_eq!(sharded_outcome(2), base);
         assert_eq!(sharded_outcome(4), base);
+    }
+
+    #[test]
+    fn zero_latency_cross_shard_link_stays_sequential() {
+        let mut sim = Simulator::new(5);
+        let pinger = sim.add_node(Box::new(Pinger {
+            replies: 0,
+            target: MacAddr::from_id(2),
+            me: MacAddr::from_id(1),
+        }));
+        let echo = sim.add_node(Box::new(Echo { seen: 0 }));
+        let cfg = LinkConfig::with_latency(SimDuration::ZERO);
+        sim.connect(pinger, PortId(0), echo, PortId(0), cfg);
+        sim.set_shards(2);
+        sim.set_timer(pinger, SimDuration::ZERO, 0);
+        sim.run_until(SimTime::from_nanos(1_000));
+        assert!(
+            sim.pool.is_none(),
+            "no safe window: the run must stay sequential"
+        );
+        // The whole round trip happens at t = 0.
+        assert_eq!(sim.node::<Pinger>(pinger).unwrap().replies, 1);
+        assert_eq!(sim.processed_events, 3);
     }
 
     #[test]

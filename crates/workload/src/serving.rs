@@ -143,6 +143,9 @@ pub struct ServingOutcome {
     pub snapshot_text: String,
     /// Obs journal digest (the second determinism artifact).
     pub journal_digest: u64,
+    /// Events the simulator processed over the whole run (a count of
+    /// the event schedule, identical at any shard count).
+    pub processed_events: u64,
     /// Wall-clock milliseconds spent in the injection + simulation
     /// phases (pps denominator; NOT deterministic).
     pub wall_ms: u128,
@@ -469,6 +472,7 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
         flood_policy,
         snapshot_text,
         journal_digest,
+        processed_events: net.platform.sim.processed_events,
         wall_ms: started.elapsed().as_millis(),
     }
 }

@@ -13,6 +13,8 @@
 //! bug in the conservative-lookahead engine, not flakiness.
 
 use peering_testkit::harness::{run_chaos_schedule, ChaosOutcome, HarnessOptions};
+use peering_workload::serving::{run_serving, ServingSpec};
+use peering_workload::TrafficMix;
 
 /// Chaos seeds for the battery. 555 matches the hand-written-plan tests
 /// in `tests/chaos.rs`; the others are arbitrary but fixed.
@@ -63,6 +65,50 @@ fn sharded_chaos_runs_replay_bit_identically() {
         total_drops > 0,
         "chaos battery never dropped a session — seeds too tame to test determinism"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Event-schedule pin.
+//
+// Every battery above compares a build with itself, so an event queue that
+// reordered same-instant events the same way at every shard count would
+// pass them all. This test compares against constants recorded from an
+// earlier build instead, on the sequential engine.
+// ---------------------------------------------------------------------------
+
+/// `(journal digest, processed events)` of the smoke-size defended
+/// serving run (seed 7, 4 PoPs, 900 flows, with the churn phase).
+///
+/// These and [`PINNED_CHAOS`] were recorded from the binary-heap event
+/// queue, before the bucketed one replaced it. A change meant to alter the
+/// event schedule (a new event, a different delay, a changed `EventKey`)
+/// must regenerate them: run `cargo test --release --test sharding
+/// event_schedule`, copy the values the failure messages print into the
+/// constants, and say in the change why the schedule moved.
+const PINNED_SERVING: (u64, u64) = (0xde69_6877_c70f_c70d, 23_392);
+
+/// `(seed, journal digest)` of two default chaos schedules.
+const PINNED_CHAOS: [(u64, u64); 2] = [(555, 0xe262_669f_1374_c509), (7, 0xbf1b_64ea_31ec_d08f)];
+
+#[test]
+fn event_schedule_matches_pinned_digests() {
+    let serving = run_serving(&ServingSpec::new(7, 4, 900, TrafficMix::under_attack()));
+    let got = (serving.journal_digest, serving.processed_events);
+    assert!(
+        got == PINNED_SERVING,
+        "serving schedule moved: digest {:#018x}, {} events (pinned {:#018x}, {})",
+        got.0,
+        got.1,
+        PINNED_SERVING.0,
+        PINNED_SERVING.1
+    );
+    for (seed, pinned) in PINNED_CHAOS {
+        let digest = run(seed, 1).journal_digest;
+        assert!(
+            digest == pinned,
+            "chaos seed {seed}: schedule moved: digest {digest:#018x} (pinned {pinned:#018x})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
