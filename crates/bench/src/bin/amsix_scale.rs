@@ -12,13 +12,10 @@
 
 use std::time::Instant;
 
-use peering_bench::{fig6b_configs, memory_sweep};
+use peering_bench::{fig6b_configs, memory_sweep, positive_arg};
 
 fn main() {
-    let divisor: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let divisor = positive_arg("amsix_scale [scale_divisor > 0]", 4);
     let routes = 2_700_000 / divisor;
     let interconnections = 241; // 4 RS + 2 transit + 235 member routers
 

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --bin backbone_tput [megabytes_per_flow]`
 
+use peering_bench::positive_arg;
 use peering_netsim::{
     FaultInjector, LinkConfig, MacAddr, PortId, SimDuration, SimTime, Simulator, TcpFlowConfig,
     TcpReceiver, TcpSender,
@@ -54,10 +55,7 @@ fn measure(a: usize, b: usize, bytes: u64) -> f64 {
 }
 
 fn main() {
-    let mb: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
+    let mb = positive_arg("backbone_tput [megabytes_per_flow > 0]", 40);
     let pops = [
         "amsterdam01",
         "seattle01",

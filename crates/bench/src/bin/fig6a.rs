@@ -11,13 +11,10 @@
 //!
 //! Run with: `cargo run --release --bin fig6a [max_routes]`
 
-use peering_bench::memory_sweep;
+use peering_bench::{memory_sweep, positive_arg};
 
 fn main() {
-    let max: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000);
+    let max = positive_arg("fig6a [max_routes > 0]", 2_000_000);
     let points: Vec<u64> = (0..=8).map(|i| i * max / 8).collect();
     // AMS-IX scale: routes arrive over ~240 interconnections (§6).
     let sweep = memory_sweep(&points, 240);

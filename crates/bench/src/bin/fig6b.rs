@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use peering_bench::fig6b_configs;
+use peering_bench::{fig6b_configs, positive_arg};
 
 fn per_update_cost_us(make: impl Fn() -> peering_bench::SpeakerPair, batch: u64) -> f64 {
     // Warm-up pass (allocator, caches), then a measured pass on a fresh
@@ -37,10 +37,7 @@ fn per_update_cost_us(make: impl Fn() -> peering_bench::SpeakerPair, batch: u64)
 }
 
 fn main() {
-    let batch: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
+    let batch = positive_arg("fig6b [updates_per_batch > 0]", 50_000);
 
     println!("# Figure 6b — CPU utilization vs update rate");
     println!("# measuring per-update processing cost over {batch} updates per configuration…\n");

@@ -42,8 +42,9 @@ fn spec(params: &Params) -> ServingSpec {
 fn print_outcome(label: &str, out: &ServingOutcome) {
     println!("{label}:");
     println!(
-        "  {} packets injected, {:.0} pkts/s platform wall-clock",
+        "  {} packets injected ({} refused), {:.0} pkts/s platform wall-clock",
         out.injected,
+        out.refused,
         out.packets_per_sec()
     );
     for (class, &sent) in &out.sent_by_class {
@@ -132,6 +133,12 @@ fn main() {
     );
 
     if check {
+        for (arm, out) in [("defended", &defended), ("ablation", &undefended)] {
+            assert_eq!(
+                out.refused, 0,
+                "serving gate: {arm} transits refused packets for lack of a route"
+            );
+        }
         assert!(
             defended.legit_delivery >= 0.99,
             "serving gate: legitimate delivery {:.4} < 0.99",
@@ -215,6 +222,7 @@ fn main() {
     "seed": {SEED},
     "platform_pps": {pps:.0},
     "packets_injected": {injected},
+    "packets_refused": {refused},
     "legit_delivery": {legit:.4},
     "attack_block": {block:.4},
     "slo": {{ "legit_delivery_min": 0.99, "attack_block_min": 0.95 }},
@@ -251,6 +259,7 @@ fn main() {
             flows = params.flows,
             pps = defended.packets_per_sec(),
             injected = defended.injected,
+            refused = defended.refused,
             legit = defended.legit_delivery,
             block = defended.attack_block,
             flood = flood,

@@ -21,6 +21,27 @@ use peering_bgp::rib::{PeerId, Route, RouteSource};
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig, SpeakerOutput};
 use peering_bgp::types::{Asn, Prefix, RouterId};
 
+/// The optional single positional argument of a bench binary: `default`
+/// when it is absent, the value when it is a positive integer. Anything
+/// else (a typo, zero, a second argument) prints `usage: {usage}` and
+/// exits with status 2, so a mistyped size never silently runs the large
+/// default.
+pub fn positive_arg(usage: &str, default: u64) -> u64 {
+    parse_positive(std::env::args().skip(1), default).unwrap_or_else(|| {
+        eprintln!("usage: {usage}");
+        std::process::exit(2);
+    })
+}
+
+/// [`positive_arg`]'s parser: `None` for a malformed argument list.
+fn parse_positive(mut args: impl Iterator<Item = String>, default: u64) -> Option<u64> {
+    match (args.next(), args.next()) {
+        (None, _) => Some(default),
+        (Some(arg), None) => arg.parse().ok().filter(|&n| n > 0),
+        (Some(_), Some(_)) => None,
+    }
+}
+
 /// Minimal wall-clock benchmark runner. The seed used Criterion; that is
 /// unavailable offline, and these harnesses only need stable
 /// per-iteration timings printed to stdout.
@@ -532,6 +553,17 @@ mod tests {
             coalesced < per_delta,
             "coalesced {coalesced} must be strictly below per-delta {per_delta}"
         );
+    }
+
+    #[test]
+    fn positional_argument_is_a_positive_integer_or_absent() {
+        let parse = |args: &[&str]| parse_positive(args.iter().map(|a| a.to_string()), 7);
+        assert_eq!(parse(&[]), Some(7));
+        assert_eq!(parse(&["50000"]), Some(50_000));
+        assert_eq!(parse(&["0"]), None);
+        assert_eq!(parse(&["5O000"]), None);
+        assert_eq!(parse(&["-3"]), None);
+        assert_eq!(parse(&["1", "2"]), None);
     }
 
     #[test]

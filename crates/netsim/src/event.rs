@@ -52,14 +52,19 @@ pub struct EventKey {
 /// What happens when an event fires.
 #[derive(Debug)]
 pub enum EventKind {
-    /// A frame arrives at a node's port.
+    /// A train of frames arrives at a node's port: the run of consecutive
+    /// frames one source sent to `(node, port)` that arrive at one instant.
+    /// The event's key is the first frame's; frame `i` holds key `seq + i`,
+    /// so no other event can sort between a train's frames and the train
+    /// pops, crosses shards and reaches the node as a unit. Queue lengths
+    /// and processed-event counts still count its frames one by one.
     FrameDelivery {
         /// Receiving node.
         node: NodeId,
         /// Receiving port.
         port: PortId,
-        /// The frame.
-        frame: EtherFrame,
+        /// The frames, in key order.
+        frames: Train,
     },
     /// A timer set by a node fires.
     Timer {
@@ -72,6 +77,54 @@ pub enum EventKind {
     Chaos(ChaosStep),
 }
 
+/// The frames of one [`EventKind::FrameDelivery`], in key order. A single
+/// frame is held inline, so a train of one allocates nothing.
+#[derive(Debug)]
+pub enum Train {
+    /// One frame.
+    One(EtherFrame),
+    /// Two or more frames.
+    Many(Vec<EtherFrame>),
+}
+
+impl Train {
+    /// Number of frames.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Train::One(_) => 1,
+            Train::Many(frames) => frames.len(),
+        }
+    }
+
+    /// The frames, in order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, EtherFrame> {
+        match self {
+            Train::One(frame) => std::slice::from_ref(frame).iter(),
+            Train::Many(frames) => frames.iter(),
+        }
+    }
+
+    /// Append the frames of `more` after this train's.
+    pub(crate) fn extend(&mut self, more: Train) {
+        if let Train::One(_) = self {
+            let Train::One(first) = std::mem::replace(self, Train::Many(Vec::new())) else {
+                unreachable!("matched Train::One");
+            };
+            // Room for a typical burst before the first regrowth.
+            let mut frames = Vec::with_capacity(more.len().max(7) + 1);
+            frames.push(first);
+            *self = Train::Many(frames);
+        }
+        let Train::Many(frames) = self else {
+            unreachable!("a one-frame train was widened above");
+        };
+        match more {
+            Train::One(frame) => frames.push(frame),
+            Train::Many(more) => frames.extend(more),
+        }
+    }
+}
+
 /// A scheduled event.
 #[derive(Debug)]
 pub struct Event {
@@ -79,6 +132,55 @@ pub struct Event {
     pub key: EventKey,
     /// The action.
     pub kind: EventKind,
+}
+
+impl Event {
+    /// How many queue entries the event stands for: its frames for a
+    /// delivery, one for a timer or chaos step.
+    pub(crate) fn entries(&self) -> usize {
+        match &self.kind {
+            EventKind::FrameDelivery { frames, .. } => frames.len(),
+            _ => 1,
+        }
+    }
+
+    /// Whether a delivery keyed `key` to `(node, port)` continues this
+    /// event's train: same instant, class, destination and source, a `seq`
+    /// one past the train's last frame, and the same port.
+    fn continued_by(&self, key: &EventKey, node: NodeId, port: PortId) -> bool {
+        let EventKind::FrameDelivery {
+            node: n,
+            port: p,
+            frames,
+        } = &self.kind
+        else {
+            return false;
+        };
+        let k = &self.key;
+        (k.at, k.class, k.dst, k.src, k.seq + frames.len() as u64)
+            == (key.at, key.class, key.dst, key.src, key.seq)
+            && (*n, *p) == (node, port)
+    }
+}
+
+/// Push `event` onto `events`, joining its frames to the last event's
+/// train when it continues that train.
+pub(crate) fn push_joined(events: &mut Vec<Event>, event: Event) {
+    if let (Some(last), EventKind::FrameDelivery { node, port, .. }) =
+        (events.last_mut(), &event.kind)
+    {
+        if last.continued_by(&event.key, *node, *port) {
+            if let (
+                EventKind::FrameDelivery { frames: train, .. },
+                EventKind::FrameDelivery { frames, .. },
+            ) = (&mut last.kind, event.kind)
+            {
+                train.extend(frames);
+            }
+            return;
+        }
+    }
+    events.push(event);
 }
 
 impl PartialEq for Event {
@@ -120,6 +222,10 @@ impl Ord for Event {
 ///   zero-latency link) goes to a small side heap, merged into pops by key.
 /// * A push earlier than the head demotes the head bucket back into the
 ///   map and starts a new head.
+/// * A delivery pushed into an unsorted bucket joins the bucket's last
+///   event when it continues that event's train (see
+///   [`EventKind::FrameDelivery`]), so a burst of frames costs one entry
+///   to sort and pop. The sorted head and the side heap never join.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     /// Events at `head_at`; sorted descending by key once `sorted` is set.
@@ -134,8 +240,9 @@ pub struct EventQueue {
     late: BinaryHeap<Event>,
     /// Non-empty buckets for the instants after `head_at`, each unsorted.
     later: BTreeMap<SimTime, Vec<Event>>,
-    /// Total pending events. Whenever it is non-zero, `head` or `late`
-    /// holds at least one of them.
+    /// Total pending entries: each frame of a train counts, as does each
+    /// timer or chaos step. Whenever it is non-zero, `head` or `late` holds
+    /// at least one event.
     len: usize,
 }
 
@@ -148,8 +255,9 @@ impl EventQueue {
     /// Schedule `kind` at its key's position in the total order.
     pub fn push(&mut self, key: EventKey, kind: EventKind) {
         let event = Event { key, kind };
-        self.len += 1;
-        if self.len == 1 {
+        let was_empty = self.len == 0;
+        self.len += event.entries();
+        if was_empty {
             self.start_head(event);
             return;
         }
@@ -159,9 +267,9 @@ impl EventQueue {
                 if key < self.head[self.head_min].key {
                     self.head_min = self.head.len();
                 }
-                self.head.push(event);
+                push_joined(&mut self.head, event);
             }
-            Ordering::Greater => self.later.entry(key.at).or_default().push(event),
+            Ordering::Greater => push_joined(self.later.entry(key.at).or_default(), event),
             Ordering::Less => {
                 let mut bucket = std::mem::take(&mut self.head);
                 bucket.extend(std::mem::take(&mut self.late).into_vec());
@@ -180,7 +288,8 @@ impl EventQueue {
         self.head_min = 0;
     }
 
-    /// Remove and return the earliest event.
+    /// Remove and return the earliest event (a whole train for a
+    /// delivery).
     pub fn pop(&mut self) -> Option<Event> {
         if self.len == 0 {
             return None;
@@ -199,7 +308,7 @@ impl EventQueue {
             self.head.pop()
         }
         .expect("a non-empty queue has a head event");
-        self.len -= 1;
+        self.len -= event.entries();
         if self.head.is_empty() && self.late.is_empty() {
             if let Some((at, bucket)) = self.later.pop_first() {
                 self.head_min = bucket
@@ -216,7 +325,7 @@ impl EventQueue {
     }
 
     /// The earliest event without removing it (the simulator uses this to
-    /// coalesce same-instant deliveries to one node into a batch).
+    /// hand a node the trains queued right behind the one it popped).
     pub fn peek(&self) -> Option<&Event> {
         if !self.sorted {
             return self.head.get(self.head_min);
@@ -250,12 +359,14 @@ impl EventQueue {
         all
     }
 
-    /// Number of pending events.
+    /// Number of pending entries: each frame of a train counts, as does
+    /// each timer or chaos step, so the count does not depend on how frames
+    /// were joined.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no events are pending.
+    /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -327,6 +438,54 @@ mod tests {
         assert!(a < b);
     }
 
+    /// A train of `count` frames to `(dst, port)`, keyed from `first`;
+    /// each frame's payload carries its own `seq`, so the flattened pops
+    /// can check that every frame travels with its key.
+    fn delivery(dst: u32, port: u16, first: u64, count: u64) -> EventKind {
+        let frame = |seq: u64| {
+            EtherFrame::new(
+                crate::mac::MacAddr::from_id(dst),
+                crate::mac::MacAddr::from_id(0),
+                crate::frame::EtherType::Ipv4,
+                crate::bytes::Bytes::copy_from_slice(&seq.to_le_bytes()),
+            )
+        };
+        let mut frames = Train::One(frame(first));
+        for seq in first + 1..first + count {
+            frames.extend(Train::One(frame(seq)));
+        }
+        EventKind::FrameDelivery {
+            node: NodeId(dst),
+            port: PortId(port),
+            frames,
+        }
+    }
+
+    /// One frame or timer as the reference heap holds it: its key, its
+    /// `(node, port)` for a frame, and the `seq` its payload carries.
+    type Entry = (EventKey, Option<(u32, u16)>, u64);
+
+    /// The per-frame entries of a (possibly multi-frame) event, frame `i`
+    /// at `seq + i`.
+    fn flatten(event: &Event) -> Vec<Entry> {
+        match &event.kind {
+            EventKind::FrameDelivery { node, port, frames } => frames
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let key = EventKey {
+                        seq: event.key.seq + i as u64,
+                        ..event.key
+                    };
+                    let carried = u64::from_le_bytes(f.payload.as_ref().try_into().unwrap());
+                    (key, Some((node.0, port.0)), carried)
+                })
+                .collect(),
+            EventKind::Timer { token, .. } => vec![(event.key, None, *token)],
+            EventKind::Chaos(_) => unreachable!("the differential pushes no chaos steps"),
+        }
+    }
+
     /// What the differential run exercised, so it can prove coverage.
     #[derive(Default)]
     struct Coverage {
@@ -335,20 +494,102 @@ mod tests {
         demotions: u64,
         shared_chaos_instants: u64,
         refills: u64,
+        /// Deliveries that joined the last train of an unsorted bucket.
+        joins: u64,
+        /// Refused: same stream and port, but a `seq` gap.
+        gap_refusals: u64,
+        /// Refused: same stream and next `seq`, but another port.
+        port_refusals: u64,
+        /// Refused: continued a train in the sorted head.
+        sorted_head_refusals: u64,
+        /// Refused: continued a train in the side heap.
+        late_refusals: u64,
     }
 
-    /// Drive the bucketed queue and the binary heap it replaced through one
-    /// seeded random sequence of `push`, `pop`, `peek` and `drain`; every
-    /// observation must match.
+    /// Sort one push into the coverage counters by where it lands, and
+    /// return whether it must join the target bucket's last event.
+    fn classify(queue: &EventQueue, key: &EventKey, kind: &EventKind, cov: &mut Coverage) -> bool {
+        let EventKind::FrameDelivery { node, port, .. } = kind else {
+            return false;
+        };
+        if queue.is_empty() || key.at < queue.head_at {
+            return false;
+        }
+        if key.at == queue.head_at && queue.sorted {
+            if queue.head.iter().any(|e| e.continued_by(key, *node, *port)) {
+                cov.sorted_head_refusals += 1;
+            }
+            if queue.late.iter().any(|e| e.continued_by(key, *node, *port)) {
+                cov.late_refusals += 1;
+            }
+            return false;
+        }
+        let last = if key.at == queue.head_at {
+            queue.head.last()
+        } else {
+            queue.later.get(&key.at).and_then(|b| b.last())
+        };
+        let Some(last) = last else { return false };
+        if last.continued_by(key, *node, *port) {
+            cov.joins += 1;
+            return true;
+        }
+        if let EventKind::FrameDelivery {
+            node: n,
+            port: p,
+            frames,
+        } = &last.kind
+        {
+            let k = &last.key;
+            let stream = (k.at, k.class, k.dst, k.src) == (key.at, key.class, key.dst, key.src);
+            let follows = k.seq + frames.len() as u64 == key.seq;
+            if stream && *n == *node && *p == *port && !follows && key.seq > k.seq {
+                cov.gap_refusals += 1;
+            }
+            if stream && follows && *p != *port {
+                cov.port_refusals += 1;
+            }
+        }
+        false
+    }
+
+    /// Drive the bucketed queue and a per-frame binary heap through one
+    /// seeded random sequence of `push`, `pop`, `peek` and `drain`. Some
+    /// pushes are runs of one-frame deliveries from one source, with `seq`
+    /// gaps and port switches, so trains form and break; every pop is
+    /// flattened to per-frame entries, which must match the heap's.
     fn differential(seed: u64, ops: usize, cov: &mut Coverage) {
         let mut rng = SimRng::new(seed);
         let mut queue = EventQueue::new();
-        let mut reference: BinaryHeap<Event> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut reference: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+        let mut next_seq = [0u64; 6];
         let mut now = 0u64;
         let mut drained = false;
         let mut chaos_at: Option<u64> = None;
         let mut node_at: Option<u64> = None;
+        let mut last_run: Option<(u64, u32, usize, u16)> = None;
+        let push = |queue: &mut EventQueue,
+                    reference: &mut BinaryHeap<Reverse<Entry>>,
+                    key: EventKey,
+                    kind: EventKind,
+                    cov: &mut Coverage| {
+            let joins = classify(queue, &key, &kind, cov);
+            let bucket = |q: &EventQueue| match q.later.get(&key.at) {
+                Some(b) => b.len(),
+                None => q.head.len(),
+            };
+            let before = bucket(queue);
+            let event = Event { key, kind };
+            reference.extend(flatten(&event).into_iter().map(Reverse));
+            queue.push(event.key, event.kind);
+            if joins {
+                assert_eq!(
+                    bucket(queue),
+                    before,
+                    "seed {seed}: a continuing frame must join"
+                );
+            }
+        };
         for _ in 0..ops {
             let head = queue.peek_time().map(SimTime::as_nanos);
             let roll = rng.below(100);
@@ -384,26 +625,70 @@ mod tests {
                         node_at = Some(at);
                         CLASS_NODE
                     };
+                    let (dst, src) = (rng.below(6) as u32, rng.below(6) as usize);
+                    let seq = next_seq[src];
+                    next_seq[src] += 1;
                     let key = EventKey {
                         at: SimTime::from_nanos(at),
                         class,
-                        dst: rng.below(6) as u32,
-                        src: rng.below(6) as u32,
+                        dst,
+                        src: src as u32,
                         seq,
                     };
-                    queue.push(key, timer(key.dst, seq));
-                    reference.push(Event {
-                        key,
-                        kind: timer(key.dst, seq),
-                    });
-                    seq += 1;
+                    let kind = if class == CLASS_NODE && rng.below(2) == 0 {
+                        delivery(dst, rng.below(3) as u16, seq, 1)
+                    } else {
+                        timer(dst, seq)
+                    };
+                    push(&mut queue, &mut reference, key, kind, cov);
                 }
                 if chaos_at.is_some() && chaos_at == node_at {
                     cov.shared_chaos_instants += 1;
                 }
-            } else if roll < 58 {
-                let mut got: Vec<EventKey> = queue.drain().iter().map(|e| e.key).collect();
-                let mut want: Vec<EventKey> = reference.drain().map(|e| e.key).collect();
+            } else if roll < 64 {
+                // A run of deliveries from one source to one node, at the
+                // clock or at the head instant (which may be sorted): one
+                // frame at a time as external injections arrive, or as
+                // trains joined at emission. Now and then the source
+                // skips a `seq` (its event went elsewhere) or switches
+                // port, which must break the train. Half the runs resume
+                // the previous one, whose train may since have been
+                // sorted into the head.
+                let (at, dst, src, mut port) = match last_run {
+                    Some(run) if rng.below(2) == 0 => run,
+                    _ => (
+                        match head {
+                            Some(h) if rng.below(3) == 0 => h,
+                            _ => now + rng.below(12),
+                        },
+                        rng.below(3) as u32,
+                        rng.below(6) as usize,
+                        rng.below(2) as u16,
+                    ),
+                };
+                for _ in 0..1 + rng.below(40) {
+                    match rng.below(12) {
+                        0 => next_seq[src] += 1,
+                        1 => port ^= 1,
+                        _ => {}
+                    }
+                    let frames = 1 + rng.below(3) * rng.below(2);
+                    let first = next_seq[src];
+                    let train = delivery(dst, port, first, frames);
+                    next_seq[src] += frames;
+                    let key = EventKey {
+                        at: SimTime::from_nanos(at),
+                        class: CLASS_NODE,
+                        dst,
+                        src: src as u32,
+                        seq: first,
+                    };
+                    push(&mut queue, &mut reference, key, train, cov);
+                }
+                last_run = Some((at, dst, src, port));
+            } else if roll < 67 {
+                let mut got: Vec<Entry> = queue.drain().iter().flat_map(flatten).collect();
+                let mut want: Vec<Entry> = reference.drain().map(|Reverse(e)| e).collect();
                 got.sort_unstable();
                 want.sort_unstable();
                 assert_eq!(got, want, "seed {seed}: drain");
@@ -411,45 +696,43 @@ mod tests {
             } else {
                 assert_eq!(
                     queue.peek().map(|e| e.key),
-                    reference.peek().map(|e| e.key),
+                    reference.peek().map(|Reverse(e)| e.0),
                     "seed {seed}: peek"
                 );
-                let got = queue.pop();
-                let want = reference.pop();
-                assert_eq!(
-                    got.as_ref().map(|e| e.key),
-                    want.as_ref().map(|e| e.key),
-                    "seed {seed}: pop"
-                );
-                if let Some(Event {
-                    key,
-                    kind: EventKind::Timer { token, .. },
-                }) = got
-                {
-                    assert_eq!(token, key.seq, "seed {seed}: payload travels with its key");
-                    now = key.at.as_nanos();
+                match queue.pop() {
+                    Some(event) => {
+                        for got in flatten(&event) {
+                            let Reverse(want) = reference.pop().expect("reference ran dry");
+                            assert_eq!(got, want, "seed {seed}: pop");
+                            assert_eq!(
+                                got.2, got.0.seq,
+                                "seed {seed}: payload travels with its key"
+                            );
+                        }
+                        now = event.key.at.as_nanos();
+                    }
+                    None => assert!(reference.is_empty(), "seed {seed}: pop"),
                 }
             }
             assert_eq!(queue.len(), reference.len(), "seed {seed}: len");
             assert_eq!(
                 queue.peek_key(),
-                reference.peek().map(|e| e.key),
+                reference.peek().map(|Reverse(e)| e.0),
                 "seed {seed}: peek_key"
             );
             assert_eq!(
                 queue.peek_time(),
-                reference.peek().map(|e| e.key.at),
+                reference.peek().map(|Reverse(e)| e.0.at),
                 "seed {seed}: peek_time"
             );
         }
-        while let Some(want) = reference.pop() {
-            assert_eq!(
-                queue.pop().map(|e| e.key),
-                Some(want.key),
-                "seed {seed}: final pop"
-            );
+        while let Some(event) = queue.pop() {
+            for got in flatten(&event) {
+                let Reverse(want) = reference.pop().expect("reference ran dry");
+                assert_eq!(got, want, "seed {seed}: final pop");
+            }
         }
-        assert!(queue.is_empty() && queue.pop().is_none());
+        assert!(reference.is_empty() && queue.is_empty() && queue.pop().is_none());
     }
 
     #[test]
@@ -466,6 +749,14 @@ mod tests {
             "no chaos key shared an instant"
         );
         assert!(cov.refills > 0, "no refill after a drain");
+        assert!(cov.joins > 0, "no delivery joined a train");
+        assert!(cov.gap_refusals > 0, "no join refused for a seq gap");
+        assert!(cov.port_refusals > 0, "no join refused for another port");
+        assert!(
+            cov.sorted_head_refusals > 0,
+            "no join refused into a sorted head"
+        );
+        assert!(cov.late_refusals > 0, "no join refused into the side heap");
     }
 
     #[test]

@@ -59,7 +59,10 @@ use std::sync::{mpsc, Mutex, MutexGuard};
 use peering_obs::{Counter, DispatchKey, EventKind as ObsEvent, Obs, MAX_LANES};
 
 use crate::chaos::{ChaosChange, ChaosPlan};
-use crate::event::{Event, EventKey, EventKind, EventQueue, CLASS_CHAOS, CLASS_NODE, EXTERNAL_SRC};
+use crate::event::{
+    push_joined, Event, EventKey, EventKind, EventQueue, Train, CLASS_CHAOS, CLASS_NODE,
+    EXTERNAL_SRC,
+};
 use crate::frame::EtherFrame;
 use crate::link::{FaultInjector, Link, LinkConfig, LinkStats, TxOutcome};
 use crate::time::{SimDuration, SimTime};
@@ -142,9 +145,10 @@ pub trait Node: Any + Send {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EtherFrame);
 
     /// Several frames arrived on `port` at the same instant. The simulator
-    /// coalesces same-time deliveries to one `(node, port)` into a single
-    /// call so nodes with a batched fast path can amortize per-packet work;
-    /// the default just replays them through [`Node::on_frame`] in order.
+    /// hands a node every frame train queued back to back for one
+    /// `(instant, node, port)` in a single call, in event-key order, so
+    /// nodes with a batched fast path can amortize per-packet work; the
+    /// default just replays them through [`Node::on_frame`] in order.
     fn on_frames(&mut self, ctx: &mut Ctx<'_>, port: PortId, frames: Vec<EtherFrame>) {
         for frame in frames {
             self.on_frame(ctx, port, frame);
@@ -319,6 +323,7 @@ struct DispatchEnv<'a> {
     counters: &'a SimCounters,
     out: &'a mut Vec<Event>,
     stats: &'a mut LocalStats,
+    /// The frame tracer, when one is recording (never on a shard worker).
     tracer: Option<&'a mut Tracer>,
 }
 
@@ -335,8 +340,10 @@ fn key_for(at: SimTime, dst: u32, src: u32, seq: &mut u64) -> EventKey {
 }
 
 /// Apply a node's (or an external driver's) buffered actions: arm timers and
-/// offer frames to links. Emitted events go to `env.out`; the caller routes
-/// them to the right shard queue.
+/// offer frames to links. Emitted events go to `env.out`, a delivered frame
+/// joining the train of the last one when it continues it; the caller
+/// routes them to the right shard queue. A run of sends on one port takes
+/// that link's lock once, and no two link locks are ever held at once.
 fn apply_actions(
     env: &mut DispatchEnv<'_>,
     node: NodeId,
@@ -345,6 +352,8 @@ fn apply_actions(
     src: u32,
     seq: &mut u64,
 ) {
+    let topo = env.topo;
+    let mut held: Option<(LinkId, MutexGuard<'_, LinkState>)> = None;
     for action in actions {
         match action {
             Action::Timer { at, token } => {
@@ -354,7 +363,7 @@ fn apply_actions(
                 });
             }
             Action::Send { port, frame } => {
-                let Some((link_id, end)) = env.topo.port(node, port) else {
+                let Some((link_id, end)) = topo.port(node, port) else {
                     env.stats.unrouted += 1;
                     continue;
                 };
@@ -370,10 +379,15 @@ fn apply_actions(
                         len: frame.wire_len(),
                     });
                 }
-                let mut guard = env.topo.links[link_id.0 as usize]
-                    .lock()
-                    .expect("link lock poisoned");
-                let state = &mut *guard;
+                if held.as_ref().is_none_or(|(id, _)| *id != link_id) {
+                    // Release the previous link before locking the next.
+                    drop(held.take());
+                    let guard = topo.links[link_id.0 as usize]
+                        .lock()
+                        .expect("link lock poisoned");
+                    held = Some((link_id, guard));
+                }
+                let state = &mut *held.as_mut().expect("link lock taken above").1;
                 let rng = &mut state.rngs[end];
                 let drop_roll = rng.below(100) as u8;
                 let corrupt_roll = rng.below(100) as u8;
@@ -421,25 +435,22 @@ fn apply_actions(
                         }
                         duplicate = dup_roll < faults.duplicate_pct;
                     }
-                    if duplicate {
-                        env.counters.duplicated.inc();
-                        env.out.push(Event {
+                    let mut deliver = |frame: EtherFrame| {
+                        let event = Event {
                             key: key_for(at, dst_node.0, src, seq),
                             kind: EventKind::FrameDelivery {
                                 node: dst_node,
                                 port: dst_port,
-                                frame: frame.clone(),
+                                frames: Train::One(frame),
                             },
-                        });
+                        };
+                        push_joined(env.out, event);
+                    };
+                    if duplicate {
+                        env.counters.duplicated.inc();
+                        deliver(frame.clone());
                     }
-                    env.out.push(Event {
-                        key: key_for(at, dst_node.0, src, seq),
-                        kind: EventKind::FrameDelivery {
-                            node: dst_node,
-                            port: dst_port,
-                            frame,
-                        },
-                    });
+                    deliver(frame);
                 }
             }
         }
@@ -501,9 +512,10 @@ fn trace_rx(
     }
 }
 
-/// Process one node event popped from `queue` (same-instant deliveries to
-/// the same `(node, port)` are coalesced from the queue head into one
-/// batched callback). Chaos events never reach here — they live in the
+/// Process one node event popped from `queue`. A delivery reaches the node
+/// together with every train queued right behind it for the same instant,
+/// node and port: only head-of-queue events join, so the key order across
+/// nodes is untouched. Chaos events never reach here — they live in the
 /// main thread's dedicated queue.
 fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue: &mut EventQueue) {
     let key = event.key;
@@ -516,15 +528,12 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
         src: key.src,
         seq: key.seq,
     });
-    env.stats.processed += 1;
     match event.kind {
-        EventKind::FrameDelivery { node, port, frame } => {
-            trace_rx(env, now, node, port, &frame);
-            // Coalesce the consecutive deliveries for the same instant,
-            // node and port into one batched callback. Only head-of-queue
-            // events are taken, so the key order across nodes is untouched.
-            let mut first = Some(frame);
-            let mut batch = Vec::new();
+        EventKind::FrameDelivery {
+            node,
+            port,
+            mut frames,
+        } => {
             while let Some(next) = queue.peek() {
                 let same = next.key.at == now
                     && matches!(
@@ -535,23 +544,30 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
                 if !same {
                     break;
                 }
-                let Some(ev) = queue.pop() else {
-                    break;
-                };
-                let EventKind::FrameDelivery { frame, .. } = ev.kind else {
+                let Some(Event {
+                    kind: EventKind::FrameDelivery { frames: more, .. },
+                    ..
+                }) = queue.pop()
+                else {
                     unreachable!("peek said FrameDelivery");
                 };
-                env.stats.processed += 1;
-                trace_rx(env, now, node, port, &frame);
-                batch.extend(first.take());
-                batch.push(frame);
+                frames.extend(more);
             }
-            match first {
-                Some(frame) => dispatch_node(env, now, node, |n, ctx| n.on_frame(ctx, port, frame)),
-                None => dispatch_node(env, now, node, |n, ctx| n.on_frames(ctx, port, batch)),
+            env.stats.processed += frames.len() as u64;
+            for frame in frames.iter() {
+                trace_rx(env, now, node, port, frame);
+            }
+            match frames {
+                Train::One(frame) => {
+                    dispatch_node(env, now, node, |n, ctx| n.on_frame(ctx, port, frame))
+                }
+                Train::Many(batch) => {
+                    dispatch_node(env, now, node, |n, ctx| n.on_frames(ctx, port, batch))
+                }
             }
         }
         EventKind::Timer { node, token } => {
+            env.stats.processed += 1;
             dispatch_node(env, now, node, |n, ctx| n.on_timer(ctx, token));
         }
         EventKind::Chaos(_) => unreachable!("chaos events are scheduled on the main thread only"),
@@ -1146,7 +1162,11 @@ impl Simulator {
         let key = self.ext_key(self.time, node.0);
         self.route_event(Event {
             key,
-            kind: EventKind::FrameDelivery { node, port, frame },
+            kind: EventKind::FrameDelivery {
+                node,
+                port,
+                frames: Train::One(frame),
+            },
         });
     }
 
@@ -1209,7 +1229,7 @@ impl Simulator {
                 counters: &self.counters,
                 out: &mut out,
                 stats: &mut stats,
-                tracer: Some(&mut self.tracer),
+                tracer: Some(&mut self.tracer).filter(|t| t.enabled()),
             };
             apply_actions(
                 &mut env,
@@ -1280,7 +1300,7 @@ impl Simulator {
                 counters: &self.counters,
                 out: &mut out,
                 stats: &mut stats,
-                tracer: Some(&mut self.tracer),
+                tracer: Some(&mut self.tracer).filter(|t| t.enabled()),
             };
             process_node_event(&mut env, &self.obs, ev, &mut self.queues[i]);
         }
@@ -1587,7 +1607,7 @@ impl Simulator {
     ///
     /// Both engines count processed events, and both check the cap only
     /// between units of work, so a run may overshoot it: the sequential
-    /// engine by one coalesced batch of deliveries, the parallel engine by
+    /// engine by one node's batch of frame trains, the parallel engine by
     /// one window. With shards configured (and tracing off) this uses the
     /// same windowed parallel engine as [`Simulator::run_until`] —
     /// quiescence is detected at window barriers, where the coordinator
@@ -1788,8 +1808,8 @@ mod tests {
             let cfg = LinkConfig::with_latency(SimDuration::from_millis(1));
             sim.connect(a, PortId(0), b, PortId(0), cfg);
             sim.set_shards(shards);
-            // Ten same-instant deliveries to one port form one coalesced
-            // step; the timer stays pending behind them.
+            // Ten consecutive injections to one port join one train and
+            // reach the node in one step; the timer stays pending behind.
             for _ in 0..10 {
                 let frame = EtherFrame::new(
                     MacAddr::from_id(2),

@@ -109,8 +109,13 @@ impl ServingSpec {
 /// shard count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingOutcome {
-    /// Packets injected at the transits, total.
+    /// Packets injected at the transits, total (refused packets excluded).
     pub injected: u64,
+    /// Packets a transit refused to send for lack of a route; they are
+    /// left out of [`ServingOutcome::injected`] and
+    /// [`ServingOutcome::sent_by_class`], so they never read as platform
+    /// loss.
+    pub refused: u64,
     /// Packets injected per flow-class label.
     pub sent_by_class: BTreeMap<&'static str, u64>,
     /// Packets delivered to the experiment per flow-class label (from
@@ -182,8 +187,9 @@ impl ServingOutcome {
     /// clock, rendered to one comparable string.
     pub fn determinism_key(&self) -> String {
         format!(
-            "injected={} sent={:?} delivered={:?} blocked={:?} pred={:?} obs={:?} pred2={:?} obs2={:?} digest={:016x}\n{}",
+            "injected={} refused={} sent={:?} delivered={:?} blocked={:?} pred={:?} obs={:?} pred2={:?} obs2={:?} digest={:016x}\n{}",
             self.injected,
+            self.refused,
             self.sent_by_class,
             self.delivered_by_class,
             self.blocked_by_reason,
@@ -344,6 +350,7 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
         by_quantum.entry(f.start_ms / 1000).or_default().push(i);
     }
     let mut injected: u64 = 0;
+    let mut refused: u64 = 0;
     let mut sent_by_class: BTreeMap<&'static str, u64> = BTreeMap::new();
     let quanta = spec.serve_ms.div_ceil(1000);
     for q in 0..quanta {
@@ -352,11 +359,13 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
                 let f = gen.flow(i);
                 let dst = net.anycast_addr(f.dst_host as u32);
                 let pkt = flow_packet(&f, dst);
+                let mut sent = 0u64;
                 for _ in 0..f.packets {
-                    net.inject(f.home_pop as usize, pkt.clone());
+                    sent += u64::from(net.inject(f.home_pop as usize, pkt.clone()));
                 }
-                injected += f.packets as u64;
-                *sent_by_class.entry(f.class.label()).or_insert(0) += f.packets as u64;
+                refused += f.packets as u64 - sent;
+                injected += sent;
+                *sent_by_class.entry(f.class.label()).or_insert(0) += sent;
             }
         }
         net.run_millis(1000);
@@ -364,7 +373,6 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
     net.run_secs(5); // drain in-flight packets
 
     let observed_catchment = net.observed_catchment();
-    let delivered_tags = net.delivered_by_tag();
     net.publish_catchment();
 
     // --- churn phase -----------------------------------------------------
@@ -390,8 +398,11 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
             let f = burst.flow(i);
             let dst = net.anycast_addr(f.dst_host as u32);
             let pkt = flow_packet(&f, dst);
-            net.inject(f.home_pop as usize, pkt);
-            burst_sent += 1;
+            if net.inject(f.home_pop as usize, pkt) {
+                burst_sent += 1;
+            } else {
+                refused += 1;
+            }
         }
         net.run_secs(10);
         net.publish_catchment();
@@ -413,7 +424,6 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
     // --- accounting ----------------------------------------------------
     let mut delivered_by_class: BTreeMap<&'static str, u64> = BTreeMap::new();
     let final_tags = net.delivered_by_tag();
-    let _ = delivered_tags; // pre-churn tags are subsumed by the final read
     for class in [
         FlowClass::Legit,
         FlowClass::SpoofedFlood,
@@ -460,6 +470,7 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
 
     ServingOutcome {
         injected,
+        refused,
         sent_by_class,
         delivered_by_class,
         blocked_by_reason: blocked,

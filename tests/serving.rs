@@ -28,6 +28,13 @@ fn attack_run(shards: usize) -> ServingOutcome {
 fn serving_slo_holds_under_attack() {
     let out = attack_run(1);
 
+    // Every transit holds a route to the anycast prefix, so none refuses
+    // a packet: a refusal would otherwise hide among platform losses.
+    assert_eq!(
+        out.refused, 0,
+        "transits refused packets for lack of a route"
+    );
+
     // The headline SLO from the issue: clients keep being served while
     // the attack share is blocked at the edge.
     assert!(
@@ -135,6 +142,10 @@ fn undefended_ablation_delivers_the_attack() {
         out.attack_block < 0.05,
         "attack block {:.4} without any defenses installed",
         out.attack_block
+    );
+    assert_eq!(
+        out.refused, 0,
+        "transits refused packets for lack of a route"
     );
     for class in ["spoofed-flood", "syn-flood", "concentration"] {
         assert!(

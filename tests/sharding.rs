@@ -12,6 +12,9 @@
 //! not a toy topology. A divergence at any shard count is a determinism
 //! bug in the conservative-lookahead engine, not flakiness.
 
+use peering_repro::netsim::{
+    Bytes, Ctx, EtherFrame, EtherType, MacAddr, Node, NodeId, PortId, SimDuration, Simulator,
+};
 use peering_testkit::harness::{run_chaos_schedule, ChaosOutcome, HarnessOptions};
 use peering_workload::serving::{run_serving, ServingSpec};
 use peering_workload::TrafficMix;
@@ -112,6 +115,199 @@ fn event_schedule_matches_pinned_digests() {
 }
 
 // ---------------------------------------------------------------------------
+// Burst-and-fault schedule pin.
+//
+// The pins above run whole platforms. This one drives netsim alone through
+// the shapes that same-instant frame bursts meet on the wire: runs of sends
+// that switch links mid-burst, a timer armed mid-run, control frames that
+// the data-plane faults skip, drops, duplicates, reorders and corruption on
+// one link, serialization delay and tail drop on the other, replies sent
+// back from a batch, and consecutive external injections.
+// ---------------------------------------------------------------------------
+
+/// `(peer digest, sender digest, processed events)` of [`burst_schedule`],
+/// recorded at the commit before frame deliveries became trains, followed
+/// by both directions' [`LinkStats`] of the faulty and the narrow link as
+/// `[tx_frames, tx_bytes, delivered_frames, faulted_frames,
+/// overflow_frames]`. Regenerate as described on [`PINNED_SERVING`].
+///
+/// [`LinkStats`]: peering_repro::netsim::LinkStats
+const PINNED_BURSTS: ((u64, u64, u64), [[u64; 5]; 4]) = (
+    (0x52e7_d7e7_7a08_b606, 0x1fc5_37c0_ee38_bba0, 5_337),
+    [
+        [2_803, 168_180, 2_563, 240, 0],
+        [691, 41_460, 634, 57, 0],
+        [2_763, 165_780, 1_253, 0, 1_510],
+        [225, 13_500, 225, 0, 0],
+    ],
+);
+
+/// Folds everything it receives into an FNV-1a digest; the sender also
+/// fires bursts from its timer, and the peer echoes every fifth frame back.
+struct BurstNode {
+    digest: u64,
+    echo: bool,
+    rounds: u64,
+}
+
+impl BurstNode {
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// A 46-byte frame numbered `(round, n)`.
+fn burst_frame(round: u64, n: u8, ethertype: EtherType) -> EtherFrame {
+    let mut payload = [0u8; 46];
+    payload[0] = n;
+    payload[1..9].copy_from_slice(&round.to_le_bytes());
+    for (i, b) in payload.iter_mut().enumerate().skip(9) {
+        *b = (i as u8).wrapping_mul(n | 1);
+    }
+    EtherFrame::new(
+        MacAddr::from_id(2),
+        MacAddr::from_id(1),
+        ethertype,
+        Bytes::copy_from_slice(&payload),
+    )
+}
+
+/// Timer tokens at or above this are mid-burst no-ops.
+const NOOP_TOKEN: u64 = 1 << 32;
+
+impl Node for BurstNode {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EtherFrame) {
+        self.on_frames(ctx, port, vec![frame]);
+    }
+
+    fn on_frames(&mut self, ctx: &mut Ctx<'_>, port: PortId, frames: Vec<EtherFrame>) {
+        // The batch length pins how deliveries were grouped into calls.
+        self.fold(&(frames.len() as u64).to_le_bytes());
+        for frame in frames {
+            self.fold(&ctx.now().as_nanos().to_le_bytes());
+            self.fold(&port.0.to_le_bytes());
+            self.fold(&frame.encode());
+            if self.echo && frame.payload.as_ref()[0] % 5 == 0 {
+                ctx.send_frame(port, frame);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, round: u64) {
+        if round >= NOOP_TOKEN {
+            return;
+        }
+        // Eight runs of 1-6 frames, alternating links; every run's fourth
+        // frame is control-plane traffic, and every third round arms a
+        // timer in the middle of its second run.
+        let mut n = 0u8;
+        for run in 0..8u16 {
+            let len = 1 + ctx.rng().below(6);
+            for i in 0..len {
+                if run == 1 && i == 1 && round.is_multiple_of(3) {
+                    ctx.set_timer(SimDuration::from_micros(1), NOOP_TOKEN + round);
+                }
+                let ethertype = if i == 3 {
+                    EtherType::Other(0x88b5)
+                } else {
+                    EtherType::Ipv4
+                };
+                ctx.send_frame(PortId(run % 2), burst_frame(round, n, ethertype));
+                n += 1;
+            }
+        }
+        if round + 1 < self.rounds {
+            ctx.set_timer(SimDuration::from_micros(300), round + 1);
+        }
+    }
+}
+
+/// Two nodes joined by a faulty link (port 0) and a narrow one (port 1);
+/// the sender bursts for 200 rounds. Returns what [`PINNED_BURSTS`] pins.
+fn burst_schedule(shards: usize) -> ((u64, u64, u64), [[u64; 5]; 4]) {
+    use peering_repro::netsim::{FaultInjector, LinkConfig};
+    let mut sim = Simulator::new(0xb0257);
+    let node = |echo| BurstNode {
+        digest: 0xcbf2_9ce4_8422_2325,
+        echo,
+        rounds: 200,
+    };
+    let sender = sim.add_node(Box::new(node(false)));
+    let peer = sim.add_node(Box::new(node(true)));
+    let faults = FaultInjector::dropping(10)
+        .corrupting(10)
+        .duplicating(15)
+        .reordering(25, SimDuration::from_micros(40))
+        .data_plane_only();
+    let faulty = sim.connect(
+        sender,
+        PortId(0),
+        peer,
+        PortId(0),
+        LinkConfig::with_latency(SimDuration::from_millis(1)).with_faults(faults),
+    );
+    let narrow = sim.connect(
+        sender,
+        PortId(1),
+        peer,
+        PortId(1),
+        LinkConfig::provisioned(SimDuration::from_millis(2), 10_000_000).with_queue_bytes(600),
+    );
+    sim.set_shards(shards);
+    sim.set_node_shard(sender, 0);
+    sim.set_node_shard(peer, shards - 1);
+    // Consecutive external injections and external sends, then the bursts.
+    for n in 0..4 {
+        sim.inject_frame(
+            peer,
+            PortId(n % 2),
+            burst_frame(u64::MAX, n as u8, EtherType::Ipv4),
+        );
+    }
+    for n in 0..3 {
+        sim.send_from(
+            sender,
+            PortId(1),
+            burst_frame(u64::MAX - 1, n, EtherType::Ipv4),
+        );
+    }
+    sim.set_timer(sender, SimDuration::ZERO, 0);
+    assert!(sim.run_until_idle(1_000_000), "bursts never went idle");
+    let digest = |id| sim.node::<BurstNode>(id).expect("burst node").digest;
+    let stats = |link| {
+        sim.link_stats(link).map(|s| {
+            [
+                s.tx_frames,
+                s.tx_bytes,
+                s.delivered_frames,
+                s.faulted_frames,
+                s.overflow_frames,
+            ]
+        })
+    };
+    let ([fa, fb], [na, nb]) = (stats(faulty), stats(narrow));
+    (
+        (digest(peer), digest(sender), sim.processed_events),
+        [fa, fb, na, nb],
+    )
+}
+
+#[test]
+fn burst_schedule_matches_pinned_digest() {
+    for shards in [1, 2] {
+        let got = burst_schedule(shards);
+        let ((peer, sender, events), links) = got;
+        assert!(
+            got == PINNED_BURSTS,
+            "{shards} shard(s): burst schedule moved: digests {peer:#018x}, {sender:#018x}, \
+             {events} events, link stats {links:?} (pinned {PINNED_BURSTS:?})"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Adaptive-window schedule invisibility.
 //
 // The parallel engine doubles its lookahead window while no cross-shard
@@ -164,10 +360,6 @@ fn random_window_caps_replay_bit_identically() {
 // ---------------------------------------------------------------------------
 // Parallel run_until_idle and mid-run resharding.
 // ---------------------------------------------------------------------------
-
-use peering_repro::netsim::{
-    Bytes, Ctx, EtherFrame, EtherType, MacAddr, Node, NodeId, PortId, SimDuration, Simulator,
-};
 
 /// Ring node: forwards a hop-counted frame around the ring until the
 /// counter dies, so the cascade is finite and the simulator goes idle.
