@@ -13,8 +13,10 @@
 //! bug in the conservative-lookahead engine, not flakiness.
 
 use peering_repro::netsim::{
-    Bytes, Ctx, EtherFrame, EtherType, MacAddr, Node, NodeId, PortId, SimDuration, Simulator,
+    Bytes, Ctx, EtherFrame, EtherType, IpPacket, IpProto, MacAddr, Node, NodeId, PortId,
+    SimDuration, Simulator,
 };
+use peering_repro::toolkit::node::ExperimentNode;
 use peering_testkit::harness::{run_chaos_schedule, ChaosOutcome, HarnessOptions};
 use peering_workload::serving::{run_serving, ServingSpec};
 use peering_workload::TrafficMix;
@@ -303,6 +305,421 @@ fn burst_schedule_matches_pinned_digest() {
             got == PINNED_BURSTS,
             "{shards} shard(s): burst schedule moved: digests {peer:#018x}, {sender:#018x}, \
              {events} events, link stats {links:?} (pinned {PINNED_BURSTS:?})"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Egress-path pin.
+//
+// `PINNED_SERVING` covers ingress delivery and the ingress pipeline, and the
+// chaos pins cover the control plane. This one pins the frames two live
+// routers emit on the experiment → neighbor path: packets that are allowed,
+// spoofed, blocked or rewritten by a packet program, or that expire their
+// TTL (ICMP time-exceeded back to the experiment); packets toward a remote
+// neighbor before its global address resolves (ARP request) and after
+// (forwarded across the backbone); and inbound packets delivered with the
+// source-MAC rewrite, locally and across the backbone. Every kind is sent
+// both as a single frame and inside trains.
+// ---------------------------------------------------------------------------
+
+/// Per node (routers A and B, neighbors N1 and N2, the experiment) the
+/// FNV-1a digest of every frame it received as (time, port, frame bytes),
+/// then processed events and the journal digest. Recorded by running
+/// [`egress_schedule`] at the commit before the single-packet data-plane
+/// calls were removed; regenerate as described on [`PINNED_SERVING`].
+const PINNED_EGRESS: ([u64; 5], u64, u64) = (
+    [
+        0x8c5a_312a_6495_9bae,
+        0xa307_5918_310f_2540,
+        0xadb0_532a_9935_3432,
+        0xf54e_b05d_b626_cabb,
+        0x0ceb_dfc6_dce5_ed34,
+    ],
+    146,
+    0x3f4f_aead_4846_b787,
+);
+
+/// Forwards every callback to `inner`, folding each received frame into
+/// `digest` first and counting how it arrived (alone or in a train).
+struct Tap<N> {
+    inner: N,
+    digest: u64,
+    single: u64,
+    in_trains: u64,
+}
+
+impl<N> Tap<N> {
+    fn new(inner: N) -> Self {
+        Tap {
+            inner,
+            digest: 0xcbf2_9ce4_8422_2325,
+            single: 0,
+            in_trains: 0,
+        }
+    }
+
+    fn fold(&mut self, ctx: &Ctx<'_>, port: PortId, frame: &EtherFrame) {
+        let time = ctx.now().as_nanos().to_le_bytes();
+        let port = port.0.to_le_bytes();
+        for bytes in [&time[..], &port[..], &frame.encode()[..]] {
+            for &b in bytes {
+                self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+}
+
+impl<N: Node> Node for Tap<N> {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EtherFrame) {
+        self.fold(ctx, port, &frame);
+        self.single += 1;
+        self.inner.on_frame(ctx, port, frame);
+    }
+
+    fn on_frames(&mut self, ctx: &mut Ctx<'_>, port: PortId, frames: Vec<EtherFrame>) {
+        for frame in &frames {
+            self.fold(ctx, port, frame);
+        }
+        self.in_trains += frames.len() as u64;
+        self.inner.on_frames(ctx, port, frames);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.inner.on_timer(ctx, token);
+    }
+}
+
+/// A UDP packet whose payload starts with the source and destination
+/// ports (what packet programs read) followed by a tag byte.
+fn udp(src: &str, dst: &str, dst_port: u16, ttl: u8, tag: u8) -> IpPacket {
+    let mut payload = vec![0x10, 0x00];
+    payload.extend_from_slice(&dst_port.to_be_bytes());
+    payload.push(tag);
+    let mut pkt = IpPacket::new(
+        src.parse().unwrap(),
+        dst.parse().unwrap(),
+        IpProto::Udp,
+        Bytes::from(payload),
+    );
+    pkt.header.ttl = ttl;
+    pkt
+}
+
+/// Send `(next hop, packet)` pairs from an endpoint in one callback (so
+/// they leave as one train once the next hops are resolved), then run the
+/// simulator `ms`.
+fn send(sim: &mut Simulator, node: NodeId, pkts: Vec<(&str, IpPacket)>, ms: u64) {
+    sim.with_node_ctx::<Tap<ExperimentNode>, _>(node, |t, ctx| {
+        for (next_hop, pkt) in pkts {
+            t.inner
+                .send_to_next_hop(ctx, PortId(0), next_hop.parse().unwrap(), pkt);
+        }
+    });
+    sim.run_for(SimDuration::from_millis(ms));
+}
+
+/// Router A (PoP 0: neighbor N1, the experiment, a backbone port) and
+/// router B (PoP 1: neighbor N2), joined by a backbone link; at two shards
+/// each PoP runs on its own shard. Returns what [`PINNED_EGRESS`] pins.
+fn egress_schedule(shards: usize) -> ([u64; 5], u64, u64) {
+    use peering_repro::bgp::types::{prefix, Asn, RouterId};
+    use peering_repro::bgp::PeerId;
+    use peering_repro::netsim::LinkConfig;
+    use peering_repro::obs::Obs;
+    use peering_repro::vbgp::enforcement::data::ExperimentDataPolicy;
+    use peering_repro::vbgp::enforcement::pprog::{Field, Insn, PacketProgram};
+    use peering_repro::vbgp::{
+        BackboneConfig, CapabilitySet, ControlCommunities, ControlEnforcer, DataEnforcer,
+        ExperimentConfig, ExperimentId, ExperimentPolicy, NeighborConfig, NeighborId, NeighborKind,
+        PopId, RemoteNeighbor, VbgpRouter,
+    };
+    const ASN: u16 = 47065;
+    let mac = MacAddr::from_id;
+    let mut sim = Simulator::new(0xe9e5);
+    let obs = Obs::new();
+    sim.set_obs(obs.clone());
+    let router = |pop: u32, ports: &[u32]| {
+        let control = ControlEnforcer::standalone(PopId(pop), ControlCommunities::new(ASN));
+        let mut r = VbgpRouter::new(
+            PopId(pop),
+            Asn(u32::from(ASN)),
+            RouterId(1 + pop),
+            control,
+            DataEnforcer::new(),
+        );
+        r.set_obs(obs.scoped(&format!("pop{pop}")));
+        for (i, &m) in ports.iter().enumerate() {
+            r.set_port_mac(PortId(i as u16), mac(m));
+        }
+        r
+    };
+    let neighbor =
+        |id: u32, port: u16, nbr_mac: u32, local: &str, remote: &str, index| NeighborConfig {
+            id: NeighborId(id),
+            asn: Asn(100 * id),
+            kind: NeighborKind::Transit,
+            port: PortId(port),
+            remote_mac: mac(nbr_mac),
+            local_addr: local.parse().unwrap(),
+            remote_addr: remote.parse().unwrap(),
+            global_index: index,
+            passive: false,
+        };
+    // Destination port 9 is blocked; port 7 is rewritten toward
+    // 192.168.1.77 with TTL 9.
+    let program = PacketProgram::new(vec![
+        Insn::Ld(0, Field::DstPort),
+        Insn::JeqImm(0, 9, 9),
+        Insn::JeqImm(0, 7, 4),
+        Insn::Allow,
+        Insn::LdImm(1, 0xc0a8_014d),
+        Insn::SetDst(1),
+        Insn::LdImm(2, 9),
+        Insn::SetTtl(2),
+        Insn::Allow,
+        Insn::Block,
+    ]);
+
+    let mut a = router(0, &[0xa00, 0xa01, 0xa02]);
+    a.add_neighbor(neighbor(1, 0, 0x100, "10.0.1.2", "10.0.1.1", 1));
+    a.add_experiment(ExperimentConfig {
+        id: ExperimentId(1),
+        asn: Asn(61574),
+        port: PortId(1),
+        remote_mac: mac(0x300),
+        local_addr: "100.125.1.1".parse().unwrap(),
+        remote_addr: "100.125.1.2".parse().unwrap(),
+        global_index: Some(3),
+        policy: ExperimentPolicy {
+            allocations: vec![prefix("184.164.224.0/24")],
+            asns: vec![Asn(61574)],
+            caps: CapabilitySet::basic(),
+        },
+        data: ExperimentDataPolicy {
+            allowed_sources: vec![prefix("184.164.224.0/24")],
+            program: Some(program),
+            ..Default::default()
+        },
+    });
+    let mut b = router(1, &[0xb00, 0xb01]);
+    b.add_neighbor(neighbor(2, 0, 0x200, "10.0.2.2", "10.0.2.1", 2));
+    b.add_backbone_peer(BackboneConfig {
+        port: PortId(1),
+        remote_mac: mac(0xa02),
+        local_addr: "10.255.0.2".parse().unwrap(),
+        remote_addr: "10.255.0.1".parse().unwrap(),
+        remote_neighbors: vec![RemoteNeighbor {
+            id: NeighborId(1),
+            global_index: 1,
+        }],
+        passive: true,
+    });
+    let endpoint = |asn: u32, id: u32, own: (u32, &str), router: (u32, &str)| {
+        let mut n = ExperimentNode::new(Asn(asn), RouterId(id));
+        n.add_pop_session(
+            PeerId(0),
+            PortId(0),
+            mac(own.0),
+            own.1.parse().unwrap(),
+            mac(router.0),
+            router.1.parse().unwrap(),
+            Asn(u32::from(ASN)),
+        );
+        Tap::new(n)
+    };
+    let a = sim.add_node(Box::new(Tap::new(a)));
+    let b = sim.add_node(Box::new(Tap::new(b)));
+    let n1 = sim.add_node(Box::new(endpoint(
+        100,
+        11,
+        (0x100, "10.0.1.1"),
+        (0xa00, "10.0.1.2"),
+    )));
+    let n2 = sim.add_node(Box::new(endpoint(
+        200,
+        12,
+        (0x200, "10.0.2.1"),
+        (0xb00, "10.0.2.2"),
+    )));
+    let exp = sim.add_node(Box::new(endpoint(
+        61574,
+        13,
+        (0x300, "100.125.1.2"),
+        (0xa01, "100.125.1.1"),
+    )));
+    let edge = LinkConfig::with_latency(SimDuration::from_millis(1));
+    sim.connect(a, PortId(0), n1, PortId(0), edge);
+    sim.connect(a, PortId(1), exp, PortId(0), edge);
+    sim.connect(b, PortId(0), n2, PortId(0), edge);
+    sim.connect(
+        a,
+        PortId(2),
+        b,
+        PortId(1),
+        LinkConfig::with_latency(SimDuration::from_millis(10)),
+    );
+    sim.set_shards(shards);
+    for (node, pop) in [(a, 0), (n1, 0), (exp, 0), (b, 1), (n2, 1)] {
+        sim.set_node_shard(node, pop % shards);
+    }
+
+    // A starts before its backbone session exists, so its start-up ARP
+    // prefetch never learns N2's global address: the first packets toward
+    // N2 meet an unresolved egress.
+    sim.with_node_ctx::<Tap<VbgpRouter>, _>(b, |t, ctx| t.inner.start(ctx));
+    sim.with_node_ctx::<Tap<VbgpRouter>, _>(a, |t, ctx| {
+        t.inner.start(ctx);
+        let peer = t.inner.add_backbone_peer(BackboneConfig {
+            port: PortId(2),
+            remote_mac: mac(0xb01),
+            local_addr: "10.255.0.1".parse().unwrap(),
+            remote_addr: "10.255.0.2".parse().unwrap(),
+            remote_neighbors: vec![RemoteNeighbor {
+                id: NeighborId(2),
+                global_index: 2,
+            }],
+            passive: false,
+        });
+        t.inner.start_session(ctx, peer);
+    });
+    for node in [n1, n2, exp] {
+        sim.with_node_ctx::<Tap<ExperimentNode>, _>(node, |t, ctx| {
+            t.inner.start_session(ctx, PeerId(0))
+        });
+    }
+    sim.run_for(SimDuration::from_secs(5));
+    for (node, p, nh) in [
+        (n1, "192.168.1.0/24", "10.0.1.1"),
+        (n2, "192.168.2.0/24", "10.0.2.1"),
+        (exp, "184.164.224.0/24", "100.125.1.2"),
+    ] {
+        sim.with_node_ctx::<Tap<ExperimentNode>, _>(node, |t, ctx| {
+            let attrs = t.inner.build_attrs(nh.parse().unwrap(), 0, &[], &[]);
+            t.inner.announce_via(ctx, PeerId(0), prefix(p), attrs);
+        });
+    }
+    sim.run_for(SimDuration::from_secs(10));
+
+    // The experiment's next hops toward N1 and (across the backbone) N2.
+    let next_hop = |p: &str| {
+        let exp = &sim.node::<Tap<ExperimentNode>>(exp).unwrap().inner;
+        match exp.routes_for(&prefix(p))[0].attrs.next_hop {
+            Some(std::net::IpAddr::V4(nh)) => nh.to_string(),
+            other => panic!("{p}: unexpected next hop {other:?}"),
+        }
+    };
+    let (n1_hop, n2_hop) = (next_hop("192.168.1.0/24"), next_hop("192.168.2.0/24"));
+    let (n1_hop, n2_hop) = (n1_hop.as_str(), n2_hop.as_str());
+    let me = "184.164.224.5";
+    let allowed = |tag| (n1_hop, udp(me, "192.168.1.1", 80, 64, tag));
+    let spoofed = |tag| (n1_hop, udp("9.9.9.9", "192.168.1.2", 80, 64, tag));
+    let blocked = |tag| (n1_hop, udp(me, "192.168.1.3", 9, 64, tag));
+    let rewritten = |tag| (n1_hop, udp(me, "192.168.1.4", 7, 64, tag));
+    let expiring = |tag| (n1_hop, udp(me, "192.168.1.5", 80, 1, tag));
+    let remote = |tag| (n2_hop, udp(me, "192.168.2.1", 80, 64, tag));
+    let remote_blocked = |tag| (n2_hop, udp(me, "192.168.2.2", 9, 64, tag));
+
+    // The experiment's first sends ARP for each next hop. Toward N2, A has
+    // not resolved N2's global address yet: singles, then a train.
+    send(&mut sim, exp, vec![allowed(1)], 20);
+    send(&mut sim, exp, vec![remote(2)], 5);
+    send(&mut sim, exp, vec![remote(3)], 2);
+    let train = vec![
+        remote(4),
+        allowed(5),
+        remote_blocked(6),
+        remote(7),
+        expiring(8),
+    ];
+    send(&mut sim, exp, train, 50);
+    // Every kind alone, now that N2 resolves, then every kind in one train
+    // mixing both neighbors' tables, twice (the second train meets warm
+    // flow and verdict caches).
+    let kinds = |t: u8| {
+        vec![
+            remote(t),
+            allowed(t + 1),
+            spoofed(t + 2),
+            blocked(t + 3),
+            rewritten(t + 4),
+            expiring(t + 5),
+            remote(t + 6),
+            remote_blocked(t + 7),
+        ]
+    };
+    for pkt in kinds(10) {
+        send(&mut sim, exp, vec![pkt], 5);
+    }
+    send(&mut sim, exp, kinds(20), 30);
+    send(&mut sim, exp, kinds(30), 30);
+
+    // Inbound: N1 → experiment (delivered with N1's virtual MAC as the
+    // source), expiring and unroutable; N2 → experiment across the
+    // backbone. Singles, then trains.
+    let from_n1 = |t: u8| {
+        let pkt = |dst, ttl, tag| ("10.0.1.2", udp("192.168.1.9", dst, 443, ttl, tag));
+        vec![
+            pkt("184.164.224.6", 64, t),
+            pkt("184.164.224.7", 1, t + 1),
+            pkt("184.164.225.1", 64, t + 2),
+            pkt("184.164.224.8", 64, t + 3),
+        ]
+    };
+    let from_n2 = |t: u8| {
+        let pkt = |dst, tag| ("10.0.2.2", udp("192.168.2.9", dst, 443, 64, tag));
+        vec![pkt("184.164.224.9", t), pkt("184.164.224.10", t + 1)]
+    };
+    for pkt in from_n1(40) {
+        send(&mut sim, n1, vec![pkt], 20);
+    }
+    for pkt in from_n2(50) {
+        send(&mut sim, n2, vec![pkt], 40);
+    }
+    send(&mut sim, n1, from_n1(60), 5);
+    send(&mut sim, n2, from_n2(70), 100);
+    sim.run_for(SimDuration::from_secs(1));
+
+    // The schedule really reached every path it claims to pin.
+    let ra = &sim.node::<Tap<VbgpRouter>>(a).unwrap().inner;
+    let rb = &sim.node::<Tap<VbgpRouter>>(b).unwrap().inner;
+    let blocked_by = |label| ra.data.stats.blocked.get(label).copied().unwrap_or(0);
+    assert!(blocked_by("spoofed-source") >= 3 && blocked_by("program-block") >= 4);
+    assert!(ra.stats.data_transformed >= 3 && ra.stats.icmp_sent >= 4);
+    assert!(ra.stats.ttl_expired >= 6 && ra.stats.no_route >= 2);
+    assert!(ra.mux.stats.unresolved >= 4 && ra.mux.stats.to_backbone >= 5);
+    assert!(ra.mux.stats.to_experiment >= 8 && rb.mux.stats.to_backbone >= 3);
+    let taps = [a, b, n1, n2, exp].map(|n| {
+        if n == a || n == b {
+            let t = sim.node::<Tap<VbgpRouter>>(n).unwrap();
+            (t.digest, t.single, t.in_trains)
+        } else {
+            let t = sim.node::<Tap<ExperimentNode>>(n).unwrap();
+            (t.digest, t.single, t.in_trains)
+        }
+    });
+    assert!(
+        taps[0].1 > 0 && taps[0].2 > 0,
+        "router A must see singles and trains: {taps:?}"
+    );
+    (
+        taps.map(|t| t.0),
+        sim.processed_events,
+        obs.journal_digest(),
+    )
+}
+
+#[test]
+fn egress_schedule_matches_pinned_digest() {
+    for shards in [1, 2] {
+        let got = egress_schedule(shards);
+        assert!(
+            got == PINNED_EGRESS,
+            "{shards} shard(s): egress schedule moved: digests {:#018x?}, {} events, journal \
+             {:#018x} (pinned {PINNED_EGRESS:#018x?})",
+            got.0,
+            got.1,
+            got.2
         );
     }
 }
