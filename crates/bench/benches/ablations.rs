@@ -65,10 +65,20 @@ fn data_enforcement() {
         },
     );
     let pkt = PacketView::basic("184.164.224.9".parse().unwrap(), 1500);
+    let mut verdicts = Vec::with_capacity(1);
     timing::bench(
         "ablation/data_enforcement/per_packet_verdict",
         100_000,
-        || e.check_egress(ExperimentId(1), &pkt, Some(NeighborId(1)), SimTime::ZERO),
+        || {
+            e.check_egress_batch(
+                ExperimentId(1),
+                std::slice::from_ref(&pkt),
+                Some(NeighborId(1)),
+                SimTime::ZERO,
+                &mut verdicts,
+            );
+            verdicts[0]
+        },
     );
 }
 
@@ -113,13 +123,17 @@ fn mux_forwarding() {
     }
     let dst: std::net::Ipv4Addr = "10.1.2.3".parse().unwrap();
     mux.install_route(NeighborId(1), "10.0.0.0/8".parse().unwrap());
+    let mut egress = Vec::with_capacity(1);
     timing::bench(
         "ablation/mux/classify_and_forward_100k_fib",
         100_000,
         || {
             let target = mux.classify(vnh.mac).unwrap();
             match target {
-                peering_vbgp::MuxTarget::NeighborTable(n) => mux.egress_via_neighbor(n, dst),
+                peering_vbgp::MuxTarget::NeighborTable(n) => {
+                    mux.egress_via_neighbor_batch(n, &[dst], &mut egress);
+                    egress[0]
+                }
                 _ => None,
             }
         },

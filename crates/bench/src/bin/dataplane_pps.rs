@@ -1,19 +1,19 @@
-//! Data-plane fast-path throughput: compiled flat FIB + flow cache vs the
-//! binary-trie baseline, on one neighbor table at full-Internet scale.
+//! Data-plane lookup throughput: the mux's compiled flat FIB + flow cache
+//! vs the binary trie it is compiled from, on one neighbor table at
+//! full-Internet scale.
 //!
 //! Builds a [`VbgpMux`] with one local neighbor, installs N synthetic IPv4
 //! prefixes (/16–/28, so the DIR-24-8 overflow chunks are exercised), then
-//! measures `egress_via_neighbor` lookups per second under three
-//! configurations:
+//! measures lookups per second in four rows:
 //!
-//! - `baseline-trie`: fast path disabled — every packet walks the binary
-//!   trie (the pre-optimization data plane).
-//! - `fastpath-fib`: compiled flat FIB, cache-hostile probe stream (256k
-//!   distinct destinations — the flow cache almost never hits, so this
-//!   isolates the DIR-24-8 lookup itself).
-//! - `fastpath-cached`: same FIB, flow-heavy probe stream (2k distinct
+//! - `baseline-trie`: [`PrefixTrie::lookup`] over the same prefixes — every
+//!   packet walks the binary trie (the pre-optimization data plane).
+//! - `fastpath-fib`: `egress_via_neighbor_batch` in runs of one,
+//!   cache-hostile probe stream (256k distinct destinations — the flow
+//!   cache almost never hits, so this isolates the DIR-24-8 lookup itself).
+//! - `fastpath-cached`: the same, flow-heavy probe stream (2k distinct
 //!   destinations — the direct-mapped flow cache absorbs most lookups).
-//! - `fastpath-batch`: batched `egress_via_neighbor_batch` in runs of 64,
+//! - `fastpath-batch`: `egress_via_neighbor_batch` in runs of 64,
 //!   cache-hostile stream (amortized table selection + egress resolution).
 //!
 //! Run with:
@@ -27,12 +27,13 @@
 //!
 //! `--write` records the rows to `docs/results/BENCH_dataplane.json`;
 //! `--check` (the CI smoke mode) re-measures on whatever table size was
-//! given and fails if the optimized single-lookup throughput regressed
+//! given and fails if the runs-of-one lookup throughput regressed
 //! more than 5x below the committed number.
 
 use std::net::Ipv4Addr;
 
-use peering_bench::{splitmix, synth_fib_prefix, timing};
+use peering_bench::{bench_args, splitmix, synth_fib_prefix, timing};
+use peering_bgp::trie::PrefixTrie;
 use peering_bgp::types::Prefix;
 use peering_netsim::{MacAddr, PortId};
 use peering_obs::Obs;
@@ -72,29 +73,27 @@ fn build_mux(prefixes: &[Prefix]) -> VbgpMux {
     mux
 }
 
-/// Lookups/sec for a probe stream through `egress_via_neighbor`.
-fn measure_single(mux: &mut VbgpMux, probes: &[Ipv4Addr], iters: u32) -> f64 {
-    let name = if mux.fast_path() {
-        "fastpath"
-    } else {
-        "baseline"
-    };
-    let per = timing::bench(name, iters, || {
-        let mut hits = 0u64;
-        for &ip in probes {
-            if mux.egress_via_neighbor(NEIGHBOR, ip).is_some() {
-                hits += 1;
-            }
-        }
-        hits
+/// Lookups/sec for a probe stream walking the binary trie.
+fn measure_trie(trie: &PrefixTrie<()>, probes: &[Ipv4Addr], iters: u32) -> f64 {
+    let per = timing::bench("baseline", iters, || {
+        probes
+            .iter()
+            .filter(|&&ip| trie.lookup(ip.into()).is_some())
+            .count()
     });
     probes.len() as f64 / per
 }
 
 /// Lookups/sec through `egress_via_neighbor_batch` in runs of `batch`.
-fn measure_batch(mux: &mut VbgpMux, probes: &[Ipv4Addr], batch: usize, iters: u32) -> f64 {
+fn measure_batch(
+    name: &str,
+    mux: &mut VbgpMux,
+    probes: &[Ipv4Addr],
+    batch: usize,
+    iters: u32,
+) -> f64 {
     let mut out = Vec::with_capacity(batch);
-    let per = timing::bench("fastpath-batch", iters, || {
+    let per = timing::bench(name, iters, || {
         let mut hits = 0u64;
         for run in probes.chunks(batch) {
             mux.egress_via_neighbor_batch(NEIGHBOR, run, &mut out);
@@ -119,23 +118,21 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let mut n_prefixes: usize = 900_000;
-    let mut write = false;
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--check" => check = true,
-            other => {
-                n_prefixes = other
-                    .parse()
-                    .unwrap_or_else(|_| panic!("unrecognized argument {other:?}"));
-            }
-        }
-    }
+    let flags = ["--write", "--check"];
+    let args = bench_args(
+        "dataplane_pps [prefixes > 0] [--write] [--check]",
+        &flags,
+        Some(900_000),
+    );
+    let [write, check] = flags.map(|f| args.has(f));
+    let n_prefixes = args.size;
 
-    let prefixes: Vec<Prefix> = (0..n_prefixes as u64).map(synth_fib_prefix).collect();
+    let prefixes: Vec<Prefix> = (0..n_prefixes).map(synth_fib_prefix).collect();
     let mut mux = build_mux(&prefixes);
+    let mut trie = PrefixTrie::new();
+    for p in &prefixes {
+        trie.insert(*p, ());
+    }
     let obs = Obs::new();
     mux.set_obs(obs.clone());
     let table_entries = mux.table_entries(NEIGHBOR).count();
@@ -145,12 +142,10 @@ fn main() {
     let flows = probes(&prefixes, 2_048, 1 << 18, 0xf10e);
     let iters = 5;
 
-    mux.set_fast_path(false);
-    let baseline_pps = measure_single(&mut mux, &hostile, iters);
-    mux.set_fast_path(true);
-    let fib_pps = measure_single(&mut mux, &hostile, iters);
-    let cached_pps = measure_single(&mut mux, &flows, iters);
-    let batch_pps = measure_batch(&mut mux, &hostile, 64, iters);
+    let baseline_pps = measure_trie(&trie, &hostile, iters);
+    let fib_pps = measure_batch("fastpath", &mut mux, &hostile, 1, iters);
+    let cached_pps = measure_batch("fastpath", &mut mux, &flows, 1, iters);
+    let batch_pps = measure_batch("fastpath-batch", &mut mux, &hostile, 64, iters);
 
     let fib_speedup = fib_pps / baseline_pps;
     let batch_speedup = batch_pps / baseline_pps;
@@ -204,7 +199,7 @@ fn main() {
     "ci_smoke": "cargo run --release -p peering-bench --bin dataplane_pps -- 20000 --check"
   }},
   "dataplane_pps": {{
-    "description": "egress_via_neighbor lookups/sec on one neighbor table; baseline walks the binary trie per packet, optimized consults the compiled DIR-24-8 FIB with a direct-mapped flow cache in front; batch row amortizes table selection over runs of 64 frames",
+    "description": "lookups/sec on one neighbor table; baseline times PrefixTrie::lookup over the same prefixes, optimized rows call egress_via_neighbor_batch (runs of one, or runs of 64 for the batch row), which consults the compiled DIR-24-8 FIB with a direct-mapped flow cache in front; the batch row amortizes table selection over its runs",
     "prefix_installs": {n_prefixes},
     "unique_prefixes": {table_entries},
     "prefix_lengths": "/16-/28",

@@ -63,15 +63,9 @@ fn rss_bytes() -> u64 {
 }
 
 fn main() {
-    let mut write = false;
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--smoke" => smoke = true,
-            other => panic!("unrecognized argument {other:?}"),
-        }
-    }
+    let flags = ["--write", "--smoke"];
+    let args = peering_bench::bench_args("dfz_bench [--smoke] [--write]", &flags, None);
+    let [write, smoke] = flags.map(|f| args.has(f));
     let params = if smoke {
         Params {
             v4_routes: 5_400,

@@ -97,7 +97,9 @@ fn main() {
     );
 
     // Update batching: messages emitted toward the 3 attached ADD-PATH
-    // experiment sessions per bursty churn round, per-delta vs coalesced.
+    // experiment sessions per bursty churn round, with the round delivered
+    // one UPDATE per `on_bytes` call (per-delta emission) vs in one call
+    // (coalesced).
     let rounds = 20;
     let burst = 256;
     let per_delta = peering_bench::churn_fanout(false, rounds, burst);

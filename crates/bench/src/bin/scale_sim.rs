@@ -223,19 +223,13 @@ fn run_once(params: &Params, shards: usize) -> RunResult {
 }
 
 fn main() {
-    let mut write = false;
-    let mut smoke = false;
-    let mut profile_setup = false;
-    let mut gate = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--smoke" => smoke = true,
-            "--profile-setup" => profile_setup = true,
-            "--gate" => gate = true,
-            other => panic!("unrecognized argument {other:?}"),
-        }
-    }
+    let flags = ["--write", "--smoke", "--profile-setup", "--gate"];
+    let args = peering_bench::bench_args(
+        "scale_sim [--smoke] [--gate] [--profile-setup] [--write]",
+        &flags,
+        None,
+    );
+    let [write, smoke, profile_setup, gate] = flags.map(|f| args.has(f));
     let params = if smoke {
         Params {
             pops: 4,

@@ -68,17 +68,10 @@ fn print_outcome(label: &str, out: &ServingOutcome) {
 }
 
 fn main() {
-    let mut write = false;
-    let mut smoke = false;
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            other => panic!("unrecognized argument {other:?}"),
-        }
-    }
+    let flags = ["--write", "--smoke", "--check"];
+    let args =
+        peering_bench::bench_args("serving_bench [--smoke] [--check] [--write]", &flags, None);
+    let [write, smoke, check] = flags.map(|f| args.has(f));
     let params = if smoke {
         Params {
             pops: 4,

@@ -27,19 +27,57 @@ use peering_bgp::types::{Asn, Prefix, RouterId};
 /// exits with status 2, so a mistyped size never silently runs the large
 /// default.
 pub fn positive_arg(usage: &str, default: u64) -> u64 {
-    parse_positive(std::env::args().skip(1), default).unwrap_or_else(|| {
+    bench_args(usage, &[], Some(default)).size
+}
+
+/// The arguments of a bench binary, parsed by [`bench_args`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct BenchArgs {
+    flags: Vec<String>,
+    /// The positional size, or its default when absent.
+    pub size: u64,
+}
+
+impl BenchArgs {
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f == flag)
+    }
+}
+
+/// Parse a bench binary's arguments: any of `flags`, plus — only when
+/// `default_size` is set — at most one positive integer. Anything else (an
+/// unknown flag, a typo, zero, a second size) prints `usage: {usage}` and
+/// exits with status 2, like [`positive_arg`].
+pub fn bench_args(usage: &str, flags: &[&str], default_size: Option<u64>) -> BenchArgs {
+    parse_args(std::env::args().skip(1), flags, default_size).unwrap_or_else(|| {
         eprintln!("usage: {usage}");
         std::process::exit(2);
     })
 }
 
-/// [`positive_arg`]'s parser: `None` for a malformed argument list.
-fn parse_positive(mut args: impl Iterator<Item = String>, default: u64) -> Option<u64> {
-    match (args.next(), args.next()) {
-        (None, _) => Some(default),
-        (Some(arg), None) => arg.parse().ok().filter(|&n| n > 0),
-        (Some(_), Some(_)) => None,
+/// [`bench_args`]'s parser: `None` for a malformed argument list.
+fn parse_args(
+    args: impl Iterator<Item = String>,
+    flags: &[&str],
+    default_size: Option<u64>,
+) -> Option<BenchArgs> {
+    let mut parsed = BenchArgs {
+        flags: Vec::new(),
+        size: default_size.unwrap_or(0),
+    };
+    let mut sized = false;
+    for arg in args {
+        if flags.contains(&arg.as_str()) {
+            parsed.flags.push(arg);
+        } else if default_size.is_some() && !sized {
+            parsed.size = arg.parse().ok().filter(|&n| n > 0)?;
+            sized = true;
+        } else {
+            return None;
+        }
     }
+    Some(parsed)
 }
 
 /// Minimal wall-clock benchmark runner. The seed used Criterion; that is
@@ -453,15 +491,15 @@ pub fn interned_memory(n: u64) -> (usize, usize) {
 }
 
 /// Fig. 6b companion (PR 1): mean UPDATE messages emitted toward the
-/// attached experiment sessions per churn round. Each round delivers one
-/// burst re-announcing `burst` prefixes twice with changing attributes
-/// (flap-like churn drawing final paths from a small pool); `batching`
-/// selects per-delta emission (the pre-batching speaker) or the coalesced
-/// per-round flush.
-pub fn churn_fanout(batching: bool, rounds: u64, burst: u64) -> f64 {
+/// attached experiment sessions per churn round. Each round re-announces
+/// `burst` prefixes twice with changing attributes (flap-like churn
+/// drawing final paths from a small pool). `coalesced` delivers the round
+/// as one `on_bytes` burst, which the speaker flushes once; otherwise
+/// every UPDATE arrives in its own `on_bytes` call and is flushed on its
+/// own — per-delta emission, the pre-batching baseline.
+pub fn churn_fanout(coalesced: bool, rounds: u64, burst: u64) -> f64 {
     use peering_bgp::message::Message;
     let mut pair = SpeakerPair::establish(Policy::accept_all(), fig6b_configs::experiment_peers());
-    let _ = pair.dut.set_batching(batching);
     let ctx = pair.dut.codec_ctx(pair.dut_peer);
     let exp_peers: Vec<PeerId> = (1..=3).map(PeerId).collect();
     let before: u64 = exp_peers
@@ -477,10 +515,17 @@ pub fn churn_fanout(batching: bool, rounds: u64, burst: u64) -> f64 {
                     Ipv4Addr::new(10, 0, 0, 1),
                 );
                 let update = UpdateMsg::announce(vec![(synth_prefix(i), None)], attrs);
-                wire.extend(Message::Update(update).encode(&ctx));
+                let msg = Message::Update(update).encode(&ctx);
+                if coalesced {
+                    wire.extend(msg);
+                } else {
+                    pair.feed(&msg);
+                }
             }
         }
-        pair.feed(&wire);
+        if coalesced {
+            pair.feed(&wire);
+        }
     }
     let after: u64 = exp_peers
         .iter()
@@ -546,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_reduces_churn_fanout() {
+    fn coalescing_reduces_churn_fanout() {
         let per_delta = churn_fanout(false, 4, 64);
         let coalesced = churn_fanout(true, 4, 64);
         assert!(
@@ -555,15 +600,32 @@ mod tests {
         );
     }
 
+    fn parse(args: &[&str], flags: &[&str], default_size: Option<u64>) -> Option<BenchArgs> {
+        parse_args(args.iter().map(|a| a.to_string()), flags, default_size)
+    }
+
     #[test]
     fn positional_argument_is_a_positive_integer_or_absent() {
-        let parse = |args: &[&str]| parse_positive(args.iter().map(|a| a.to_string()), 7);
-        assert_eq!(parse(&[]), Some(7));
-        assert_eq!(parse(&["50000"]), Some(50_000));
-        assert_eq!(parse(&["0"]), None);
-        assert_eq!(parse(&["5O000"]), None);
-        assert_eq!(parse(&["-3"]), None);
-        assert_eq!(parse(&["1", "2"]), None);
+        let size = |args: &[&str]| parse(args, &[], Some(7)).map(|a| a.size);
+        assert_eq!(size(&[]), Some(7));
+        assert_eq!(size(&["50000"]), Some(50_000));
+        assert_eq!(size(&["0"]), None);
+        assert_eq!(size(&["5O000"]), None);
+        assert_eq!(size(&["-3"]), None);
+        assert_eq!(size(&["1", "2"]), None);
+    }
+
+    #[test]
+    fn flags_must_be_known_and_sizes_wanted() {
+        let flags = ["--write", "--check"];
+        let args = parse(&["--check", "20000"], &flags, Some(900)).unwrap();
+        assert!(args.has("--check") && !args.has("--write"));
+        assert_eq!(args.size, 20_000);
+        assert_eq!(parse(&["--write"], &flags, Some(900)).unwrap().size, 900);
+        assert_eq!(parse(&["--wirte"], &flags, Some(900)), None);
+        assert_eq!(parse(&["--smoke"], &flags, None), None);
+        assert_eq!(parse(&["5"], &flags, None), None);
+        assert!(parse(&["--write", "--check"], &flags, None).is_some());
     }
 
     #[test]

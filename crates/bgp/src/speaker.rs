@@ -285,10 +285,6 @@ pub struct Speaker {
     attr_store: AttrStore,
     /// Intern-store GC watermark (amortized sweeping of dead entries).
     gc_watermark: usize,
-    /// Coalesce re-advertisements into multi-NLRI UPDATEs flushed once per
-    /// entry-point round (the ADD-PATH fan-out optimisation). When off,
-    /// every Adj-RIB-Out delta is emitted immediately as its own message.
-    batching: bool,
     /// Fault-injection hook for the convergence oracle's self-test: when
     /// set, session re-establishment updates the Adj-RIB-Out bookkeeping
     /// but suppresses the wire replay — exactly the resync bug the oracle
@@ -378,7 +374,6 @@ impl Speaker {
             stamp: 0,
             attr_store: AttrStore::new(),
             gc_watermark: 1024,
-            batching: true,
             fault_skip_session_up_replay: false,
             h_flush: obs.histogram("bgp.flush_nlri", FLUSH_NLRI_BOUNDS),
             obs,
@@ -454,24 +449,6 @@ impl Speaker {
             stats: PeerStats::default(),
         };
         self.peers.insert(id, peer);
-    }
-
-    /// Toggle update batching. Turning it off first flushes anything
-    /// pending so no advertisement is stranded, then reverts to immediate
-    /// per-delta emission (the pre-batching behaviour; the Fig. 6b
-    /// baseline and the differential tests rely on it).
-    pub fn set_batching(&mut self, on: bool) -> SpeakerOutput {
-        let mut out = SpeakerOutput::default();
-        if !on {
-            self.flush_all(&mut out);
-        }
-        self.batching = on;
-        out
-    }
-
-    /// Whether update batching is enabled.
-    pub fn batching(&self) -> bool {
-        self.batching
     }
 
     /// The hash-consed attribute store (interning stats; Fig. 6a).
@@ -556,7 +533,7 @@ impl Speaker {
         // Re-evaluate everything we may have advertised.
         let prefixes: Vec<Prefix> = self.loc_rib.iter().map(|(p, _)| p).collect();
         for prefix in prefixes {
-            self.export_prefix_to(id, prefix, &mut out);
+            self.export_prefix_to(id, prefix);
         }
         self.flush_peer(id, &mut out);
         out
@@ -652,19 +629,7 @@ impl Speaker {
 
     /// Originate a route locally with the given attributes.
     pub fn originate(&mut self, prefix: Prefix, attrs: PathAttributes) -> SpeakerOutput {
-        self.stamp += 1;
-        let route = Route {
-            prefix,
-            path_id: 0,
-            attrs: self.attr_store.intern(attrs),
-            source: RouteSource::Local,
-            stamp: self.stamp,
-        };
-        self.local_routes.insert(prefix, route);
-        let mut out = SpeakerOutput::default();
-        self.recompute(prefix, &mut out);
-        self.flush_all(&mut out);
-        out
+        self.originate_many([(prefix, attrs)])
     }
 
     /// Originate many routes with one coalesced flush at the end.
@@ -672,9 +637,9 @@ impl Speaker {
     /// Semantically identical to calling [`Speaker::originate`] per route,
     /// but that flushes after every insertion — one UPDATE per route on the
     /// wire. Bulk feeds (a route-server member announcing its slice of a
-    /// synthetic full table) want the multi-NLRI packing the batching layer
-    /// exists for: insert and recompute everything first, then let a single
-    /// flush group announcements by shared attribute set.
+    /// synthetic full table) want the multi-NLRI packing the flush exists
+    /// for: insert and recompute everything first, then let a single flush
+    /// group announcements by shared attribute set.
     pub fn originate_many(
         &mut self,
         routes: impl IntoIterator<Item = (Prefix, PathAttributes)>,
@@ -690,7 +655,7 @@ impl Speaker {
                 stamp: self.stamp,
             };
             self.local_routes.insert(prefix, route);
-            self.recompute(prefix, &mut out);
+            self.recompute(prefix);
         }
         self.flush_all(&mut out);
         out
@@ -700,7 +665,7 @@ impl Speaker {
     pub fn withdraw_origin(&mut self, prefix: Prefix) -> SpeakerOutput {
         let mut out = SpeakerOutput::default();
         if self.local_routes.remove(&prefix).is_some() {
-            self.recompute(prefix, &mut out);
+            self.recompute(prefix);
             self.flush_all(&mut out);
         }
         out
@@ -805,13 +770,13 @@ impl Speaker {
             self.process_update(id, update, &mut out);
         }
         for afi in refreshes {
-            self.process_route_refresh(id, afi, &mut out);
+            self.process_route_refresh(id, afi);
         }
         out
     }
 
     /// RFC 2918: re-send the entire Adj-RIB-Out for the requested family.
-    fn process_route_refresh(&mut self, id: PeerId, afi: u16, out: &mut SpeakerOutput) {
+    fn process_route_refresh(&mut self, id: PeerId, afi: u16) {
         let Some(peer) = self.peers.get_mut(&id) else {
             return;
         };
@@ -839,7 +804,7 @@ impl Speaker {
             })
             .collect();
         for prefix in all {
-            self.export_prefix_to(id, prefix, out);
+            self.export_prefix_to(id, prefix);
         }
     }
 
@@ -866,21 +831,17 @@ impl Speaker {
         // was cleared when the session dropped, so the diff below replays
         // the full table.)
         let prefixes: Vec<Prefix> = self.loc_rib.iter().map(|(p, _)| p).collect();
+        let routes = prefixes.len() as u64;
+        for prefix in prefixes {
+            self.export_prefix_to(id, prefix);
+        }
         if self.fault_skip_session_up_replay {
             // Deliberate resync bug (oracle self-test): keep the Adj-RIB-Out
             // bookkeeping but never let the replay reach the wire.
-            let mut discard = SpeakerOutput::default();
-            for prefix in prefixes {
-                self.export_prefix_to(id, prefix, &mut discard);
-            }
             if let Some(peer) = self.peers.get_mut(&id) {
                 peer.pending.clear();
             }
         } else {
-            let routes = prefixes.len() as u64;
-            for prefix in prefixes {
-                self.export_prefix_to(id, prefix, out);
-            }
             // The initial table must hit the wire before the End-of-RIB marker.
             self.flush_peer(id, out);
             self.obs.counter("bgp.resync_replays").inc();
@@ -935,7 +896,7 @@ impl Speaker {
                 .push(SpeakerEvent::RouteWithdrawn(id, r.prefix, r.path_id));
         }
         for prefix in prefixes {
-            self.recompute(prefix, out);
+            self.recompute(prefix);
         }
         self.attr_store.gc();
     }
@@ -957,7 +918,7 @@ impl Speaker {
                 .push(SpeakerEvent::RouteWithdrawn(id, r.prefix, r.path_id));
         }
         for prefix in prefixes {
-            self.recompute(prefix, out);
+            self.recompute(prefix);
         }
         self.attr_store.gc();
     }
@@ -1060,7 +1021,7 @@ impl Speaker {
         touched.sort();
         touched.dedup();
         for prefix in touched {
-            self.recompute(prefix, out);
+            self.recompute(prefix);
         }
         // Amortized sweep of interned sets that churn has orphaned.
         if self.attr_store.len() >= self.gc_watermark {
@@ -1069,7 +1030,7 @@ impl Speaker {
         }
     }
 
-    fn recompute(&mut self, prefix: Prefix, out: &mut SpeakerOutput) {
+    fn recompute(&mut self, prefix: Prefix) {
         let mut candidates: Vec<Route> = Vec::new();
         if let Some(local) = self.local_routes.get(&prefix) {
             candidates.push(local.clone());
@@ -1097,19 +1058,19 @@ impl Speaker {
         let mut memo = std::mem::take(&mut self.export_memo);
         memo.clear();
         for &id in &ids {
-            self.export_prefix_with(id, prefix, &candidates, best_unchanged, &mut memo, out);
+            self.export_prefix_with(id, prefix, &candidates, best_unchanged, &mut memo);
         }
         self.scratch_ids = ids;
         self.export_memo = memo;
     }
 
-    /// Compute and transmit the delta between what `id` should see for
-    /// `prefix` and what we previously advertised.
-    fn export_prefix_to(&mut self, id: PeerId, prefix: Prefix, out: &mut SpeakerOutput) {
+    /// Queue for the next flush the delta between what `id` should see
+    /// for `prefix` and what we previously advertised.
+    fn export_prefix_to(&mut self, id: PeerId, prefix: Prefix) {
         let candidates: Vec<Route> = self.loc_rib.candidates(&prefix).to_vec();
         let mut memo = std::mem::take(&mut self.export_memo);
         memo.clear();
-        self.export_prefix_with(id, prefix, &candidates, false, &mut memo, out);
+        self.export_prefix_with(id, prefix, &candidates, false, &mut memo);
         self.export_memo = memo;
     }
 
@@ -1125,7 +1086,6 @@ impl Speaker {
         candidates: &[Route],
         best_unchanged: bool,
         memo: &mut HashMap<ExportMemoKey, Arc<PathAttributes>>,
-        out: &mut SpeakerOutput,
     ) {
         let Some(peer) = self.peers.get(&id) else {
             return;
@@ -1245,63 +1205,32 @@ impl Speaker {
             }
         }
 
-        // Diff against adj-out (the previously *desired* state; with
-        // batching on, the wire may lag it until the flush).
-        let batching = self.batching;
-        let peer = self.peers.get_mut(&id).unwrap();
-        let ctx = peer.fsm.codec_ctx();
-        let add_path_session = match prefix {
-            Prefix::V4 { .. } => ctx.add_path_v4,
-            Prefix::V6 { .. } => ctx.add_path_v6,
-        };
-        // Take (not clone) the previous desired state: it is either
+        // Diff against adj-out (the previously *desired* state; the wire
+        // lags it until the flush). Take (not clone) it: it is either
         // replaced by `desired` below or dropped, so cloning the map per
         // export call would be pure overhead.
+        let peer = self.peers.get_mut(&id).unwrap();
         let current: BTreeMap<PathId, Arc<PathAttributes>> =
             peer.adj_out.remove(&prefix).unwrap_or_default();
-
-        let mut msgs: Vec<UpdateMsg> = Vec::new();
-        let mut withdrawals = Vec::new();
         for pid in current.keys() {
             if !desired.contains_key(pid) {
-                if batching {
-                    peer.pending.announce.remove(&(prefix, *pid));
-                    peer.pending.withdraw.insert((prefix, *pid));
-                } else {
-                    withdrawals.push((prefix, add_path_session.then_some(*pid)));
-                }
+                peer.pending.announce.remove(&(prefix, *pid));
+                peer.pending.withdraw.insert((prefix, *pid));
             }
-        }
-        if !withdrawals.is_empty() {
-            msgs.push(UpdateMsg::withdraw(withdrawals));
         }
         for (pid, attrs) in &desired {
             // Both sides are interned, so pointer equality is value
             // equality (stale entries stay live in the store while the
             // Adj-RIB-Out holds them).
-            let changed = !current.get(pid).is_some_and(|cur| Arc::ptr_eq(cur, attrs));
-            if changed {
-                if batching {
-                    peer.pending.withdraw.remove(&(prefix, *pid));
-                    peer.pending
-                        .announce
-                        .insert((prefix, *pid), Arc::clone(attrs));
-                } else {
-                    msgs.push(UpdateMsg::announce(
-                        vec![(prefix, add_path_session.then_some(*pid))],
-                        (**attrs).clone(),
-                    ));
-                }
+            if !current.get(pid).is_some_and(|cur| Arc::ptr_eq(cur, attrs)) {
+                peer.pending.withdraw.remove(&(prefix, *pid));
+                peer.pending
+                    .announce
+                    .insert((prefix, *pid), Arc::clone(attrs));
             }
         }
-
         if !desired.is_empty() {
             peer.adj_out.insert(prefix, desired);
-        }
-        for msg in msgs {
-            peer.stats.msgs_out += 1;
-            peer.stats.updates_out += 1;
-            out.send.push((id, Message::Update(msg).encode(&ctx)));
         }
     }
 

@@ -467,11 +467,6 @@ impl DataEnforcer {
             .is_some_and(|p| p.ingress_urpf || p.ingress_program.is_some() || p.flood.is_some())
     }
 
-    fn block(&mut self, label: &'static str) -> DataVerdict {
-        *self.stats.blocked.entry(label).or_insert(0) += 1;
-        DataVerdict::Block(label)
-    }
-
     /// Run the experiment's packet program (or serve its cached verdict).
     /// Invariant: only flow-invariant programs are cached, so the cached
     /// decision equals what a fresh run on this packet would produce.
@@ -491,66 +486,13 @@ impl DataEnforcer {
         )
     }
 
-    /// Evaluate one egress packet (experiment → Internet): source
-    /// validation, then the experiment's packet program, then
-    /// per-experiment, per-neighbor and per-PoP shaping.
-    pub fn check_egress(
-        &mut self,
-        exp: ExperimentId,
-        pkt: &PacketView,
-        nbr: Option<NeighborId>,
-        now: SimTime,
-    ) -> DataVerdict {
-        self.stats.evaluated += 1;
-        let Some(policy) = self.policies.get(&exp) else {
-            // Unknown experiment: fail closed.
-            return self.block("unknown-experiment");
-        };
-        // Anti-spoofing: the source must fall in the allocation.
-        if !policy
-            .allowed_sources
-            .iter()
-            .any(|p| p.contains_addr(pkt.src))
-        {
-            return self.block("spoofed-source");
-        }
-        // Packet program (after the source check, §3.3).
-        let rewrite = match self.prog_decision(exp, pkt) {
-            ProgDecision::Pass => None,
-            ProgDecision::Rewrite(rw) => Some(rw),
-            ProgDecision::Block(label) => return self.block(label),
-        };
-        let len = pkt.len as usize;
-        if let Some(bucket) = self.buckets.get_mut(&exp) {
-            if !bucket.admit(len, now) {
-                return self.block("experiment-rate-limit");
-            }
-        }
-        if let Some(nbr) = nbr {
-            if let Some(bucket) = self.neighbor_shapers.get_mut(&nbr) {
-                if !bucket.admit(len, now) {
-                    return self.block("neighbor-rate-limit");
-                }
-            }
-        }
-        if let Some(bucket) = self.pop_shaper.as_mut() {
-            if !bucket.admit(len, now) {
-                return self.block("pop-rate-limit");
-            }
-        }
-        self.stats.allowed += 1;
-        match rewrite {
-            Some(rw) => DataVerdict::Transform(rw),
-            None => DataVerdict::Allow,
-        }
-    }
-
-    /// Batched [`Self::check_egress`] for a run of packets from one
-    /// experiment toward one neighbor: the policy and shaper lookups are
-    /// hoisted out of the per-packet loop. Verdicts, stats and cache
-    /// effects are identical to calling `check_egress` once per packet in
-    /// order (token buckets and the verdict cache are stateful, so packets
-    /// are still admitted sequentially). `out[i]` corresponds to
+    /// Evaluate a run of egress packets (experiment → Internet) from one
+    /// experiment toward one neighbor: source validation, then the
+    /// experiment's packet program, then per-experiment, per-neighbor and
+    /// per-PoP shaping. The policy and shaper lookups are hoisted out of the
+    /// per-packet loop; token buckets and the verdict cache are stateful, so
+    /// packets are still admitted in order, and a run of N packets has the
+    /// same verdicts and stats as N runs of one. `out[i]` corresponds to
     /// `pkts[i]`; `out` is cleared first (caller-owned scratch).
     pub fn check_egress_batch(
         &mut self,
@@ -580,8 +522,8 @@ impl DataEnforcer {
                 out.push(DataVerdict::Block("spoofed-source"));
             }
         }
-        // Pass 2: packet program, in packet order (cache fills mid-batch
-        // exactly as in the single path).
+        // Pass 2: packet program, in packet order (the cache fills
+        // mid-batch).
         for (i, pkt) in pkts.iter().enumerate() {
             if !out[i].is_allow() {
                 continue;
@@ -635,23 +577,6 @@ impl DataEnforcer {
             }
         }
         self.stats.allowed += allowed;
-    }
-
-    /// Evaluate one ingress packet (Internet → experiment). The platform
-    /// does not police ingress content beyond delivering only traffic for
-    /// the experiment's prefixes (§4.7: "We do not currently police
-    /// dataplane content beyond verifying the source IP address"), so this
-    /// only verifies the destination belongs to the experiment.
-    pub fn check_ingress(&mut self, exp: ExperimentId, dst: IpAddr) -> DataVerdict {
-        self.stats.evaluated += 1;
-        let Some(policy) = self.policies.get(&exp) else {
-            return self.block("unknown-experiment");
-        };
-        if !policy.allowed_sources.iter().any(|p| p.contains_addr(dst)) {
-            return self.block("not-experiment-destination");
-        }
-        self.stats.allowed += 1;
-        DataVerdict::Allow
     }
 
     /// Evaluate a run of ingress packets (Internet → one experiment)
@@ -854,10 +779,22 @@ mod tests {
         PacketView::basic(src(s), len)
     }
 
+    /// One packet through [`DataEnforcer::check_egress_batch`], at time 0.
+    fn egress(
+        e: &mut DataEnforcer,
+        exp: ExperimentId,
+        pkt: &PacketView,
+        nbr: Option<NeighborId>,
+    ) -> DataVerdict {
+        let mut out = Vec::new();
+        e.check_egress_batch(exp, std::slice::from_ref(pkt), nbr, SimTime::ZERO, &mut out);
+        out[0]
+    }
+
     #[test]
     fn valid_source_allowed() {
         let mut e = enforcer();
-        let v = e.check_egress(EXP, &view("184.164.224.9", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("184.164.224.9", 100), None);
         assert_eq!(v, DataVerdict::Allow);
         assert_eq!(e.stats.allowed, 1);
     }
@@ -865,7 +802,7 @@ mod tests {
     #[test]
     fn spoofed_source_blocked() {
         let mut e = enforcer();
-        let v = e.check_egress(EXP, &view("8.8.8.8", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("8.8.8.8", 100), None);
         assert_eq!(v, DataVerdict::Block("spoofed-source"));
         assert!(!v.is_allow());
         assert_eq!(e.stats.blocked["spoofed-source"], 1);
@@ -874,12 +811,7 @@ mod tests {
     #[test]
     fn unknown_experiment_fails_closed() {
         let mut e = enforcer();
-        let v = e.check_egress(
-            ExperimentId(9),
-            &view("184.164.224.9", 100),
-            None,
-            SimTime::ZERO,
-        );
+        let v = egress(&mut e, ExperimentId(9), &view("184.164.224.9", 100), None);
         assert_eq!(v, DataVerdict::Block("unknown-experiment"));
     }
 
@@ -927,10 +859,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(e
-            .check_egress(EXP, &view("184.164.224.1", 1500), None, SimTime::ZERO)
-            .is_allow());
-        let v = e.check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO);
+        assert!(egress(&mut e, EXP, &view("184.164.224.1", 1500), None).is_allow());
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
         assert_eq!(v, DataVerdict::Block("experiment-rate-limit"));
     }
 
@@ -945,16 +875,9 @@ mod tests {
             },
         );
         e.set_pop_shaper(1000, 1000);
-        assert!(e
-            .check_egress(EXP, &view("184.164.224.1", 800), None, SimTime::ZERO)
-            .is_allow());
+        assert!(egress(&mut e, EXP, &view("184.164.224.1", 800), None).is_allow());
         // A different experiment shares the site budget.
-        let v = e.check_egress(
-            ExperimentId(2),
-            &view("184.164.226.1", 800),
-            None,
-            SimTime::ZERO,
-        );
+        let v = egress(&mut e, ExperimentId(2), &view("184.164.226.1", 800), None);
         assert_eq!(v, DataVerdict::Block("pop-rate-limit"));
     }
 
@@ -962,37 +885,36 @@ mod tests {
     fn neighbor_shaper_is_per_neighbor() {
         let mut e = enforcer();
         e.set_neighbor_shaper(NeighborId(1), 1000, 1000);
-        assert!(e
-            .check_egress(
-                EXP,
-                &view("184.164.224.1", 900),
-                Some(NeighborId(1)),
-                SimTime::ZERO
-            )
-            .is_allow());
-        let v = e.check_egress(
+        assert!(egress(
+            &mut e,
+            EXP,
+            &view("184.164.224.1", 900),
+            Some(NeighborId(1))
+        )
+        .is_allow());
+        let v = egress(
+            &mut e,
             EXP,
             &view("184.164.224.1", 900),
             Some(NeighborId(1)),
-            SimTime::ZERO,
         );
         assert_eq!(v, DataVerdict::Block("neighbor-rate-limit"));
         // Another neighbor is unconstrained.
-        assert!(e
-            .check_egress(
-                EXP,
-                &view("184.164.224.1", 900),
-                Some(NeighborId(2)),
-                SimTime::ZERO
-            )
-            .is_allow());
+        assert!(egress(
+            &mut e,
+            EXP,
+            &view("184.164.224.1", 900),
+            Some(NeighborId(2))
+        )
+        .is_allow());
     }
 
     #[test]
     fn batch_matches_sequential_singles() {
-        // Two enforcers with identical config; one sees the packets as a
-        // batch, the other one at a time. Verdicts and stats must agree,
-        // including short-circuit bucket charging.
+        // Two enforcers with identical config; one sees the packets as one
+        // batch, the other as batches of one. Verdicts (and so shaper
+        // admissions, in order) and stats must agree, including
+        // short-circuit bucket charging and the program's verdict cache.
         let make = || {
             let mut e = enforcer();
             e.set_experiment(
@@ -1000,6 +922,12 @@ mod tests {
                 ExperimentDataPolicy {
                     allowed_sources: vec![prefix("184.164.224.0/23")],
                     rate: Some((1000, 2000)),
+                    program: Some(PacketProgram::new(vec![
+                        Insn::Ld(0, Field::DstPort),
+                        Insn::JeqImm(0, 53, 3),
+                        Insn::Allow,
+                        Insn::Block,
+                    ])),
                     ..Default::default()
                 },
             );
@@ -1007,34 +935,45 @@ mod tests {
             e.set_pop_shaper(1000, 1200);
             e
         };
+        let mut dns = view("184.164.224.9", 100);
+        dns.dst_port = 53;
         let pkts: Vec<PacketView> = vec![
             view("184.164.224.1", 1000),
             view("8.8.8.8", 100), // spoofed: must not charge any bucket
+            dns,                  // program-blocked: must not charge either
             view("184.164.224.2", 600),
             view("184.164.224.3", 600), // pop bucket exhausted here
             view("184.164.225.4", 100),
+            dns, // the same flow again: a verdict-cache hit
         ];
-        let mut sequential = make();
-        let singles: Vec<DataVerdict> = pkts
-            .iter()
-            .map(|p| sequential.check_egress(EXP, p, Some(NeighborId(1)), SimTime::ZERO))
-            .collect();
-        let mut batched = make();
+        let mut singles = make();
         let mut verdicts = Vec::new();
-        batched.check_egress_batch(
-            EXP,
-            &pkts,
-            Some(NeighborId(1)),
-            SimTime::ZERO,
-            &mut verdicts,
+        let mut one = Vec::new();
+        for p in &pkts {
+            singles.check_egress_batch(
+                EXP,
+                std::slice::from_ref(p),
+                Some(NeighborId(1)),
+                SimTime::ZERO,
+                &mut one,
+            );
+            verdicts.extend_from_slice(&one);
+        }
+        let mut batched = make();
+        let mut out = Vec::new();
+        batched.check_egress_batch(EXP, &pkts, Some(NeighborId(1)), SimTime::ZERO, &mut out);
+        assert_eq!(out, verdicts);
+        let (b, s) = (&batched.stats, &singles.stats);
+        assert_eq!((b.evaluated, b.allowed), (s.evaluated, s.allowed));
+        assert_eq!(b.blocked, s.blocked);
+        assert_eq!(
+            (b.prog_runs, b.prog_cache_hits),
+            (s.prog_runs, s.prog_cache_hits)
         );
-        assert_eq!(verdicts, singles);
-        assert_eq!(batched.stats.evaluated, sequential.stats.evaluated);
-        assert_eq!(batched.stats.allowed, sequential.stats.allowed);
-        assert_eq!(batched.stats.blocked, sequential.stats.blocked);
+        assert_eq!((b.prog_runs, b.prog_cache_hits), (5, 1));
         // Unknown experiment fails the whole batch closed.
-        batched.check_egress_batch(ExperimentId(9), &pkts, None, SimTime::ZERO, &mut verdicts);
-        assert!(verdicts
+        batched.check_egress_batch(ExperimentId(9), &pkts, None, SimTime::ZERO, &mut out);
+        assert!(out
             .iter()
             .all(|v| *v == DataVerdict::Block("unknown-experiment")));
     }
@@ -1045,9 +984,9 @@ mod tests {
         e.install_packet_program(EXP, Some(PacketProgram::block_all()))
             .unwrap();
         // Spoofed source fires first (program runs after the source check).
-        let v = e.check_egress(EXP, &view("9.9.9.9", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("9.9.9.9", 100), None);
         assert_eq!(v, DataVerdict::Block("spoofed-source"));
-        let v = e.check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
         assert_eq!(v, DataVerdict::Block("program-block"));
         assert_eq!(e.stats.blocked["program-block"], 1);
     }
@@ -1057,7 +996,7 @@ mod tests {
         let mut e = enforcer();
         let bad = PacketProgram::new(vec![Insn::Jmp(99)]);
         assert!(e.install_packet_program(EXP, Some(bad)).is_err());
-        let v = e.check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
         assert_eq!(v, DataVerdict::Block("program-invalid"));
         // Never Allow, and no execution happened.
         assert_eq!(e.stats.prog_runs, 0);
@@ -1068,7 +1007,7 @@ mod tests {
         let mut e = enforcer();
         let spin = PacketProgram::new(vec![Insn::Jmp(0)]).with_fuel(32);
         e.install_packet_program(EXP, Some(spin)).unwrap();
-        let v = e.check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
         assert_eq!(v, DataVerdict::Block("program-fuel"));
     }
 
@@ -1077,7 +1016,7 @@ mod tests {
         let mut e = enforcer();
         let p = PacketProgram::new(vec![Insn::LdImm(0, 7), Insn::SetTtl(0), Insn::Allow]);
         e.install_packet_program(EXP, Some(p)).unwrap();
-        let v = e.check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
         let DataVerdict::Transform(rw) = v else {
             panic!("expected transform, got {v:?}");
         };
@@ -1097,17 +1036,17 @@ mod tests {
         ]);
         e.install_packet_program(EXP, Some(p)).unwrap();
         let pkt = view("184.164.224.1", 100);
-        assert!(e.check_egress(EXP, &pkt, None, SimTime::ZERO).is_allow());
+        assert!(egress(&mut e, EXP, &pkt, None).is_allow());
         assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (1, 0));
         // Same flow again: served from the cache.
-        assert!(e.check_egress(EXP, &pkt, None, SimTime::ZERO).is_allow());
+        assert!(egress(&mut e, EXP, &pkt, None).is_allow());
         assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (1, 1));
         // Policy change bumps the generation: the next packet re-runs.
         let gen_before = e.prog_generation();
         e.install_packet_program(EXP, Some(PacketProgram::block_all()))
             .unwrap();
         assert!(e.prog_generation() > gen_before);
-        let v = e.check_egress(EXP, &pkt, None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &pkt, None);
         assert_eq!(v, DataVerdict::Block("program-block"));
         assert_eq!(e.stats.prog_runs, 2);
     }
@@ -1123,30 +1062,18 @@ mod tests {
             Insn::Block,
         ]);
         e.install_packet_program(EXP, Some(p)).unwrap();
-        assert!(e
-            .check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO)
-            .is_allow());
-        let v = e.check_egress(EXP, &view("184.164.224.1", 900), None, SimTime::ZERO);
+        assert!(egress(&mut e, EXP, &view("184.164.224.1", 100), None).is_allow());
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 900), None);
         assert_eq!(v, DataVerdict::Block("program-block"));
         // Both packets executed the program — no unsound cache hit.
         assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (2, 0));
     }
 
     #[test]
-    fn ingress_checks_destination_ownership() {
-        let mut e = enforcer();
-        assert!(e.check_ingress(EXP, src("184.164.225.7")).is_allow());
-        assert_eq!(
-            e.check_ingress(EXP, src("9.9.9.9")),
-            DataVerdict::Block("not-experiment-destination")
-        );
-    }
-
-    #[test]
     fn removed_experiment_fails_closed() {
         let mut e = enforcer();
         e.remove_experiment(EXP);
-        let v = e.check_egress(EXP, &view("184.164.224.1", 10), None, SimTime::ZERO);
+        let v = egress(&mut e, EXP, &view("184.164.224.1", 10), None);
         assert_eq!(v, DataVerdict::Block("unknown-experiment"));
     }
 
@@ -1224,9 +1151,7 @@ mod tests {
         assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (2, 1));
         assert_eq!(e.stats.ingress_blocked["program-block"], 2);
         // The egress direction is untouched by the ingress program.
-        assert!(e
-            .check_egress(EXP, &view("184.164.224.1", 100), None, SimTime::ZERO)
-            .is_allow());
+        assert!(egress(&mut e, EXP, &view("184.164.224.1", 100), None).is_allow());
     }
 
     #[test]
@@ -1241,7 +1166,7 @@ mod tests {
         let pkt = inbound("184.164.224.1", "184.164.224.2");
         let mut out = Vec::new();
         for _ in 0..2 {
-            assert!(e.check_egress(EXP, &pkt, None, SimTime::ZERO).is_allow());
+            assert!(egress(&mut e, EXP, &pkt, None).is_allow());
             e.check_ingress_batch(
                 EXP,
                 std::slice::from_ref(&pkt),

@@ -172,7 +172,7 @@ pub enum ProgOutcome {
 }
 
 /// The decoded header fields one packet exposes to programs (and to the
-/// enforcement pipeline — this is also `check_egress`'s input).
+/// enforcement pipeline — this is also `check_egress_batch`'s input).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketView {
     /// Source address.

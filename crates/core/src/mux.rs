@@ -15,24 +15,23 @@
 //!   or across the backbone (remote), including the **source-MAC rewrite**
 //!   that tells experiments which neighbor delivered a packet.
 //!
-//! # The fast path
+//! # Lookups
 //!
 //! Per-neighbor tables and the delivery table are [`PrefixTrie`]s — the
-//! mutable source of truth the control plane edits. Forwarding does not
-//! walk them per packet: each table lazily compiles a
-//! [`FlatFib`] (DIR-24-8 for IPv4, stride-8
-//! for IPv6) and fronts it with a small direct-mapped flow cache keyed on
-//! the destination address and the FIB's generation counter. Route
-//! install/remove marks the FIB dirty; the next lookup re-syncs it, which
-//! bumps the generation and thereby invalidates the flow cache without
-//! touching it. [`VbgpMux::set_fast_path`] disables all of this (pure trie
-//! walks) for differential testing and baseline benchmarks.
+//! mutable source of truth the control plane edits. Forwarding never walks
+//! them: each table lazily compiles a [`FlatFib`] (DIR-24-8 for IPv4,
+//! stride-8 for IPv6) and fronts it with a small direct-mapped flow cache
+//! keyed on the destination address and the FIB's generation counter.
+//! Route install/remove marks the FIB dirty; the next lookup re-syncs it,
+//! which bumps the generation and thereby invalidates the flow cache
+//! without touching it. Every lookup is a batch call; a single packet is a
+//! batch of one.
 //!
 //! Neighbor and experiment state lives in dense slot arrays indexed by
 //! compact ids handed out at `add_*` time; the classifier decodes the
 //! destination MAC's tag bits straight into those slots.
 
-use std::net::Ipv4Addr;
+use std::net::{IpAddr, Ipv4Addr};
 
 use peering_bgp::flatfib::FlatFib;
 use peering_bgp::trie::PrefixTrie;
@@ -215,44 +214,118 @@ impl<T: Copy + Default> FlowCache<T> {
     }
 }
 
+/// What a flow cache remembers per destination, read off the compiled FIB
+/// on a miss.
+trait FibAnswer: Copy + Default {
+    fn from_fib(fib: &FlatFib, ip: IpAddr) -> Self;
+}
+
+/// A neighbor table's answer: whether any route covers the address.
+impl FibAnswer for bool {
+    fn from_fib(fib: &FlatFib, ip: IpAddr) -> Self {
+        fib.covers(ip)
+    }
+}
+
+/// The delivery table's answer: the covering prefix's delivery-set index.
+impl FibAnswer for Option<u32> {
+    fn from_fib(fib: &FlatFib, ip: IpAddr) -> Self {
+        fib.lookup(ip).map(|(_, idx)| idx)
+    }
+}
+
+/// One forwarding table: the trie the control plane edits, and the
+/// compiled FIB plus flow cache that lookups read, both built lazily on
+/// first use.
+struct Table<T> {
+    /// Source of truth (a refcount or a delivery-set index per prefix).
+    trie: PrefixTrie<u32>,
+    fib: Option<FlatFib>,
+    cache: Option<Box<FlowCache<T>>>,
+}
+
+impl<T: FibAnswer> Table<T> {
+    fn new() -> Self {
+        Table {
+            trie: PrefixTrie::new(),
+            fib: None,
+            cache: None,
+        }
+    }
+
+    /// Set `prefix` in the trie and mark it dirty in the compiled FIB.
+    fn insert(&mut self, prefix: Prefix, value: u32) {
+        self.trie.insert(prefix, value);
+        if let Some(fib) = &mut self.fib {
+            fib.mark_dirty(&prefix);
+        }
+    }
+
+    /// Remove `prefix` from the trie and mark it dirty in the compiled FIB.
+    fn remove(&mut self, prefix: &Prefix) {
+        self.trie.remove(prefix);
+        if let Some(fib) = &mut self.fib {
+            fib.mark_dirty(prefix);
+        }
+    }
+
+    /// Bring the compiled FIB up to date with the trie, compiling it on
+    /// first use; an effective sync is counted and journaled under `id`.
+    fn sync(&mut self, id: u32, stats: &mut MuxStats, obs: &Obs) {
+        let fib = self.fib.get_or_insert_with(FlatFib::new);
+        if fib.sync(&self.trie) {
+            stats.note_fib_sync(obs, id, fib);
+        }
+    }
+
+    /// Sync once, then hand out a reader for a run of lookups.
+    fn reader(&mut self, id: u32, stats: &mut MuxStats, obs: &Obs) -> Reader<'_, T> {
+        self.sync(id, stats, obs);
+        let fib = self.fib.as_ref().expect("synced above");
+        Reader {
+            generation: fib.generation(),
+            fib,
+            cache: self.cache.get_or_insert_with(|| Box::new(FlowCache::new())),
+        }
+    }
+}
+
+/// Lookups against one synced table: the flow cache first, the compiled
+/// FIB on a miss.
+struct Reader<'a, T> {
+    fib: &'a FlatFib,
+    cache: &'a mut FlowCache<T>,
+    generation: u64,
+}
+
+impl<T: FibAnswer> Reader<'_, T> {
+    #[inline]
+    fn lookup(&mut self, ip: Ipv4Addr, stats: &mut MuxStats) -> T {
+        let key = u32::from(ip);
+        if let Some(hit) = self.cache.get(key, self.generation) {
+            stats.flow_cache_hits += 1;
+            return hit;
+        }
+        stats.flow_cache_misses += 1;
+        let answer = T::from_fib(self.fib, ip.into());
+        self.cache.put(key, self.generation, answer);
+        answer
+    }
+}
+
 /// Dense per-neighbor state, held in a slot array indexed by the compact
 /// id handed out at `add_*_neighbor` time.
 struct NeighborEntry {
     id: NeighborId,
     fwd: NeighborFwd,
-    /// Source of truth, edited by the control plane (refcount per prefix).
-    table: PrefixTrie<u32>,
-    /// Compiled fast path; built lazily on first forwarded packet.
-    fib: Option<FlatFib>,
-    cache: Option<Box<FlowCache<bool>>>,
+    /// Refcount per prefix; the flow cache stores presence.
+    table: Table<bool>,
     /// The local-pool MAC index (for classifier cleanup on removal).
     vnh_idx: u32,
     /// Packets forwarded out via this neighbor's table.
     pkts_out: u64,
     /// Packets delivered to an experiment that ingressed via this neighbor.
     pkts_in: u64,
-}
-
-impl NeighborEntry {
-    /// Whether `dst_ip` has a route, via the compiled FIB + flow cache.
-    #[inline]
-    fn fast_has_route(&mut self, dst_ip: Ipv4Addr, stats: &mut MuxStats, obs: &Obs) -> bool {
-        let fib = self.fib.get_or_insert_with(FlatFib::new);
-        if fib.sync(&self.table) {
-            stats.note_fib_sync(obs, self.id.0, fib);
-        }
-        let generation = fib.generation();
-        let key = u32::from(dst_ip);
-        let cache = self.cache.get_or_insert_with(|| Box::new(FlowCache::new()));
-        if let Some(hit) = cache.get(key, generation) {
-            stats.flow_cache_hits += 1;
-            return hit;
-        }
-        stats.flow_cache_misses += 1;
-        let hit = fib.covers(dst_ip.into());
-        cache.put(key, generation, hit);
-        hit
-    }
 }
 
 struct ExperimentEntry {
@@ -265,9 +338,6 @@ struct ExperimentEntry {
 /// The mux.
 pub struct VbgpMux {
     alloc: VnhAllocator,
-    /// Fast path on (compiled FIBs + flow caches) or off (pure trie walks,
-    /// for baselines and differential tests).
-    fast_path: bool,
     neighbors: Vec<Option<NeighborEntry>>,
     free_neighbor_slots: Vec<u32>,
     neighbor_slot: FastHashMap<NeighborId, u32>,
@@ -276,12 +346,11 @@ pub struct VbgpMux {
     experiments: Vec<Option<ExperimentEntry>>,
     free_experiment_slots: Vec<u32>,
     experiment_slot: FastHashMap<ExperimentId, u32>,
-    /// Delivery source of truth: prefix → index into `delivery_sets`.
-    delivery: PrefixTrie<u32>,
+    /// Prefix → index into `delivery_sets`; the flow cache stores the
+    /// index.
+    delivery: Table<Option<u32>>,
     delivery_sets: Vec<Option<DeliverySet>>,
     free_delivery_sets: Vec<u32>,
-    delivery_fib: Option<FlatFib>,
-    delivery_cache: Option<Box<FlowCache<Option<u32>>>>,
     /// ARP: global/virtual IPs this PoP answers for → answering MAC.
     owned_ips: FastHashMap<Ipv4Addr, MacAddr>,
     /// Backbone ARP cache: global IP → remote MAC.
@@ -300,11 +369,10 @@ impl Default for VbgpMux {
 }
 
 impl VbgpMux {
-    /// An empty mux (fast path enabled).
+    /// An empty mux.
     pub fn new() -> Self {
         VbgpMux {
             alloc: VnhAllocator::new(),
-            fast_path: true,
             neighbors: Vec::new(),
             free_neighbor_slots: Vec::new(),
             neighbor_slot: FastHashMap::default(),
@@ -312,11 +380,9 @@ impl VbgpMux {
             experiments: Vec::new(),
             free_experiment_slots: Vec::new(),
             experiment_slot: FastHashMap::default(),
-            delivery: PrefixTrie::new(),
+            delivery: Table::new(),
             delivery_sets: Vec::new(),
             free_delivery_sets: Vec::new(),
-            delivery_fib: None,
-            delivery_cache: None,
             owned_ips: FastHashMap::default(),
             resolved: FastHashMap::default(),
             stats: MuxStats::default(),
@@ -357,22 +423,10 @@ impl VbgpMux {
             o.counter_dim("mux.ingress_pkts", "nbr", nbr)
                 .set(entry.pkts_in);
             o.gauge_dim("mux.table_routes", "nbr", nbr)
-                .set(entry.table.len() as i64);
+                .set(entry.table.trie.len() as i64);
         }
         o.gauge("mux.delivery_routes")
-            .set(self.delivery.len() as i64);
-    }
-
-    /// Toggle the compiled fast path. Off = every lookup walks the source
-    /// tries directly; used for baseline benchmarks and to differentially
-    /// test the compiled structures against the reference.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-    }
-
-    /// Whether the compiled fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
+            .set(self.delivery.trie.len() as i64);
     }
 
     fn insert_neighbor_entry(&mut self, entry: NeighborEntry) -> u32 {
@@ -419,9 +473,7 @@ impl VbgpMux {
                 port,
                 dst_mac: neighbor_mac,
             },
-            table: PrefixTrie::new(),
-            fib: None,
-            cache: None,
+            table: Table::new(),
             vnh_idx: 0,
             pkts_out: 0,
             pkts_in: 0,
@@ -454,9 +506,7 @@ impl VbgpMux {
                 port: backbone_port,
                 global_ip,
             },
-            table: PrefixTrie::new(),
-            fib: None,
-            cache: None,
+            table: Table::new(),
             vnh_idx: 0,
             pkts_out: 0,
             pkts_in: 0,
@@ -566,14 +616,9 @@ impl VbgpMux {
         let Some(entry) = self.neighbors[slot as usize].as_mut() else {
             return;
         };
-        match entry.table.get_mut(&prefix) {
+        match entry.table.trie.get_mut(&prefix) {
             Some(count) => *count += 1, // presence unchanged: FIB stays clean
-            None => {
-                entry.table.insert(prefix, 1);
-                if let Some(fib) = &mut entry.fib {
-                    fib.mark_dirty(&prefix);
-                }
-            }
+            None => entry.table.insert(prefix, 1),
         }
     }
 
@@ -585,26 +630,29 @@ impl VbgpMux {
         let Some(entry) = self.neighbors[slot as usize].as_mut() else {
             return;
         };
-        if let Some(count) = entry.table.get_mut(&prefix) {
+        if let Some(count) = entry.table.trie.get_mut(&prefix) {
             *count -= 1;
             if *count == 0 {
                 entry.table.remove(&prefix);
-                if let Some(fib) = &mut entry.fib {
-                    fib.mark_dirty(&prefix);
-                }
             }
         }
     }
 
     /// Number of FIB entries for a neighbor.
     pub fn table_len(&self, neighbor: NeighborId) -> usize {
-        self.neighbor(neighbor).map(|e| e.table.len()).unwrap_or(0)
+        self.neighbor(neighbor)
+            .map(|e| e.table.trie.len())
+            .unwrap_or(0)
     }
 
     /// Total FIB entries across all per-neighbor tables (the
     /// "per-interconnection data plane" overhead of Fig. 6a).
     pub fn total_fib_entries(&self) -> usize {
-        self.neighbors.iter().flatten().map(|e| e.table.len()).sum()
+        self.neighbors
+            .iter()
+            .flatten()
+            .map(|e| e.table.trie.len())
+            .sum()
     }
 
     /// An experiment prefix became deliverable down a local tunnel.
@@ -631,7 +679,7 @@ impl VbgpMux {
     }
 
     fn install_delivery(&mut self, prefix: Prefix, delivery: Delivery) {
-        if let Some(&idx) = self.delivery.get(&prefix) {
+        if let Some(&idx) = self.delivery.trie.get(&prefix) {
             let set = self.delivery_sets[idx as usize]
                 .as_mut()
                 .expect("trie points at live set");
@@ -658,15 +706,12 @@ impl VbgpMux {
             }
         };
         self.delivery.insert(prefix, idx);
-        if let Some(fib) = &mut self.delivery_fib {
-            fib.mark_dirty(&prefix);
-        }
     }
 
     /// One backing route for a delivery entry was withdrawn. The prefix
     /// stays deliverable as long as any other backing route remains.
     pub fn remove_delivery(&mut self, prefix: Prefix, delivery: &Delivery) {
-        let Some(&idx) = self.delivery.get(&prefix) else {
+        let Some(&idx) = self.delivery.trie.get(&prefix) else {
             return;
         };
         let set = self.delivery_sets[idx as usize]
@@ -683,9 +728,6 @@ impl VbgpMux {
             self.delivery_sets[idx as usize] = None;
             self.free_delivery_sets.push(idx);
             self.delivery.remove(&prefix);
-            if let Some(fib) = &mut self.delivery_fib {
-                fib.mark_dirty(&prefix);
-            }
         }
     }
 
@@ -768,38 +810,12 @@ impl VbgpMux {
         }
     }
 
-    /// Forward a packet that an experiment steered into `neighbor`'s table:
-    /// longest-prefix-match in that table, then resolve the wire egress
-    /// (Fig. 2b steps 10–11). Returns `None` if the table has no route.
-    pub fn egress_via_neighbor(
-        &mut self,
-        neighbor: NeighborId,
-        dst_ip: Ipv4Addr,
-    ) -> Option<Egress> {
-        let &slot = self.neighbor_slot.get(&neighbor)?;
-        let entry = self.neighbors[slot as usize].as_mut()?;
-        let has_route = if self.fast_path {
-            entry.fast_has_route(dst_ip, &mut self.stats, &self.obs)
-        } else {
-            entry.table.lookup(dst_ip.into()).is_some()
-        };
-        if !has_route {
-            self.stats.no_route += 1;
-            return None;
-        }
-        let egress = Self::resolve_fwd(entry.fwd, &self.resolved);
-        Self::count_egress(&mut self.stats, entry.fwd, egress);
-        entry.pkts_out += 1;
-        Some(egress)
-    }
-
     /// Strict reverse-path check for ingress enforcement: whether
     /// `src_ip` is covered by a route in `neighbor`'s table — i.e. the
     /// neighbor that handed us this packet could itself route back to the
-    /// claimed source. Uses the same compiled FIB + flow cache as the
-    /// forward path (a uRPF miss and a no-route lookup are the same
-    /// machine operation), so per-packet cost matches
-    /// [`Self::egress_via_neighbor`]'s lookup.
+    /// claimed source. Uses the same compiled FIB + flow cache as
+    /// [`Self::egress_via_neighbor_batch`] (a uRPF miss and a no-route
+    /// lookup are the same machine operation).
     pub fn source_routable(&mut self, neighbor: NeighborId, src_ip: Ipv4Addr) -> bool {
         let Some(&slot) = self.neighbor_slot.get(&neighbor) else {
             return false;
@@ -807,17 +823,18 @@ impl VbgpMux {
         let Some(entry) = self.neighbors[slot as usize].as_mut() else {
             return false;
         };
-        if self.fast_path {
-            entry.fast_has_route(src_ip, &mut self.stats, &self.obs)
-        } else {
-            entry.table.lookup(src_ip.into()).is_some()
-        }
+        entry
+            .table
+            .reader(entry.id.0, &mut self.stats, &self.obs)
+            .lookup(src_ip, &mut self.stats)
     }
 
-    /// Batched [`Self::egress_via_neighbor`]: one table selection, one FIB
-    /// sync and one wire-egress resolution for a whole run of frames that
-    /// classified to the same neighbor. `out[i]` corresponds to
-    /// `dst_ips[i]`; `out` is cleared first (caller-owned scratch).
+    /// Forward a run of packets that an experiment steered into
+    /// `neighbor`'s table: longest-prefix-match in that table, then the
+    /// wire egress (Fig. 2b steps 10–11), with one table selection, one FIB
+    /// sync and one egress resolution for the whole run. `out[i]` is `None`
+    /// when the table has no route for `dst_ips[i]`; `out` is cleared first
+    /// (caller-owned scratch).
     pub fn egress_via_neighbor_batch(
         &mut self,
         neighbor: NeighborId,
@@ -836,146 +853,31 @@ impl VbgpMux {
         // Resolution state cannot change mid-batch: compute the hit egress
         // once and reuse it for every frame with a route.
         let egress = Self::resolve_fwd(entry.fwd, &self.resolved);
-        if self.fast_path {
-            // One sync for the whole run, then prefetch every frame's
-            // base-table slot before resolving any of them: the random
-            // DRAM loads that dominate a cold lookup overlap instead of
-            // serializing per packet.
-            let fib = entry.fib.get_or_insert_with(FlatFib::new);
-            if fib.sync(&entry.table) {
-                self.stats.note_fib_sync(&self.obs, entry.id.0, fib);
-            }
-            let fib = entry.fib.as_ref().expect("just built");
-            let generation = fib.generation();
-            let cache = entry
-                .cache
-                .get_or_insert_with(|| Box::new(FlowCache::new()));
-            for &ip in dst_ips {
-                fib.prefetch_v4(ip);
-            }
-            for &ip in dst_ips {
-                let key = u32::from(ip);
-                let has_route = match cache.get(key, generation) {
-                    Some(hit) => {
-                        self.stats.flow_cache_hits += 1;
-                        hit
-                    }
-                    None => {
-                        self.stats.flow_cache_misses += 1;
-                        let hit = fib.covers(ip.into());
-                        cache.put(key, generation, hit);
-                        hit
-                    }
-                };
-                if has_route {
-                    Self::count_egress(&mut self.stats, entry.fwd, egress);
-                    entry.pkts_out += 1;
-                    out.push(Some(egress));
-                } else {
-                    self.stats.no_route += 1;
-                    out.push(None);
-                }
-            }
-        } else {
-            for &ip in dst_ips {
-                if entry.table.lookup(ip.into()).is_some() {
-                    Self::count_egress(&mut self.stats, entry.fwd, egress);
-                    entry.pkts_out += 1;
-                    out.push(Some(egress));
-                } else {
-                    self.stats.no_route += 1;
-                    out.push(None);
-                }
+        let mut reader = entry.table.reader(entry.id.0, &mut self.stats, &self.obs);
+        // Prefetch every frame's base-table slot before resolving any of
+        // them: the random DRAM loads that dominate a cold lookup overlap
+        // instead of serializing per packet.
+        for &ip in dst_ips {
+            reader.fib.prefetch_v4(ip);
+        }
+        for &ip in dst_ips {
+            if reader.lookup(ip, &mut self.stats) {
+                Self::count_egress(&mut self.stats, entry.fwd, egress);
+                entry.pkts_out += 1;
+                out.push(Some(egress));
+            } else {
+                self.stats.no_route += 1;
+                out.push(None);
             }
         }
     }
 
-    /// Look up the delivery set covering `dst_ip` (fast or slow path).
-    #[inline]
-    fn delivery_set_for(&mut self, dst_ip: Ipv4Addr) -> Option<u32> {
-        if self.fast_path {
-            let fib = self.delivery_fib.get_or_insert_with(FlatFib::new);
-            if fib.sync(&self.delivery) {
-                self.stats.note_fib_sync(&self.obs, DELIVERY_TABLE, fib);
-            }
-            let generation = fib.generation();
-            let key = u32::from(dst_ip);
-            let cache = self
-                .delivery_cache
-                .get_or_insert_with(|| Box::new(FlowCache::new()));
-            if let Some(hit) = cache.get(key, generation) {
-                self.stats.flow_cache_hits += 1;
-                return hit;
-            }
-            self.stats.flow_cache_misses += 1;
-            let hit = fib.lookup(dst_ip.into()).map(|(_, idx)| idx);
-            cache.put(key, generation, hit);
-            hit
-        } else {
-            self.delivery.lookup(dst_ip.into()).map(|(_, idx)| *idx)
-        }
-    }
-
-    fn delivery_decision(
-        &mut self,
-        set_idx: u32,
-        src_rewrite: Option<MacAddr>,
-    ) -> Option<(Egress, Option<MacAddr>, ExperimentId)> {
-        let set = self.delivery_sets[set_idx as usize].as_ref()?;
-        match set.active() {
-            Delivery::Local(exp) => {
-                let entry = self.experiment(exp)?;
-                let (port, mac) = (entry.port, entry.mac);
-                self.stats.to_experiment += 1;
-                Some((Egress::Frame { port, dst_mac: mac }, src_rewrite, exp))
-            }
-            Delivery::Remote { port, global_ip } => {
-                let exp = ExperimentId(u32::MAX); // unknown at this PoP
-                match self.resolved.get(&global_ip) {
-                    Some(mac) => {
-                        self.stats.to_backbone += 1;
-                        Some((
-                            Egress::Frame {
-                                port,
-                                dst_mac: *mac,
-                            },
-                            None,
-                            exp,
-                        ))
-                    }
-                    None => {
-                        self.stats.unresolved += 1;
-                        Some((Egress::Unresolved { port, global_ip }, None, exp))
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deliver inbound traffic toward whatever experiment owns `dst_ip`.
-    /// `from_neighbor` names the ingress neighbor when known; the returned
-    /// source MAC is then that neighbor's virtual MAC so the experiment can
-    /// see who delivered the packet (paper §3.2.2 "Routing traffic to
-    /// experiments").
-    pub fn deliver_to_experiment(
-        &mut self,
-        dst_ip: Ipv4Addr,
-        from_neighbor: Option<NeighborId>,
-    ) -> Option<(Egress, Option<MacAddr>, ExperimentId)> {
-        let set_idx = self.delivery_set_for(dst_ip)?;
-        let src_rewrite = from_neighbor.and_then(|n| self.alloc.get(n)).map(|v| v.mac);
-        let decision = self.delivery_decision(set_idx, src_rewrite);
-        if decision.is_some() {
-            if let Some(entry) = from_neighbor.and_then(|n| self.neighbor_mut(n)) {
-                entry.pkts_in += 1;
-            }
-        }
-        decision
-    }
-
-    /// Batched [`Self::deliver_to_experiment`]: the ingress-neighbor MAC
-    /// rewrite is resolved once for the whole run. `out[i]` corresponds to
-    /// `dst_ips[i]`; `out` is cleared first (caller-owned scratch).
+    /// Deliver inbound traffic toward whatever experiment owns each of
+    /// `dst_ips`. `from_neighbor` names the ingress neighbor when known; the
+    /// returned source MAC is then that neighbor's virtual MAC so the
+    /// experiment can see who delivered the packet (paper §3.2.2 "Routing
+    /// traffic to experiments"). `out[i]` corresponds to `dst_ips[i]`;
+    /// `out` is cleared first (caller-owned scratch).
     #[allow(clippy::type_complexity)]
     pub fn deliver_to_experiment_batch(
         &mut self,
@@ -984,17 +886,49 @@ impl VbgpMux {
         out: &mut Vec<Option<(Egress, Option<MacAddr>, ExperimentId)>>,
     ) {
         out.clear();
-        let src_rewrite = from_neighbor.and_then(|n| self.alloc.get(n)).map(|v| v.mac);
-        let mut delivered = 0u64;
-        for &ip in dst_ips {
-            let decision = self
-                .delivery_set_for(ip)
-                .and_then(|idx| self.delivery_decision(idx, src_rewrite));
-            if decision.is_some() {
-                delivered += 1;
-            }
-            out.push(decision);
+        if dst_ips.is_empty() {
+            // No lookup, no FIB sync: a sync is counted and journaled.
+            return;
         }
+        let src_rewrite = from_neighbor.and_then(|n| self.alloc.get(n)).map(|v| v.mac);
+        let mut reader = self
+            .delivery
+            .reader(DELIVERY_TABLE, &mut self.stats, &self.obs);
+        for &ip in dst_ips {
+            let set = reader
+                .lookup(ip, &mut self.stats)
+                .and_then(|idx| self.delivery_sets[idx as usize].as_ref());
+            out.push(match set.map(DeliverySet::active) {
+                None => None,
+                Some(Delivery::Local(exp)) => self
+                    .experiment_slot
+                    .get(&exp)
+                    .and_then(|&slot| self.experiments[slot as usize].as_ref())
+                    .map(|entry| {
+                        self.stats.to_experiment += 1;
+                        let egress = Egress::Frame {
+                            port: entry.port,
+                            dst_mac: entry.mac,
+                        };
+                        (egress, src_rewrite, exp)
+                    }),
+                Some(Delivery::Remote { port, global_ip }) => {
+                    let egress = match self.resolved.get(&global_ip) {
+                        Some(&dst_mac) => {
+                            self.stats.to_backbone += 1;
+                            Egress::Frame { port, dst_mac }
+                        }
+                        None => {
+                            self.stats.unresolved += 1;
+                            Egress::Unresolved { port, global_ip }
+                        }
+                    };
+                    // The owning experiment is unknown at this PoP.
+                    Some((egress, None, ExperimentId(u32::MAX)))
+                }
+            });
+        }
+        let delivered = out.iter().flatten().count() as u64;
         if delivered > 0 {
             if let Some(entry) = from_neighbor.and_then(|n| self.neighbor_mut(n)) {
                 entry.pkts_in += delivered;
@@ -1021,7 +955,7 @@ impl VbgpMux {
     pub fn table_entries(&self, neighbor: NeighborId) -> impl Iterator<Item = (Prefix, u32)> + '_ {
         self.neighbor(neighbor)
             .into_iter()
-            .flat_map(|e| e.table.iter().map(|(p, c)| (p, *c)))
+            .flat_map(|e| e.table.trie.iter().map(|(p, c)| (p, *c)))
     }
 
     /// The delivery table as `(prefix, refcount, owner)`; the owner is
@@ -1030,7 +964,7 @@ impl VbgpMux {
     pub fn delivery_entries(
         &self,
     ) -> impl Iterator<Item = (Prefix, u32, Option<ExperimentId>)> + '_ {
-        self.delivery.iter().map(|(p, idx)| {
+        self.delivery.trie.iter().map(|(p, idx)| {
             let set = self.delivery_sets[*idx as usize]
                 .as_ref()
                 .expect("trie points at live set");
@@ -1058,13 +992,12 @@ impl VbgpMux {
     pub fn verify_fast_path(&mut self) -> Vec<String> {
         let mut problems = Vec::new();
         for entry in self.neighbors.iter_mut().flatten() {
-            let fib = entry.fib.get_or_insert_with(FlatFib::new);
-            if fib.sync(&entry.table) {
-                self.stats.note_fib_sync(&self.obs, entry.id.0, fib);
-            }
-            for (prefix, _) in entry.table.iter() {
+            let table = &mut entry.table;
+            table.sync(entry.id.0, &mut self.stats, &self.obs);
+            let fib = table.fib.as_ref().expect("synced above");
+            for (prefix, _) in table.trie.iter() {
                 for addr in probe_addrs(&prefix) {
-                    let want = entry.table.lookup(addr).map(|(p, _)| p);
+                    let want = table.trie.lookup(addr).map(|(p, _)| p);
                     let got = fib.lookup(addr).map(|(p, _)| p);
                     if want != got {
                         problems.push(format!(
@@ -1075,13 +1008,12 @@ impl VbgpMux {
                 }
             }
         }
-        let fib = self.delivery_fib.get_or_insert_with(FlatFib::new);
-        if fib.sync(&self.delivery) {
-            self.stats.note_fib_sync(&self.obs, DELIVERY_TABLE, fib);
-        }
-        for (prefix, idx) in self.delivery.iter() {
+        let table = &mut self.delivery;
+        table.sync(DELIVERY_TABLE, &mut self.stats, &self.obs);
+        let fib = table.fib.as_ref().expect("synced above");
+        for (prefix, idx) in table.trie.iter() {
             for addr in probe_addrs(&prefix) {
-                let want = self.delivery.lookup(addr).map(|(p, v)| (p, *v));
+                let want = table.trie.lookup(addr).map(|(p, v)| (p, *v));
                 let got = fib.lookup(addr);
                 if want != got {
                     problems.push(format!(
@@ -1143,6 +1075,24 @@ mod tests {
         m
     }
 
+    /// One lookup through [`VbgpMux::egress_via_neighbor_batch`].
+    fn egress(m: &mut VbgpMux, neighbor: NeighborId, ip: &str) -> Option<Egress> {
+        let mut out = Vec::new();
+        m.egress_via_neighbor_batch(neighbor, &[ip.parse().unwrap()], &mut out);
+        out[0]
+    }
+
+    /// One packet through [`VbgpMux::deliver_to_experiment_batch`].
+    fn deliver(
+        m: &mut VbgpMux,
+        ip: &str,
+        from: Option<NeighborId>,
+    ) -> Option<(Egress, Option<MacAddr>, ExperimentId)> {
+        let mut out = Vec::new();
+        m.deliver_to_experiment_batch(&[ip.parse().unwrap()], from, &mut out);
+        out[0]
+    }
+
     #[test]
     fn per_neighbor_tables_steer_by_mac() {
         let mut m = mux();
@@ -1154,11 +1104,8 @@ mod tests {
         // A frame addressed to N2's virtual MAC classifies to N2's table...
         assert_eq!(m.classify(vnh2.mac), Some(MuxTarget::NeighborTable(N2)));
         // ...and egresses out N2's port, not N1's.
-        let egress = m
-            .egress_via_neighbor(N2, "192.168.0.1".parse().unwrap())
-            .unwrap();
         assert_eq!(
-            egress,
+            egress(&mut m, N2, "192.168.0.1").unwrap(),
             Egress::Frame {
                 port: PortId(1),
                 dst_mac: MacAddr::from_id(0x22)
@@ -1172,9 +1119,7 @@ mod tests {
         let mut m = mux();
         m.install_route(N1, prefix("192.168.0.0/24"));
         // N2's table is empty: steering via N2 fails even though N1 has it.
-        assert!(m
-            .egress_via_neighbor(N2, "192.168.0.1".parse().unwrap())
-            .is_none());
+        assert!(egress(&mut m, N2, "192.168.0.1").is_none());
         assert_eq!(m.stats.no_route, 1);
     }
 
@@ -1186,13 +1131,9 @@ mod tests {
         m.install_route(N1, p);
         assert_eq!(m.table_len(N1), 1);
         m.remove_route(N1, p);
-        assert!(m
-            .egress_via_neighbor(N1, "10.1.1.1".parse().unwrap())
-            .is_some());
+        assert!(egress(&mut m, N1, "10.1.1.1").is_some());
         m.remove_route(N1, p);
-        assert!(m
-            .egress_via_neighbor(N1, "10.1.1.1".parse().unwrap())
-            .is_none());
+        assert!(egress(&mut m, N1, "10.1.1.1").is_none());
         assert_eq!(m.total_fib_entries(), 0);
     }
 
@@ -1229,11 +1170,8 @@ mod tests {
             m.unresolved_globals().collect::<Vec<_>>(),
             vec![(PortId(5), gip)]
         );
-        let egress = m
-            .egress_via_neighbor(NeighborId(9), "192.168.0.1".parse().unwrap())
-            .unwrap();
         assert_eq!(
-            egress,
+            egress(&mut m, NeighborId(9), "192.168.0.1").unwrap(),
             Egress::Unresolved {
                 port: PortId(5),
                 global_ip: gip
@@ -1242,11 +1180,8 @@ mod tests {
         // Resolution arrives.
         m.note_resolution(gip, MacAddr::from_id(0x99));
         assert!(m.unresolved_globals().next().is_none());
-        let egress = m
-            .egress_via_neighbor(NeighborId(9), "192.168.0.1".parse().unwrap())
-            .unwrap();
         assert_eq!(
-            egress,
+            egress(&mut m, NeighborId(9), "192.168.0.1").unwrap(),
             Egress::Frame {
                 port: PortId(5),
                 dst_mac: MacAddr::from_id(0x99)
@@ -1261,9 +1196,7 @@ mod tests {
         let mut m = mux();
         m.add_experiment(X1, PortId(7), MacAddr::from_id(0x77), None);
         m.install_delivery_local(prefix("184.164.224.0/24"), X1);
-        let (egress, src_rewrite, exp) = m
-            .deliver_to_experiment("184.164.224.9".parse().unwrap(), Some(N1))
-            .unwrap();
+        let (egress, src_rewrite, exp) = deliver(&mut m, "184.164.224.9", Some(N1)).unwrap();
         assert_eq!(exp, X1);
         assert_eq!(
             egress,
@@ -1275,9 +1208,7 @@ mod tests {
         // The source MAC is the ingress neighbor's virtual MAC (§3.2.2).
         assert_eq!(src_rewrite, Some(m.vnh(N1).unwrap().mac));
         // Unknown ingress → no rewrite hint.
-        let (_, src_rewrite, _) = m
-            .deliver_to_experiment("184.164.224.9".parse().unwrap(), None)
-            .unwrap();
+        let (_, src_rewrite, _) = deliver(&mut m, "184.164.224.9", None).unwrap();
         assert_eq!(src_rewrite, None);
     }
 
@@ -1286,9 +1217,7 @@ mod tests {
         let mut m = mux();
         let gip: Ipv4Addr = "127.127.1.1".parse().unwrap();
         m.install_delivery_remote(prefix("184.164.226.0/24"), PortId(4), gip);
-        let (egress, _, _) = m
-            .deliver_to_experiment("184.164.226.1".parse().unwrap(), None)
-            .unwrap();
+        let (egress, _, _) = deliver(&mut m, "184.164.226.1", None).unwrap();
         assert_eq!(
             egress,
             Egress::Unresolved {
@@ -1297,9 +1226,7 @@ mod tests {
             }
         );
         m.note_resolution(gip, MacAddr::from_id(0xAA));
-        let (egress, _, _) = m
-            .deliver_to_experiment("184.164.226.1".parse().unwrap(), None)
-            .unwrap();
+        let (egress, _, _) = deliver(&mut m, "184.164.226.1", None).unwrap();
         assert_eq!(
             egress,
             Egress::Frame {
@@ -1317,13 +1244,9 @@ mod tests {
         let d = m.install_delivery_local(p, X1);
         m.install_delivery_local(p, X1);
         m.remove_delivery(p, &d);
-        assert!(m
-            .deliver_to_experiment("184.164.224.1".parse().unwrap(), None)
-            .is_some());
+        assert!(deliver(&mut m, "184.164.224.1", None).is_some());
         m.remove_delivery(p, &d);
-        assert!(m
-            .deliver_to_experiment("184.164.224.1".parse().unwrap(), None)
-            .is_none());
+        assert!(deliver(&mut m, "184.164.224.1", None).is_none());
     }
 
     #[test]
@@ -1335,9 +1258,7 @@ mod tests {
         let remote = m.install_delivery_remote(p, PortId(2), "100.125.0.1".parse().unwrap());
         let local = m.install_delivery_local(p, X1);
         // Local wins regardless of install order.
-        let (egress, _, exp) = m
-            .deliver_to_experiment("184.164.224.1".parse().unwrap(), None)
-            .unwrap();
+        let (egress, _, exp) = deliver(&mut m, "184.164.224.1", None).unwrap();
         assert_eq!(exp, X1);
         assert_eq!(
             egress,
@@ -1348,19 +1269,13 @@ mod tests {
         );
         // Withdrawing the backbone copy must not tear down local delivery.
         m.remove_delivery(p, &remote);
-        assert!(m
-            .deliver_to_experiment("184.164.224.1".parse().unwrap(), None)
-            .is_some());
+        assert!(deliver(&mut m, "184.164.224.1", None).is_some());
         // And vice versa: after the tunnel route goes, the backbone copy
         // (re-installed) still delivers.
         m.remove_delivery(p, &local);
-        assert!(m
-            .deliver_to_experiment("184.164.224.1".parse().unwrap(), None)
-            .is_none());
+        assert!(deliver(&mut m, "184.164.224.1", None).is_none());
         m.install_delivery_remote(p, PortId(2), "100.125.0.1".parse().unwrap());
-        assert!(m
-            .deliver_to_experiment("184.164.224.1".parse().unwrap(), None)
-            .is_some());
+        assert!(deliver(&mut m, "184.164.224.1", None).is_some());
     }
 
     #[test]
@@ -1371,9 +1286,7 @@ mod tests {
         m.remove_neighbor(N1);
         assert_eq!(m.classify(vnh.mac), None);
         assert_eq!(m.arp_answer(vnh.ip), None);
-        assert!(m
-            .egress_via_neighbor(N1, "10.0.0.1".parse().unwrap())
-            .is_none());
+        assert!(egress(&mut m, N1, "10.0.0.1").is_none());
     }
 
     #[test]
@@ -1393,7 +1306,11 @@ mod tests {
 
     #[test]
     fn fast_and_slow_paths_agree_under_churn() {
+        // The reference is a trie this test owns and keeps equal to the
+        // live prefix set; lookups go through whole probe runs and runs of
+        // one, for egress and for uRPF.
         let mut m = mux();
+        let mut reference: PrefixTrie<()> = PrefixTrie::new();
         let prefixes = [
             "0.0.0.0/0",
             "10.0.0.0/8",
@@ -1412,77 +1329,51 @@ mod tests {
         .iter()
         .map(|a| a.parse().unwrap())
         .collect();
+        let frame = Some(Egress::Frame {
+            port: PortId(0),
+            dst_mac: MacAddr::from_id(0x11),
+        });
+        let check = |m: &mut VbgpMux, reference: &PrefixTrie<()>, step: &str| {
+            let want: Vec<Option<Egress>> = probes
+                .iter()
+                .map(|&ip| reference.lookup(ip.into()).and(frame))
+                .collect();
+            let mut run = Vec::new();
+            m.egress_via_neighbor_batch(N1, &probes, &mut run);
+            assert_eq!(run, want, "whole run after {step}");
+            for (i, &ip) in probes.iter().enumerate() {
+                m.egress_via_neighbor_batch(N1, &[ip], &mut run);
+                assert_eq!(run, [want[i]], "run of one for {ip} after {step}");
+                assert_eq!(m.source_routable(N1, ip), want[i].is_some(), "uRPF {ip}");
+            }
+        };
         for p in prefixes {
             m.install_route(N1, prefix(p));
-            for &probe in &probes {
-                m.set_fast_path(true);
-                let fast = m.egress_via_neighbor(N1, probe);
-                m.set_fast_path(false);
-                let slow = m.egress_via_neighbor(N1, probe);
-                assert_eq!(fast, slow, "probe {probe} after install {p}");
-            }
+            reference.insert(prefix(p), ());
+            check(&mut m, &reference, &format!("install {p}"));
         }
         for p in prefixes {
             m.remove_route(N1, prefix(p));
-            for &probe in &probes {
-                m.set_fast_path(true);
-                let fast = m.egress_via_neighbor(N1, probe);
-                m.set_fast_path(false);
-                let slow = m.egress_via_neighbor(N1, probe);
-                assert_eq!(fast, slow, "probe {probe} after remove {p}");
-            }
+            reference.remove(&prefix(p));
+            check(&mut m, &reference, &format!("remove {p}"));
         }
         assert!(m.verify_fast_path().is_empty());
-    }
-
-    #[test]
-    fn batch_matches_singles() {
-        let mut m = mux();
-        m.install_route(N1, prefix("10.0.0.0/8"));
-        m.install_route(N1, prefix("10.1.0.0/16"));
-        let ips: Vec<Ipv4Addr> = ["10.1.0.1", "10.2.0.1", "11.0.0.1", "10.1.0.1"]
-            .iter()
-            .map(|a| a.parse().unwrap())
-            .collect();
-        let mut batched = Vec::new();
-        m.egress_via_neighbor_batch(N1, &ips, &mut batched);
-        let singles: Vec<_> = ips
-            .iter()
-            .map(|&ip| m.egress_via_neighbor(N1, ip))
-            .collect();
-        assert_eq!(batched, singles);
-
-        m.add_experiment(X1, PortId(7), MacAddr::from_id(0x77), None);
-        m.install_delivery_local(prefix("184.164.224.0/24"), X1);
-        let dips: Vec<Ipv4Addr> = ["184.164.224.9", "184.164.225.9", "184.164.224.1"]
-            .iter()
-            .map(|a| a.parse().unwrap())
-            .collect();
-        let mut dbatched = Vec::new();
-        m.deliver_to_experiment_batch(&dips, Some(N1), &mut dbatched);
-        let dsingles: Vec<_> = dips
-            .iter()
-            .map(|&ip| m.deliver_to_experiment(ip, Some(N1)))
-            .collect();
-        assert_eq!(dbatched, dsingles);
     }
 
     #[test]
     fn flow_cache_serves_repeats_and_invalidates_on_change() {
         let mut m = mux();
         m.install_route(N1, prefix("10.0.0.0/8"));
-        let ip: Ipv4Addr = "10.1.1.1".parse().unwrap();
-        assert!(m.egress_via_neighbor(N1, ip).is_some()); // compile + miss
+        let ip = "10.1.1.1";
+        assert!(egress(&mut m, N1, ip).is_some()); // compile + miss
         let before = m.stats.flow_cache_hits;
-        assert!(m.egress_via_neighbor(N1, ip).is_some());
+        assert!(egress(&mut m, N1, ip).is_some());
         assert_eq!(m.stats.flow_cache_hits, before + 1);
         // A more specific install must invalidate the cached answer.
         m.install_route(N1, prefix("10.1.0.0/16"));
         m.remove_route(N1, prefix("10.0.0.0/8"));
-        assert!(m.egress_via_neighbor(N1, ip).is_some()); // via the /16 now
-        assert!(m
-            .egress_via_neighbor(N1, "10.2.0.1".parse().unwrap())
-            .is_none());
+        assert!(egress(&mut m, N1, ip).is_some()); // via the /16 now
+        assert!(egress(&mut m, N1, "10.2.0.1").is_none());
         assert!(m.verify_fast_path().is_empty());
     }
 }

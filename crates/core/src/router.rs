@@ -35,7 +35,7 @@ use peering_obs::{EventKind as ObsEvent, Obs};
 use crate::communities::ControlCommunities;
 use crate::enforcement::control::{ControlEnforcer, ExperimentPolicy, RateLedger};
 use crate::enforcement::data::{DataEnforcer, DataVerdict, ExperimentDataPolicy, TokenBucket};
-use crate::enforcement::pprog::PacketView;
+use crate::enforcement::pprog::{PacketView, Rewrite};
 use crate::fasthash::FastHashMap;
 use crate::ids::{ExperimentId, NeighborId, PopId};
 use crate::mux::{Delivery, Egress, MuxTarget, VbgpMux};
@@ -596,16 +596,21 @@ impl VbgpRouter {
         let mut pending = false;
         for (port, gip) in self.mux.unresolved_globals() {
             pending = true;
-            let mac = self.port_mac(port);
-            let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, gip);
-            ctx.send_frame(
-                port,
-                EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
-            );
+            self.arp_request(ctx, port, gip);
         }
         if pending {
             ctx.set_timer(SimDuration::from_secs(1), TOKEN_ARP_RETRY);
         }
+    }
+
+    /// Broadcast an ARP request for `ip` out `port`.
+    fn arp_request(&self, ctx: &mut Ctx<'_>, port: PortId, ip: Ipv4Addr) {
+        let mac = self.port_mac(port);
+        let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, ip);
+        ctx.send_frame(
+            port,
+            EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
+        );
     }
 
     fn process_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<HostEvent>) {
@@ -676,12 +681,7 @@ impl VbgpRouter {
                         .map(|ep| ep.port)
                         .unwrap_or(PortId(0));
                     let delivery = self.mux.install_delivery_remote(route.prefix, port, nh);
-                    let mac = self.port_mac(port);
-                    let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, nh);
-                    ctx.send_frame(
-                        port,
-                        EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
-                    );
+                    self.arp_request(ctx, port, nh);
                     Some(Installed::DeliveryEntry(delivery))
                 }
                 _ => None,
@@ -950,7 +950,10 @@ impl VbgpRouter {
         }
         let te = IcmpPacket::time_exceeded_for(expired);
         let reply = IpPacket::new(our_addr, expired.header.src, IpProto::Icmp, te.encode());
-        match self.mux.deliver_to_experiment(reply.header.dst, None) {
+        let mut decisions = std::mem::take(&mut self.delivery_scratch);
+        self.mux
+            .deliver_to_experiment_batch(&[reply.header.dst], None, &mut decisions);
+        match decisions[0] {
             Some((Egress::Frame { port: out, dst_mac }, _, _)) => {
                 let src = self.port_mac(out);
                 self.stats.icmp_sent += 1;
@@ -963,6 +966,7 @@ impl VbgpRouter {
                 self.stats.no_route += 1;
             }
         }
+        self.delivery_scratch = decisions;
     }
 
     /// The plan for one IPv4 frame (which batch it can join).
@@ -977,20 +981,88 @@ impl VbgpRouter {
         }
     }
 
-    fn on_ip(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &EtherFrame) {
-        match self.plan_for(port, frame) {
-            IpPlan::Neighbor(nbr) => {
-                self.forward_via_neighbor(ctx, port, nbr, std::slice::from_ref(frame))
+    /// Same-instant frames on one port: consecutive IPv4 frames that
+    /// classify to the same forwarding plan are handled as one batch (a
+    /// lone frame is a batch of one); everything else (BGP transport, ARP,
+    /// ledger gossip) is processed singly, in order. Plans are computed as
+    /// each frame is reached, so a control-plane frame mid-batch still
+    /// affects the frames behind it.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, port: PortId, frames: &[EtherFrame]) {
+        let mut run: Option<(IpPlan, usize)> = None;
+        for (i, frame) in frames.iter().enumerate() {
+            let plan = (frame.ethertype == EtherType::Ipv4).then(|| self.plan_for(port, frame));
+            if let Some((prev, start)) = run {
+                if plan == Some(prev) {
+                    continue;
+                }
+                self.forward_run(ctx, port, prev, &frames[start..i]);
             }
-            IpPlan::Delivery(from) => self.deliver_frames(ctx, from, std::slice::from_ref(frame)),
+            run = plan.map(|p| (p, i));
+            if plan.is_none() {
+                self.on_control_frame(ctx, port, frame);
+            }
+        }
+        if let Some((plan, start)) = run {
+            self.forward_run(ctx, port, plan, &frames[start..]);
+        }
+    }
+
+    /// Forward one run of IPv4 frames that share `plan`.
+    fn forward_run(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        port: PortId,
+        plan: IpPlan,
+        frames: &[EtherFrame],
+    ) {
+        match plan {
+            IpPlan::Neighbor(nbr) => self.forward_via_neighbor(ctx, port, nbr, frames),
+            IpPlan::Delivery(from) => self.deliver_frames(ctx, from, frames),
+        }
+    }
+
+    /// A non-IPv4 frame: BGP transport, ARP or ledger gossip.
+    fn on_control_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &EtherFrame) {
+        if let Some(events) = self.host.on_frame(ctx, port, frame) {
+            self.process_events(ctx, events);
+            return;
+        }
+        match frame.ethertype {
+            EtherType::Arp => self.on_arp(ctx, port, frame),
+            EtherType::Other(LEDGER_ETHERTYPE) => self.on_ledger_gossip(ctx, frame),
+            _ => {}
+        }
+    }
+
+    /// Put a forwarded packet on the wire out its egress, with `src` as
+    /// the source MAC (the port's own by default). An unresolved egress
+    /// sends an ARP request in the packet's place — the packet is dropped,
+    /// as the paper's deployment would also drop pre-ARP; no egress counts
+    /// a no-route drop.
+    fn emit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        egress: Option<Egress>,
+        src: Option<MacAddr>,
+        pkt: &IpPacket,
+    ) {
+        match egress {
+            Some(Egress::Frame { port, dst_mac }) => {
+                let src = src.unwrap_or_else(|| self.port_mac(port));
+                ctx.send_frame(
+                    port,
+                    EtherFrame::new(dst_mac, src, EtherType::Ipv4, pkt.encode()),
+                );
+            }
+            Some(Egress::Unresolved { port, global_ip }) => self.arp_request(ctx, port, global_ip),
+            None => self.stats.no_route += 1,
         }
     }
 
     /// Forward a run of frames that an experiment (or remote PoP) steered
     /// into `nbr`'s table (Fig. 2b steps 8–10). Enforcement, TTL, lookup
-    /// and emission run as batch passes — verdicts, stats and the emitted
-    /// frame order are identical to handling each frame alone, but the
-    /// table selection, FIB sync and wire-egress resolution are paid once.
+    /// and emission run as batch passes, so the table selection, FIB sync
+    /// and wire-egress resolution are paid once per run.
     fn forward_via_neighbor(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -998,7 +1070,7 @@ impl VbgpRouter {
         nbr: NeighborId,
         frames: &[EtherFrame],
     ) {
-        // Undecodable frames drop silently, as in the single-frame path.
+        // Undecodable frames drop silently.
         let mut pkts: Vec<Option<IpPacket>> = frames
             .iter()
             .map(|f| IpPacket::decode(&f.payload))
@@ -1022,18 +1094,9 @@ impl VbgpRouter {
                 match verdicts[vi] {
                     DataVerdict::Allow => {}
                     DataVerdict::Transform(rw) => {
-                        // Apply the program's header rewrite before TTL
-                        // and lookup, so a rewritten destination is
-                        // re-routed on its new address.
-                        if let Some(ttl) = rw.ttl {
-                            pkt.header.ttl = ttl;
-                        }
-                        if let Some(src) = rw.src {
-                            pkt.header.src = src;
-                        }
-                        if let Some(dst) = rw.dst {
-                            pkt.header.dst = dst;
-                        }
+                        // Rewrite before TTL and lookup, so a rewritten
+                        // destination is re-routed on its new address.
+                        apply_rewrite(pkt, rw);
                         self.stats.data_transformed += 1;
                     }
                     DataVerdict::Block(reason) => {
@@ -1050,8 +1113,7 @@ impl VbgpRouter {
             self.verdict_scratch = verdicts;
         }
         // TTL; expired packets are set aside (their ICMP replies are sent in
-        // the emission pass, keeping the single-path frame order) and do not
-        // consume a lookup.
+        // the emission pass, in frame order) and do not consume a lookup.
         let mut expired: Vec<Option<IpPacket>> = vec![None; pkts.len()];
         let mut dsts: Vec<Ipv4Addr> = Vec::with_capacity(pkts.len());
         for (i, p) in pkts.iter_mut().enumerate() {
@@ -1074,29 +1136,7 @@ impl VbgpRouter {
                 continue;
             }
             let Some(pkt) = p else { continue };
-            match egress[ei] {
-                Some(Egress::Frame { port: out, dst_mac }) => {
-                    let src = self.port_mac(out);
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(dst_mac, src, EtherType::Ipv4, pkt.encode()),
-                    );
-                }
-                Some(Egress::Unresolved {
-                    port: out,
-                    global_ip,
-                }) => {
-                    // Trigger resolution; the packet is dropped (the paper's
-                    // deployment would also drop pre-ARP).
-                    let mac = self.port_mac(out);
-                    let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, global_ip);
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
-                    );
-                }
-                None => self.stats.no_route += 1,
-            }
+            self.emit(ctx, egress[ei], None, pkt);
             ei += 1;
         }
         self.egress_scratch = egress;
@@ -1196,19 +1236,10 @@ impl VbgpRouter {
                         match verdicts[k] {
                             DataVerdict::Allow => {}
                             DataVerdict::Transform(rw) => {
-                                // Ingress rewrites patch headers in place;
-                                // the delivery decision is already made, so
+                                // The delivery decision is already made, so
                                 // a dst rewrite does not re-route.
                                 let pkt = pkts[i].as_mut().expect("target packets survive");
-                                if let Some(ttl) = rw.ttl {
-                                    pkt.header.ttl = ttl;
-                                }
-                                if let Some(src) = rw.src {
-                                    pkt.header.src = src;
-                                }
-                                if let Some(dst) = rw.dst {
-                                    pkt.header.dst = dst;
-                                }
+                                apply_rewrite(pkt, rw);
                                 self.stats.data_transformed += 1;
                             }
                             DataVerdict::Block(reason) => {
@@ -1236,31 +1267,9 @@ impl VbgpRouter {
             if skip.get(di).copied().unwrap_or(false) {
                 continue;
             }
-            match decisions[di] {
-                Some((Egress::Frame { port: out, dst_mac }, src_rewrite, _exp)) => {
-                    let src = src_rewrite.unwrap_or_else(|| self.port_mac(out));
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(dst_mac, src, EtherType::Ipv4, pkt.encode()),
-                    );
-                }
-                Some((
-                    Egress::Unresolved {
-                        port: out,
-                        global_ip,
-                    },
-                    _,
-                    _,
-                )) => {
-                    let mac = self.port_mac(out);
-                    let req = ArpPacket::request(mac, Ipv4Addr::UNSPECIFIED, global_ip);
-                    ctx.send_frame(
-                        out,
-                        EtherFrame::new(MacAddr::BROADCAST, mac, EtherType::Arp, req.encode()),
-                    );
-                }
-                None => self.stats.no_route += 1,
-            }
+            let (egress, src_rewrite) =
+                decisions[di].map_or((None, None), |(egress, src, _)| (Some(egress), src));
+            self.emit(ctx, egress, src_rewrite, pkt);
         }
         self.delivery_scratch = decisions;
     }
@@ -1376,6 +1385,19 @@ impl VbgpRouter {
             .collect();
         problems.sort();
         problems
+    }
+}
+
+/// Apply a packet program's header rewrite.
+fn apply_rewrite(pkt: &mut IpPacket, rw: Rewrite) {
+    if let Some(ttl) = rw.ttl {
+        pkt.header.ttl = ttl;
+    }
+    if let Some(src) = rw.src {
+        pkt.header.src = src;
+    }
+    if let Some(dst) = rw.dst {
+        pkt.header.dst = dst;
     }
 }
 
@@ -1507,57 +1529,11 @@ fn decode_ledger_gossip(
 
 impl Node for VbgpRouter {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EtherFrame) {
-        if let Some(events) = self.host.on_frame(ctx, port, &frame) {
-            self.process_events(ctx, events);
-            return;
-        }
-        match frame.ethertype {
-            EtherType::Arp => self.on_arp(ctx, port, &frame),
-            EtherType::Ipv4 => self.on_ip(ctx, port, &frame),
-            EtherType::Other(LEDGER_ETHERTYPE) => self.on_ledger_gossip(ctx, &frame),
-            _ => {}
-        }
+        self.dispatch(ctx, port, std::slice::from_ref(&frame));
     }
 
-    /// Same-instant frames on one port: consecutive IPv4 frames that
-    /// classify to the same forwarding plan are handled as one batch;
-    /// everything else (BGP transport, ARP) is processed singly, in order.
-    /// Plans are computed as each frame is reached, so a control-plane
-    /// frame mid-batch still affects the frames behind it.
     fn on_frames(&mut self, ctx: &mut Ctx<'_>, port: PortId, frames: Vec<EtherFrame>) {
-        let mut run: Vec<EtherFrame> = Vec::new();
-        let mut run_plan: Option<IpPlan> = None;
-        for frame in frames {
-            let plan = if frame.ethertype == EtherType::Ipv4 {
-                Some(self.plan_for(port, &frame))
-            } else {
-                None
-            };
-            if plan.is_some() && plan == run_plan {
-                run.push(frame);
-                continue;
-            }
-            if let Some(prev) = run_plan.take() {
-                match prev {
-                    IpPlan::Neighbor(nbr) => self.forward_via_neighbor(ctx, port, nbr, &run),
-                    IpPlan::Delivery(from) => self.deliver_frames(ctx, from, &run),
-                }
-                run.clear();
-            }
-            match plan {
-                Some(p) => {
-                    run_plan = Some(p);
-                    run.push(frame);
-                }
-                None => self.on_frame(ctx, port, frame),
-            }
-        }
-        if let Some(prev) = run_plan {
-            match prev {
-                IpPlan::Neighbor(nbr) => self.forward_via_neighbor(ctx, port, nbr, &run),
-                IpPlan::Delivery(from) => self.deliver_frames(ctx, from, &run),
-            }
-        }
+        self.dispatch(ctx, port, &frames);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

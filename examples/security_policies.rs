@@ -14,7 +14,7 @@ use peering_repro::netsim::SimTime;
 use peering_repro::vbgp::enforcement::control::{
     ControlEnforcer, ExperimentPolicy, UPDATES_PER_DAY_LIMIT,
 };
-use peering_repro::vbgp::enforcement::data::{DataEnforcer, ExperimentDataPolicy};
+use peering_repro::vbgp::enforcement::data::{DataEnforcer, DataVerdict, ExperimentDataPolicy};
 use peering_repro::vbgp::enforcement::pprog::{Field, Insn, PacketProgram, PacketView};
 use peering_repro::vbgp::{
     CapabilityKind, CapabilitySet, ControlCommunities, ExperimentId, Grant, PopId,
@@ -37,6 +37,14 @@ fn verdict(ok: bool) -> &'static str {
     } else {
         "BLOCKED"
     }
+}
+
+/// Run `pkts` from the experiment through the data-plane engine as one
+/// batch, in order.
+fn egress(d: &mut DataEnforcer, pkts: &[PacketView]) -> Vec<DataVerdict> {
+    let mut verdicts = Vec::new();
+    d.check_egress_batch(EXP, pkts, None, SimTime::ZERO, &mut verdicts);
+    verdicts
 }
 
 fn check(e: &mut ControlEnforcer, label: &str, update: &UpdateMsg) {
@@ -191,23 +199,20 @@ fn main() {
         },
     );
     let good = PacketView::basic("184.164.224.9".parse().unwrap(), 1000);
-    let v = d.check_egress(EXP, &good, None, SimTime::ZERO);
+    let spoofed = PacketView::basic("9.9.9.9".parse().unwrap(), 1000);
+    let v = egress(&mut d, &[good, spoofed]);
     println!(
         "  packet from allocated source                        {}",
-        verdict(v.is_allow())
+        verdict(v[0].is_allow())
     );
-    let spoofed = PacketView::basic("9.9.9.9".parse().unwrap(), 1000);
-    let v = d.check_egress(EXP, &spoofed, None, SimTime::ZERO);
     println!(
         "  spoofed source 9.9.9.9                              {}",
-        verdict(v.is_allow())
+        verdict(v[1].is_allow())
     );
-    let mut blocked = 0;
-    for _ in 0..200 {
-        if !d.check_egress(EXP, &good, None, SimTime::ZERO).is_allow() {
-            blocked += 1;
-        }
-    }
+    let blocked = egress(&mut d, &[good; 200])
+        .iter()
+        .filter(|v| !v.is_allow())
+        .count();
     println!(
         "  200 kB burst against a 100 kB bucket                {} packets shaped",
         blocked
@@ -239,15 +244,14 @@ fn main() {
         dst_port: 53,
         ..good
     };
-    let v = d.check_egress(EXP, &dns, None, SimTime::ZERO);
+    let v = egress(&mut d, &[dns, good]);
     println!(
         "  UDP/53 from allocated source                        {}",
-        verdict(v.is_allow())
+        verdict(v[0].is_allow())
     );
-    let v = d.check_egress(EXP, &good, None, SimTime::ZERO);
     println!(
         "  non-UDP traffic against the same program            {}",
-        verdict(v.is_allow())
+        verdict(v[1].is_allow())
     );
     // A program that loops forever burns its fuel and fails closed.
     let mut d = DataEnforcer::new();
@@ -259,10 +263,10 @@ fn main() {
             ..Default::default()
         },
     );
-    let v = d.check_egress(EXP, &good, None, SimTime::ZERO);
+    let v = egress(&mut d, &[good]);
     println!(
         "  infinite loop (fuel exhausted, fails closed)        {}",
-        verdict(v.is_allow())
+        verdict(v[0].is_allow())
     );
     println!("\nstats: {:?}", d.stats.blocked);
 }

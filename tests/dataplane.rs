@@ -1,4 +1,4 @@
-//! Differential tests for the compiled data-plane fast path (ISSUE PR 3).
+//! Differential tests for the compiled data plane.
 //!
 //! The [`FlatFib`] is only correct if it is *indistinguishable* from the
 //! binary trie it was compiled from, at every point of a churning
@@ -8,8 +8,8 @@
 //! churn through both structures and compare longest-prefix-match answers
 //! on random probe addresses after every sync — for both address
 //! families. A second battery drives the same kind of churn through a
-//! whole [`VbgpMux`] and checks the fast path (FIB + flow cache, single
-//! and batched) against the slow trie-walking path.
+//! whole [`VbgpMux`] and checks its lookups (FIB + flow cache, whole runs
+//! and runs of one) against a reference trie the test keeps.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -17,7 +17,7 @@ use peering_repro::bgp::flatfib::{FlatFib, CHURN_REBUILD_THRESHOLD};
 use peering_repro::bgp::trie::PrefixTrie;
 use peering_repro::bgp::types::Prefix;
 use peering_repro::netsim::{MacAddr, PortId};
-use peering_repro::vbgp::{NeighborId, VbgpMux};
+use peering_repro::vbgp::{Delivery, Egress, ExperimentId, NeighborId, VbgpMux};
 
 /// SplitMix64 — deterministic churn and probe generator.
 struct Gen(u64);
@@ -154,27 +154,72 @@ fn generation_bumps_exactly_on_change() {
     assert!(fib.generation() > gen1);
 }
 
-/// Drive churn through a whole mux and check the fast path (compiled FIB +
-/// flow cache) against the slow path, single and batched, on the same
-/// probe streams. The flow cache is deliberately re-probed across churn
+/// Drive churn through a whole mux and check its lookups against a
+/// reference trie the test keeps equal to the live prefix sets: egress and
+/// uRPF on a neighbor table, over whole probe runs and runs of one, and
+/// delivery on the delivery table, where a local delivery outranks a
+/// remote one. The flow caches are deliberately re-probed across churn
 /// rounds so stale-entry invalidation is what's under test.
 #[test]
 fn mux_fast_path_matches_slow_path_under_churn() {
     const NBR: NeighborId = NeighborId(9);
+    const EXP: ExperimentId = ExperimentId(4);
+    let nbr_mac = MacAddr([2, 0, 0, 0, 0, 9]);
+    let exp_mac = MacAddr([2, 0, 0, 0, 0, 4]);
+    let remote_mac = MacAddr([2, 0, 0, 0, 0, 7]);
+    let global: Ipv4Addr = "127.127.0.7".parse().unwrap();
     let mut g = Gen(0x5eed);
     let mut mux = VbgpMux::new();
-    mux.add_local_neighbor(NBR, PortId(1), MacAddr([2, 0, 0, 0, 0, 9]), None);
-    let mut live: Vec<Prefix> = Vec::new();
-    let mut batch_out = Vec::new();
+    let vnh = mux.add_local_neighbor(NBR, PortId(1), nbr_mac, None);
+    mux.add_experiment(EXP, PortId(2), exp_mac, None);
+    mux.note_resolution(global, remote_mac);
+    // Reference refcounts: per route prefix, and per delivery prefix
+    // (local, remote).
+    let mut routes: PrefixTrie<u32> = PrefixTrie::new();
+    let mut deliveries: PrefixTrie<(u32, u32)> = PrefixTrie::new();
+    let mut live_routes: Vec<Prefix> = Vec::new();
+    let mut live_deliveries: Vec<(Prefix, Delivery)> = Vec::new();
+    let (mut egress, mut delivered) = (Vec::new(), Vec::new());
     for round in 0..60 {
         for _ in 0..(1 + g.next() as usize % 40) {
             let p = g.v4_prefix();
-            if !live.is_empty() && g.next().is_multiple_of(3) {
-                let victim = live.swap_remove(g.next() as usize % live.len());
+            if !live_routes.is_empty() && g.next().is_multiple_of(3) {
+                let victim = live_routes.swap_remove(g.next() as usize % live_routes.len());
                 mux.remove_route(NBR, victim);
+                let count = routes.get_mut(&victim).unwrap();
+                *count -= 1;
+                if *count == 0 {
+                    routes.remove(&victim);
+                }
             } else {
                 mux.install_route(NBR, p);
-                live.push(p);
+                live_routes.push(p);
+                let count = routes.get(&p).copied().unwrap_or(0);
+                routes.insert(p, count + 1);
+            }
+            let p = g.v4_prefix();
+            if !live_deliveries.is_empty() && g.next().is_multiple_of(3) {
+                let i = g.next() as usize % live_deliveries.len();
+                let (victim, d) = live_deliveries.swap_remove(i);
+                mux.remove_delivery(victim, &d);
+                let (local, remote) = deliveries.get_mut(&victim).unwrap();
+                match d {
+                    Delivery::Local(_) => *local -= 1,
+                    Delivery::Remote { .. } => *remote -= 1,
+                }
+                if (*local, *remote) == (0, 0) {
+                    deliveries.remove(&victim);
+                }
+            } else {
+                let (local, remote) = deliveries.get(&p).copied().unwrap_or((0, 0));
+                let d = if g.next().is_multiple_of(2) {
+                    deliveries.insert(p, (local + 1, remote));
+                    mux.install_delivery_local(p, EXP)
+                } else {
+                    deliveries.insert(p, (local, remote + 1));
+                    mux.install_delivery_remote(p, PortId(3), global)
+                };
+                live_deliveries.push((p, d));
             }
         }
         let probes: Vec<Ipv4Addr> = (0..128)
@@ -183,35 +228,72 @@ fn mux_fast_path_matches_slow_path_under_churn() {
                 IpAddr::V6(_) => unreachable!(),
             })
             .collect();
-        // Slow path answers first (they never consult compiled state)...
-        mux.set_fast_path(false);
-        let want: Vec<bool> = probes
+
+        // Egress and uRPF against the reference neighbor table.
+        let want: Vec<Option<Egress>> = probes
             .iter()
-            .map(|&ip| mux.egress_via_neighbor(NBR, ip).is_some())
+            .map(|&ip| {
+                routes.lookup(ip.into()).map(|_| Egress::Frame {
+                    port: PortId(1),
+                    dst_mac: nbr_mac,
+                })
+            })
             .collect();
-        // ...then the fast path must agree, singly and batched.
-        mux.set_fast_path(true);
+        mux.egress_via_neighbor_batch(NBR, &probes, &mut egress);
+        assert_eq!(egress, want, "round {round}: egress over the whole run");
         for (i, &ip) in probes.iter().enumerate() {
+            mux.egress_via_neighbor_batch(NBR, &[ip], &mut egress);
+            assert_eq!(egress, [want[i]], "round {round}: egress run of one, {ip}");
             assert_eq!(
-                mux.egress_via_neighbor(NBR, ip).is_some(),
-                want[i],
-                "round {round}: single fast path diverged on {ip}"
+                mux.source_routable(NBR, ip),
+                want[i].is_some(),
+                "round {round}: uRPF on {ip}"
             );
         }
-        mux.egress_via_neighbor_batch(NBR, &probes, &mut batch_out);
-        for (i, (&ip, got)) in probes.iter().zip(batch_out.iter()).enumerate() {
-            assert_eq!(
-                got.is_some(),
-                want[i],
-                "round {round}: batched fast path diverged on {ip}"
-            );
+
+        // Delivery against the reference delivery table.
+        let want: Vec<_> = probes
+            .iter()
+            .map(|&ip| match deliveries.lookup(ip.into()) {
+                None => None,
+                Some((_, &(local, _))) if local > 0 => Some((
+                    Egress::Frame {
+                        port: PortId(2),
+                        dst_mac: exp_mac,
+                    },
+                    Some(vnh.mac),
+                    EXP,
+                )),
+                Some(_) => Some((
+                    Egress::Frame {
+                        port: PortId(3),
+                        dst_mac: remote_mac,
+                    },
+                    None,
+                    ExperimentId(u32::MAX),
+                )),
+            })
+            .collect();
+        mux.deliver_to_experiment_batch(&probes, Some(NBR), &mut delivered);
+        assert_eq!(
+            delivered, want,
+            "round {round}: delivery over the whole run"
+        );
+        for (i, &ip) in probes.iter().enumerate() {
+            mux.deliver_to_experiment_batch(&[ip], Some(NBR), &mut delivered);
+            assert_eq!(delivered, [want[i]], "round {round}: delivery of one, {ip}");
         }
+
         // The oracle's own cross-check must also stay clean mid-churn.
         assert_eq!(mux.verify_fast_path(), Vec::<String>::new());
     }
     assert!(
         mux.stats.flow_cache_hits > 0,
         "churn test never exercised the flow cache"
+    );
+    assert!(
+        mux.stats.to_experiment > 0 && mux.stats.to_backbone > 0,
+        "churn test never delivered both locally and remotely"
     );
 }
 
@@ -240,17 +322,15 @@ fn mux_observability_tracks_the_fast_path() {
         .collect();
     // First pass compiles the FIB and misses the cold flow cache; the
     // second pass over the same stream hits it.
-    for pass in 0..2 {
-        for &ip in &probes {
-            let _ = mux.egress_via_neighbor(NBR, ip);
-        }
-        let _ = pass;
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        mux.egress_via_neighbor_batch(NBR, &probes, &mut out);
     }
     // A post-traffic route change invalidates the flow cache on the next
     // lookup (generation bump), via the incremental patch path.
     let extra = g.v4_prefix();
     mux.install_route(NBR, extra);
-    let _ = mux.egress_via_neighbor(NBR, probes[0]);
+    mux.egress_via_neighbor_batch(NBR, &probes[..1], &mut out);
 
     mux.publish_obs();
     let snap = obs.snapshot();

@@ -1,12 +1,14 @@
-//! Differential tests for update batching (ISSUE PR 1, satellite b).
+//! Differential tests for update batching.
 //!
-//! The same scripted churn is driven through a hub speaker twice — once
-//! with per-delta emission (batching off, one `on_bytes` per message) and
-//! once with coalesced emission (batching on, each round's wire traffic
-//! delivered as one concatenated `on_bytes` burst). The *observable* BGP
-//! state — the hub's Adj-RIB-Out toward every receiver and what each
-//! receiver actually installed — must be byte-for-byte identical; only the
-//! number of UPDATE messages on the wire may differ, and given bursty
+//! The same scripted churn is driven through a hub speaker twice — the
+//! reference delivers one message per `on_bytes` call, so every flush
+//! carries one delta (per-delta emission); the batched run delivers each
+//! round's wire traffic as one concatenated `on_bytes` burst, which the
+//! speaker coalesces into one flush. The *observable* BGP state — the hub's
+//! Adj-RIB-Out toward every receiver and what each receiver actually
+//! installed — must be byte-for-byte identical, and in both runs every
+//! receiver's Adj-RIB-In must equal the hub's Adj-RIB-Out toward it. Only
+//! the number of UPDATE messages on the wire may differ, and given bursty
 //! churn it must be strictly smaller in the batched run.
 
 use std::collections::{HashMap, VecDeque};
@@ -38,15 +40,18 @@ impl Gen {
 
 /// In-memory network over the public `Speaker` API. `burst` controls the
 /// delivery discipline: off = one `on_bytes` call per wire message (the
-/// pre-batching world), on = all bytes queued toward an endpoint within a
-/// round are concatenated into a single `on_bytes` call, exercising the
-/// coalesced flush.
+/// reference), on = all bytes queued toward an endpoint within a round are
+/// concatenated into a single `on_bytes` call, exercising the coalesced
+/// flush.
 struct Net {
     speakers: Vec<Speaker>,
     links: HashMap<(usize, u32), (usize, u32)>,
     queue: VecDeque<(usize, PeerId, Vec<u8>)>,
     transports_up: Vec<(usize, u32)>,
     burst: bool,
+    /// Without bursts: how many (receiver, prefix) entries of the hub's
+    /// Adj-RIB-Out the messages delivered to the hub changed.
+    hub_deltas: u64,
 }
 
 impl Net {
@@ -57,6 +62,7 @@ impl Net {
             queue: VecDeque::new(),
             transports_up: Vec::new(),
             burst,
+            hub_deltas: 0,
         }
     }
 
@@ -109,7 +115,11 @@ impl Net {
                 }
             } else {
                 let (di, pid, bytes) = self.queue.pop_front().unwrap();
+                let before = (di == HUB).then(|| hub_rib_out(&self.speakers[HUB]));
                 let out = self.speakers[di].on_bytes(pid, &bytes);
+                if let Some(before) = before {
+                    self.hub_deltas += deltas(&before, &hub_rib_out(&self.speakers[HUB]));
+                }
                 self.process(di, out);
             }
             steps += 1;
@@ -146,14 +156,12 @@ fn addr(n: u32) -> IpAddr {
 
 /// src(AS100) — hub(AS200) — {rcv1(AS300), rcv2(AS400)}; the hub→receiver
 /// sessions run ADD-PATH, mirroring the platform's experiment fan-out.
-fn hub_net(batching: bool, burst: bool) -> Net {
+fn hub_net(burst: bool) -> Net {
     let mk = |asn: u32, id: u32| {
-        let mut s = Speaker::new(SpeakerConfig {
+        Speaker::new(SpeakerConfig {
             asn: Asn(asn),
             router_id: RouterId(id),
-        });
-        s.set_batching(batching);
-        s
+        })
     };
     let mut net = Net::new(vec![mk(100, 1), mk(200, 2), mk(300, 3), mk(400, 4)], burst);
     net.link(SRC, 0, HUB, 0);
@@ -237,17 +245,39 @@ fn run_churn(net: &mut Net, seed: u64) -> usize {
     rounds
 }
 
+/// One Adj-RIB as `(prefix, [(path-id, attrs)])`, sorted.
+type Rib = Vec<(Prefix, Vec<(PathId, PathAttributes)>)>;
+
+/// The hub's Adj-RIB-Out toward each receiver.
+fn hub_rib_out(hub: &Speaker) -> [Rib; 2] {
+    [1, 2].map(|pid| hub.adj_rib_out_snapshot(PeerId(pid)))
+}
+
+/// How many (receiver, prefix) entries differ between two snapshots.
+fn deltas(a: &[Rib; 2], b: &[Rib; 2]) -> u64 {
+    let entry = |rib: &Rib, p: &Prefix| rib.iter().find(|(q, _)| q == p).cloned();
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| {
+            let mut prefixes: Vec<Prefix> = x.iter().chain(y).map(|(p, _)| *p).collect();
+            prefixes.sort();
+            prefixes.dedup();
+            prefixes
+                .iter()
+                .filter(|p| entry(x, p) != entry(y, p))
+                .count() as u64
+        })
+        .sum()
+}
+
 /// Observable state of one run: the hub's Adj-RIB-Out toward each
 /// receiver, and each receiver's Adj-RIB-In (what actually landed).
-type Snapshot = Vec<Vec<(Prefix, Vec<(PathId, PathAttributes)>)>>;
+type Snapshot = Vec<Rib>;
 
 fn observe(net: &Net) -> Snapshot {
-    let mut snap = Vec::new();
-    for pid in [1u32, 2u32] {
-        snap.push(net.speakers[HUB].adj_rib_out_snapshot(PeerId(pid)));
-    }
+    let mut snap: Snapshot = hub_rib_out(&net.speakers[HUB]).into();
     for rcv in [RCV1, RCV2] {
-        let mut routes: Vec<(Prefix, Vec<(PathId, PathAttributes)>)> = Vec::new();
+        let mut routes: Rib = Vec::new();
         let rib = net.speakers[rcv].adj_rib_in(PeerId(0)).unwrap();
         for route in rib.iter() {
             match routes.iter_mut().find(|(p, _)| *p == route.prefix) {
@@ -262,6 +292,19 @@ fn observe(net: &Net) -> Snapshot {
         snap.push(routes);
     }
     snap
+}
+
+/// The Adj-RIB oracle: every receiver holds exactly what the hub's
+/// Adj-RIB-Out says it was sent.
+fn assert_receivers_match_hub(snap: &Snapshot, ctx: &str) {
+    assert_eq!(
+        snap[0], snap[2],
+        "{ctx}: rcv1's Adj-RIB-In != hub's Adj-RIB-Out"
+    );
+    assert_eq!(
+        snap[1], snap[3],
+        "{ctx}: rcv2's Adj-RIB-In != hub's Adj-RIB-Out"
+    );
 }
 
 fn hub_updates_out(net: &Net) -> u64 {
@@ -279,13 +322,16 @@ fn hub_updates_out(net: &Net) -> u64 {
 #[test]
 fn batched_and_unbatched_runs_are_observationally_identical() {
     for seed in [1u64, 7, 42] {
-        let mut baseline = hub_net(false, false);
+        let mut baseline = hub_net(false);
         run_churn(&mut baseline, seed);
-        let mut batched = hub_net(true, true);
+        let mut batched = hub_net(true);
         run_churn(&mut batched, seed);
 
+        let want = observe(&baseline);
+        assert_receivers_match_hub(&want, &format!("seed {seed}, message at a time"));
+        assert_receivers_match_hub(&observe(&batched), &format!("seed {seed}, bursts"));
         assert_eq!(
-            observe(&baseline),
+            want,
             observe(&batched),
             "seed {seed}: Adj-RIB-Out / receiver state must match exactly"
         );
@@ -297,16 +343,22 @@ fn batched_and_unbatched_runs_are_observationally_identical() {
     }
 }
 
-/// Batching alone (without bursty delivery) must still be a no-op for
-/// observable state and never emit MORE messages than per-delta emission.
+/// Without bursts every `on_bytes` call carries one message, so the
+/// coalescing flush degenerates to per-delta emission: the hub sends
+/// exactly one UPDATE per Adj-RIB-Out entry a delivered message changed,
+/// and the receivers still hold what the hub says it sent.
 #[test]
 fn batching_without_bursts_matches_per_delta_emission() {
-    let mut baseline = hub_net(false, false);
-    run_churn(&mut baseline, 99);
-    let mut batched = hub_net(true, false);
-    run_churn(&mut batched, 99);
-    assert_eq!(observe(&baseline), observe(&batched));
-    assert!(hub_updates_out(&batched) <= hub_updates_out(&baseline));
+    let mut net = hub_net(false);
+    let before = hub_updates_out(&net);
+    net.hub_deltas = 0;
+    run_churn(&mut net, 99);
+    assert_receivers_match_hub(&observe(&net), "seed 99");
+    assert!(
+        net.hub_deltas > 0,
+        "the churn never changed the hub's export"
+    );
+    assert_eq!(hub_updates_out(&net) - before, net.hub_deltas);
 }
 
 /// N repeated updates to one prefix arriving in a single burst must emit
@@ -314,7 +366,7 @@ fn batching_without_bursts_matches_per_delta_emission() {
 /// intermediate states.
 #[test]
 fn burst_of_rewrites_to_one_prefix_emits_one_update() {
-    let mut net = hub_net(true, true);
+    let mut net = hub_net(true);
     let before = hub_updates_out(&net);
     for variant in 0..4 {
         net.originate(SRC, churn_prefix(0), churn_attrs(variant));

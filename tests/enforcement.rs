@@ -4,11 +4,12 @@
 //!
 //! 1. **Packet-program VM differentials.** Seeded random programs — valid,
 //!    malformed, fuel-starved — run over random packet batches through
-//!    `check_egress` one packet at a time and through `check_egress_batch`,
-//!    and the verdict sequences must be bit-identical, including the
-//!    verdict-cache fast path on a second pass. A property sweep asserts
-//!    the interpreter can never spend more than its fuel budget, whatever
-//!    the program.
+//!    `check_egress_batch`, once as one batch and once as batches of one on
+//!    an identically configured enforcer, and the verdict sequences and
+//!    stats must be bit-identical, including the verdict cache on a second
+//!    pass and the shapers' admissions. A property sweep asserts the
+//!    interpreter can never spend more than its fuel budget, whatever the
+//!    program.
 //! 2. **End-to-end program enforcement.** A live vBGP router between an
 //!    experiment and a neighbor: installed programs must block and
 //!    transform real forwarded packets (and an invalid install must fail
@@ -139,6 +140,8 @@ fn gen_packet(g: &mut Gen) -> PacketView {
     }
 }
 
+/// An enforcer running `program`, behind an experiment shaper and a PoP
+/// shaper small enough that a pass of random packets exhausts them.
 fn enforcer_with(program: PacketProgram) -> DataEnforcer {
     let mut e = DataEnforcer::new();
     e.set_experiment(
@@ -146,17 +149,46 @@ fn enforcer_with(program: PacketProgram) -> DataEnforcer {
         ExperimentDataPolicy {
             allowed_sources: vec![prefix("10.0.0.0/8")],
             program: Some(program),
+            rate: Some((1_000, 40_000)),
             ..Default::default()
         },
     );
+    e.set_pop_shaper(1_000, 50_000);
     e
 }
 
-/// The core differential: random programs over random batches, batch vs
-/// single verdicts identical, and identical again when the second pass is
-/// served from the verdict cache.
+/// `pkts` through `check_egress_batch` as batches of one.
+fn one_by_one(e: &mut DataEnforcer, pkts: &[PacketView]) -> Vec<DataVerdict> {
+    let mut out = Vec::new();
+    pkts.iter()
+        .map(|p| {
+            e.check_egress_batch(EXP, std::slice::from_ref(p), None, SimTime::ZERO, &mut out);
+            out[0]
+        })
+        .collect()
+}
+
+/// The counters both ways of batching must agree on.
+fn counters(e: &DataEnforcer) -> (u64, u64, u64, u64, Vec<(&'static str, u64)>) {
+    let s = &e.stats;
+    let mut blocked: Vec<_> = s.blocked.iter().map(|(k, v)| (*k, *v)).collect();
+    blocked.sort();
+    (
+        s.evaluated,
+        s.allowed,
+        s.prog_runs,
+        s.prog_cache_hits,
+        blocked,
+    )
+}
+
+/// The core differential: random programs over random packets, one batch
+/// vs batches of one, verdicts (and so shaper admissions, in order) and
+/// counters identical, and identical again when the second pass is served
+/// from the verdict cache.
 #[test]
 fn random_programs_batch_matches_single() {
+    let mut shaped = 0;
     for seed in 0..24u64 {
         let mut g = Gen(seed);
         let prog = gen_program(&mut g);
@@ -167,19 +199,17 @@ fn random_programs_batch_matches_single() {
         let mut single = enforcer_with(prog.clone());
         let mut batch = enforcer_with(prog.clone());
         for pass in 0..2 {
-            let singles: Vec<DataVerdict> = pkts
-                .iter()
-                .map(|p| single.check_egress(EXP, p, Some(NeighborId(1)), SimTime::ZERO))
-                .collect();
+            let singles = one_by_one(&mut single, &pkts);
             let mut batched = Vec::new();
-            batch.check_egress_batch(EXP, &pkts, Some(NeighborId(1)), SimTime::ZERO, &mut batched);
+            batch.check_egress_batch(EXP, &pkts, None, SimTime::ZERO, &mut batched);
             assert_eq!(
                 singles, batched,
                 "seed {seed} pass {pass}: batch and single verdicts diverge"
             );
             assert_eq!(
-                single.stats.blocked, batch.stats.blocked,
-                "seed {seed} pass {pass}: drop accounting diverges"
+                counters(&single),
+                counters(&batch),
+                "seed {seed} pass {pass}: accounting diverges"
             );
             if !valid {
                 assert!(
@@ -202,7 +232,11 @@ fn random_programs_batch_matches_single() {
                 "seed {seed}: len/TTL-reading program served from the cache"
             );
         }
+        for label in ["experiment-rate-limit", "pop-rate-limit"] {
+            shaped += batch.stats.blocked.get(label).copied().unwrap_or(0);
+        }
     }
+    assert!(shaped > 0, "no seed exhausted a shaper");
 }
 
 /// Whatever the program — malformed, looping, self-modifying jumps — one
@@ -222,8 +256,9 @@ fn random_programs_never_exceed_fuel() {
     }
 }
 
-/// Fuel exhaustion is a Block in both the single and the batch path, and
-/// it is charged to the program's drop label — never silently allowed.
+/// Fuel exhaustion is a Block whether the packets come as one batch or as
+/// batches of one, and it is charged to the program's drop label — never
+/// silently allowed.
 #[test]
 fn fuel_exhaustion_blocks_in_both_paths() {
     let spin = PacketProgram::new(vec![Insn::Jmp(0)]);
@@ -236,11 +271,12 @@ fn fuel_exhaustion_blocks_in_both_paths() {
     let mut batch = enforcer_with(spin);
     let mut batched = Vec::new();
     batch.check_egress_batch(EXP, &pkts, None, SimTime::ZERO, &mut batched);
-    for (i, p) in pkts.iter().enumerate() {
-        let v = single.check_egress(EXP, p, None, SimTime::ZERO);
-        assert_eq!(v, batched[i]);
-        assert!(!v.is_allow(), "fuel exhaustion must fail closed");
-    }
+    assert_eq!(one_by_one(&mut single, &pkts), batched);
+    assert!(
+        batched.iter().all(|v| !v.is_allow()),
+        "fuel exhaustion must fail closed"
+    );
+    assert_eq!(counters(&single), counters(&batch));
     assert_eq!(batch.stats.blocked.get("program-fuel"), Some(&16));
 }
 
