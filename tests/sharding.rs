@@ -341,12 +341,14 @@ const PINNED_EGRESS: ([u64; 5], u64, u64) = (
 );
 
 /// Forwards every callback to `inner`, folding each received frame into
-/// `digest` first and counting how it arrived (alone or in a train).
+/// `digest` first and counting how it arrived (alone or in a train) and
+/// how many were ARP.
 struct Tap<N> {
     inner: N,
     digest: u64,
     single: u64,
     in_trains: u64,
+    arp: u64,
 }
 
 impl<N> Tap<N> {
@@ -356,10 +358,12 @@ impl<N> Tap<N> {
             digest: 0xcbf2_9ce4_8422_2325,
             single: 0,
             in_trains: 0,
+            arp: 0,
         }
     }
 
     fn fold(&mut self, ctx: &Ctx<'_>, port: PortId, frame: &EtherFrame) {
+        self.arp += u64::from(frame.ethertype == EtherType::Arp);
         let time = ctx.now().as_nanos().to_le_bytes();
         let port = port.0.to_le_bytes();
         for bytes in [&time[..], &port[..], &frame.encode()[..]] {
@@ -720,6 +724,376 @@ fn egress_schedule_matches_pinned_digest() {
             got.0,
             got.1,
             got.2
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Host-stack pin.
+//
+// The egress pin covers the frames routers and experiment nodes exchange;
+// nothing above pins the bytes a synthetic AS sends. This one joins an
+// experiment node straight to a chain of `InternetAs` nodes, over
+// point-to-point links and one switched segment, and drives the IP host
+// stack of both: transit with TTL decrement, packets queued behind one
+// unresolved next hop and flushed in order, ARP requests nobody answers,
+// ICMP echo, traceroute from both ends, unroutable destinations, and
+// resends after the ARP entries expire. Every kind is sent both alone and
+// inside trains.
+// ---------------------------------------------------------------------------
+
+/// Per node (the experiment, then X1–X4) the FNV-1a digest of every frame
+/// it received as (time, port, frame bytes), then processed events.
+/// Recorded by running [`host_schedule`] at the commit before the two host
+/// stacks were merged; regenerate as described on [`PINNED_SERVING`].
+const PINNED_HOST: ([u64; 5], u64) = (
+    [
+        0xf541_11ff_9ae8_92f5,
+        0x8778_a5ef_4c4e_0e32,
+        0x113c_04e7_f6ae_bcb2,
+        0x705c_279e_5fd9_138b,
+        0x6d01_b132_2169_4532,
+    ],
+    411,
+);
+
+/// Run `f` on a tapped node in one callback (so what it sends leaves as
+/// one train once resolved), then run the simulator `ms`.
+fn at<N: Node>(sim: &mut Simulator, node: NodeId, ms: u64, f: impl FnOnce(&mut N, &mut Ctx<'_>)) {
+    sim.with_node_ctx::<Tap<N>, _>(node, |t, ctx| f(&mut t.inner, ctx));
+    sim.run_for(SimDuration::from_millis(ms));
+}
+
+/// The experiment E (AS 61574) is X1's customer and holds its BGP session
+/// with X1 directly; X1 is X2's customer; X3 and X4 peer with X2 on a
+/// switched segment. E announces its prefix and a second one whose next
+/// hop nobody owns. At two shards E and X1 run on one shard and the rest
+/// on the other. Returns what [`PINNED_HOST`] pins.
+fn host_schedule(shards: usize) -> ([u64; 5], u64) {
+    use peering_repro::bgp::types::{prefix, Asn, RouterId};
+    use peering_repro::bgp::PeerId;
+    use peering_repro::netsim::{IcmpPacket, LearningSwitch, LinkConfig};
+    use peering_repro::platform::internet::{InternetAs, Relationship};
+    use std::net::Ipv4Addr;
+
+    /// Both ends of an AS-to-AS session, each as (AS index, port, MAC id,
+    /// address): `a` opens it and `b` is `b_is` to `a`.
+    fn as_session(
+        x: &mut [InternetAs],
+        a: (usize, u16, u32, &str),
+        b: (usize, u16, u32, &str),
+        b_is: Relationship,
+    ) {
+        let a_is = match b_is {
+            Relationship::Customer => Relationship::Provider,
+            Relationship::Provider => Relationship::Customer,
+            other => other,
+        };
+        for ((i, port, mac, addr), (j, _, remote_mac, remote_addr), rel, passive) in
+            [(a, b, b_is, false), (b, a, a_is, true)]
+        {
+            let remote_asn = x[j].asn();
+            let id = PeerId(x[i].host.speaker.peer_ids().len() as u32);
+            x[i].add_session(
+                id,
+                rel,
+                remote_asn,
+                PortId(port),
+                MacAddr::from_id(mac),
+                addr.parse().unwrap(),
+                MacAddr::from_id(remote_mac),
+                remote_addr.parse().unwrap(),
+                passive,
+            );
+        }
+    }
+
+    let ip = |s: &str| s.parse::<Ipv4Addr>().unwrap();
+    let mut sim = Simulator::new(0x4057);
+    let mut exp = ExperimentNode::new(Asn(61574), RouterId(1));
+    let (e_mac, x1_mac) = (MacAddr::from_id(0x600), MacAddr::from_id(0x100));
+    let (e_addr, x1_addr) = (ip("100.64.0.2"), ip("100.64.0.1"));
+    exp.add_pop_session(
+        PeerId(0),
+        PortId(0),
+        e_mac,
+        e_addr,
+        x1_mac,
+        x1_addr,
+        Asn(65001),
+    );
+    let mut x = [65001, 65002, 65003, 65004].map(|asn| InternetAs::new(Asn(asn), RouterId(asn)));
+    x[0].add_session(
+        PeerId(0),
+        Relationship::Customer,
+        Asn(61574),
+        PortId(0),
+        x1_mac,
+        x1_addr,
+        e_mac,
+        e_addr,
+        true,
+    );
+    as_session(
+        &mut x,
+        (0, 1, 0x101, "10.1.2.1"),
+        (1, 0, 0x200, "10.1.2.2"),
+        Relationship::Provider,
+    );
+    for (i, mac, addr) in [(2, 0x300, "10.9.0.3"), (3, 0x400, "10.9.0.4")] {
+        as_session(
+            &mut x,
+            (1, 1, 0x201, "10.9.0.2"),
+            (i, 0, mac, addr),
+            Relationship::Peer,
+        );
+    }
+    for (i, p) in [
+        (1, "198.18.2.0/24"),
+        (2, "198.18.3.0/24"),
+        (3, "198.18.4.0/24"),
+    ] {
+        x[i].originate(prefix(p));
+    }
+    let e = sim.add_node(Box::new(Tap::new(exp)));
+    let x = x.map(|n| sim.add_node(Box::new(Tap::new(n))));
+    let sw = sim.add_node(Box::new(LearningSwitch::new(3)));
+    let ms = |n| LinkConfig::with_latency(SimDuration::from_millis(n));
+    sim.connect(e, PortId(0), x[0], PortId(0), ms(1));
+    sim.connect(x[0], PortId(1), x[1], PortId(0), ms(2));
+    for (k, (node, port)) in [(x[1], 1), (x[2], 0), (x[3], 0)].into_iter().enumerate() {
+        sim.connect(sw, PortId(k as u16), node, PortId(port), ms(1));
+    }
+    sim.set_shards(shards);
+    for (node, shard) in [(e, 0), (x[0], 0), (x[1], 1), (sw, 1), (x[2], 1), (x[3], 1)] {
+        sim.set_node_shard(node, shard % shards);
+    }
+    for n in x {
+        sim.with_node_ctx::<Tap<InternetAs>, _>(n, |t, ctx| t.inner.start(ctx));
+    }
+    sim.with_node_ctx::<Tap<ExperimentNode>, _>(e, |t, ctx| t.inner.start_session(ctx, PeerId(0)));
+    sim.run_for(SimDuration::from_secs(10));
+    sim.with_node_ctx::<Tap<ExperimentNode>, _>(e, |t, ctx| {
+        for (p, nh) in [
+            ("184.164.224.0/24", e_addr),
+            ("184.164.225.0/24", ip("100.64.0.9")),
+        ] {
+            let attrs = t.inner.build_attrs(nh, 0, &[], &[]);
+            t.inner.announce_via(ctx, PeerId(0), prefix(p), attrs);
+        }
+    });
+    sim.run_for(SimDuration::from_secs(10));
+
+    let (me, far) = ("184.164.224.5", "198.18.3.5");
+    let to_e = |t: u8| udp(far, &format!("184.164.224.{t}"), 80, 64, t);
+    let ping = |dst: &str, seq| {
+        let echo = IcmpPacket::EchoRequest {
+            ident: 7,
+            seq,
+            payload: Bytes::from_static(b"ping"),
+        };
+        IpPacket::new(ip(me), ip(dst), IpProto::Icmp, echo.encode())
+    };
+    let payload = || Bytes::from_static(b"host");
+
+    // Transit toward E: X3 queues a train behind its unresolved next hop
+    // (one ARP request, then an in-order flush), each hop on the way
+    // resolves the next in turn, and E answers X1's request.
+    at(&mut sim, x[2], 50, |n: &mut InternetAs, ctx| {
+        for t in 1..=3 {
+            assert!(n.send_packet(ctx, to_e(t)));
+        }
+    });
+    at(&mut sim, x[2], 20, |n: &mut InternetAs, ctx| {
+        assert!(n.send_packet(ctx, to_e(4)));
+    });
+    // E's own sends: the best route alone, then chosen routes and the best
+    // route in one train.
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        assert!(n.send_best(ctx, ip(me), ip("198.18.3.1"), payload()));
+    });
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        let route = n.routes_for(&prefix("198.18.4.0/24"))[0].clone();
+        for k in 1..=3 {
+            let dst = ip(&format!("198.18.4.{k}"));
+            assert!(n.send_via_route(ctx, &route, ip(me), dst, payload()));
+        }
+        assert!(n.send_best(ctx, ip(me), ip("198.18.2.1"), payload()));
+    });
+    // ICMP echo to X3's prefix and to X1's own address, alone and in a
+    // train; each is answered.
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        n.send_to_next_hop(ctx, PortId(0), x1_addr, ping("198.18.3.9", 1));
+    });
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        n.send_to_next_hop(ctx, PortId(0), x1_addr, ping("100.64.0.1", 2));
+        n.send_to_next_hop(ctx, PortId(0), x1_addr, ping("198.18.3.9", 3));
+    });
+    // Traceroute from E (X1 answers TTL 1, X2 TTL 2, X3 terminates TTL 3)
+    // and from X3 (X2, X1, then E), one probe per callback, then all
+    // three in one train.
+    let probe_from_e = |n: &mut ExperimentNode, ctx: &mut Ctx<'_>, ttl: u8, ident: u16| {
+        let route = n.routes_for(&prefix("198.18.3.0/24"))[0].clone();
+        assert!(n.send_probe_with_ttl(ctx, &route, ip(me), ip("198.18.3.7"), ttl, ident));
+    };
+    for ttl in 1..=3 {
+        at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+            probe_from_e(n, ctx, ttl, 100 + u16::from(ttl))
+        });
+    }
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        for ttl in 1..=3 {
+            probe_from_e(n, ctx, ttl, 200 + u16::from(ttl));
+        }
+    });
+    for ttl in 1..=3 {
+        at(&mut sim, x[2], 50, |n: &mut InternetAs, ctx| {
+            let ident = 300 + u16::from(ttl);
+            assert!(n.send_probe_with_ttl(ctx, ip(far), ip("184.164.224.9"), ttl, ident));
+        });
+    }
+    at(&mut sim, x[2], 50, |n: &mut InternetAs, ctx| {
+        for ttl in 1..=3 {
+            let ident = 400 + u16::from(ttl);
+            assert!(n.send_probe_with_ttl(ctx, ip(far), ip("184.164.224.9"), ttl, ident));
+        }
+    });
+    // Unroutable: X3 holds no route for its own probe, X1 none for what E
+    // hands it.
+    at(&mut sim, x[2], 20, |n: &mut InternetAs, ctx| {
+        assert!(!n.send_probe(ctx, ip(far), ip("203.0.113.1"), payload()));
+    });
+    at(&mut sim, e, 20, |n: &mut ExperimentNode, ctx| {
+        n.send_to_next_hop(ctx, PortId(0), x1_addr, udp(me, "203.0.113.2", 80, 64, 0));
+    });
+    at(&mut sim, e, 20, |n: &mut ExperimentNode, ctx| {
+        for t in 3..=4 {
+            let pkt = udp(me, &format!("203.0.113.{t}"), 80, 64, t);
+            n.send_to_next_hop(ctx, PortId(0), x1_addr, pkt);
+        }
+    });
+    // Next hops nobody owns: X1 asks for E's second prefix's next hop, E
+    // for an address off X1's link; neither request is answered, and the
+    // second packet toward each meets a paced, unsent request.
+    for dsts in [&[1][..], &[2, 3]] {
+        at(&mut sim, x[2], 50, |n: &mut InternetAs, ctx| {
+            for &t in dsts {
+                let pkt = udp(far, &format!("184.164.225.{t}"), 80, 64, t);
+                assert!(n.send_packet(ctx, pkt));
+            }
+        });
+    }
+    for dsts in [&[21][..], &[22, 23]] {
+        at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+            for &t in dsts {
+                let pkt = udp(me, &format!("198.18.3.{t}"), 80, 64, t);
+                n.send_to_next_hop(ctx, PortId(0), ip("100.64.0.7"), pkt);
+            }
+        });
+    }
+    // Every ARP entry expires, twice: resends on both paths, first alone
+    // and then in trains, ask again.
+    let arp_seen = |sim: &Simulator| {
+        let asked = |n| sim.node::<Tap<InternetAs>>(n).unwrap().arp;
+        sim.node::<Tap<ExperimentNode>>(e).unwrap().arp + x.map(asked).iter().sum::<u64>()
+    };
+    let before = arp_seen(&sim);
+    sim.run_for(SimDuration::from_secs(61));
+    at(&mut sim, x[2], 50, |n: &mut InternetAs, ctx| {
+        assert!(n.send_packet(ctx, to_e(10)));
+    });
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        assert!(n.send_best(ctx, ip(me), ip("198.18.3.10"), payload()));
+    });
+    sim.run_for(SimDuration::from_secs(61));
+    at(&mut sim, x[2], 50, |n: &mut InternetAs, ctx| {
+        for t in 11..=12 {
+            assert!(n.send_packet(ctx, to_e(t)));
+        }
+    });
+    at(&mut sim, e, 50, |n: &mut ExperimentNode, ctx| {
+        for k in 11..=12 {
+            let dst = ip(&format!("198.18.3.{k}"));
+            assert!(n.send_best(ctx, ip(me), dst, payload()));
+        }
+    });
+    sim.run_for(SimDuration::from_secs(1));
+
+    // The schedule really reached every path it claims to pin.
+    assert!(
+        arp_seen(&sim) > before,
+        "expired entries are asked for again"
+    );
+    let exp = &sim.node::<Tap<ExperimentNode>>(e).unwrap().inner;
+    let asx = |i: usize| &sim.node::<Tap<InternetAs>>(x[i]).unwrap().inner;
+    let (x1, x2, x3) = (asx(0), asx(1), asx(2));
+    for base in [100, 200] {
+        let dst = ip("198.18.3.7");
+        assert_eq!(exp.traceroute_hops(base + 1), [(x1_addr, dst)]);
+        assert_eq!(exp.traceroute_hops(base + 2), [(ip("10.1.2.2"), dst)]);
+        assert!(exp.traceroute_hops(base + 3).is_empty());
+    }
+    for base in [300, 400] {
+        let dst = ip("184.164.224.9");
+        assert_eq!(x3.traceroute_hops(base + 1), [(ip("10.9.0.2"), dst)]);
+        assert_eq!(x3.traceroute_hops(base + 2), [(ip("10.1.2.1"), dst)]);
+        assert!(x3.traceroute_hops(base + 3).is_empty());
+    }
+    let exp_got =
+        |f: &dyn Fn(&IpPacket) -> bool| exp.received.iter().filter(|r| f(&r.packet)).count();
+    let x3_got =
+        |f: &dyn Fn(&IpPacket) -> bool| x3.received.iter().filter(|r| f(&r.packet)).count();
+    assert_eq!(
+        exp_got(&|p| matches!(p.header.ident, 303 | 403)),
+        2,
+        "X3's TTL-3 probes reach E"
+    );
+    assert_eq!(
+        x3_got(&|p| matches!(p.header.ident, 103 | 203)),
+        2,
+        "E's TTL-3 probes reach X3"
+    );
+    let transit = |p: &IpPacket| p.header.dst == ip("184.164.224.1") && p.header.ttl == 62;
+    assert_eq!(exp_got(&transit), 1, "two transit hops decrement TTL");
+    let echo_reply = |p: &IpPacket| {
+        matches!(
+            IcmpPacket::decode(&p.payload),
+            Some(IcmpPacket::EchoReply { ident: 7, .. })
+        )
+    };
+    assert_eq!(exp_got(&echo_reply), 3, "every ping is answered");
+    let unowned = |p: &IpPacket| p.header.dst.octets()[2] == 225 || p.header.dst.octets()[3] > 20;
+    assert_eq!(
+        exp_got(&unowned) + x3_got(&unowned),
+        0,
+        "unanswered ARP sends nothing"
+    );
+    assert_eq!((x1.ttl_expired, x2.ttl_expired), (4, 4));
+    assert_eq!((x1.no_route, x3.no_route), (3, 1));
+    assert!(x1.forwarded > 0 && x2.forwarded > 0);
+    let e_tap = sim.node::<Tap<ExperimentNode>>(e).unwrap();
+    let taps = x.map(|n| {
+        let t = sim.node::<Tap<InternetAs>>(n).unwrap();
+        (t.digest, t.single, t.in_trains)
+    });
+    assert!(
+        e_tap.single > 0 && e_tap.in_trains > 0 && taps[1].1 > 0 && taps[1].2 > 0,
+        "E and X2 must see singles and trains: {taps:?}"
+    );
+    let digests = [e_tap.digest, taps[0].0, taps[1].0, taps[2].0, taps[3].0];
+    (digests, sim.processed_events)
+}
+
+#[test]
+fn host_schedule_matches_pinned_digest() {
+    for shards in [1, 2] {
+        let got = host_schedule(shards);
+        assert!(
+            got == PINNED_HOST,
+            "{shards} shard(s): host schedule moved: digests {:#018x?}, {} events \
+             (pinned {PINNED_HOST:#018x?})",
+            got.0,
+            got.1
         );
     }
 }
