@@ -193,15 +193,6 @@ const LEDGER_VERSION: u8 = 2;
 const ICMP_ERRORS_PER_SEC: u64 = 100;
 const ICMP_ERROR_BURST: u64 = 50;
 
-/// ICMP message types that are themselves error reports (destination
-/// unreachable, source quench, redirect, time exceeded, parameter
-/// problem). RFC 1122 §3.2.2: an ICMP error message must never be sent in
-/// response to one of these. A raw first-byte peek suffices — a packet
-/// too mangled to classify gets no error either way.
-fn icmp_is_error(payload: &[u8]) -> bool {
-    matches!(payload.first(), Some(3 | 4 | 5 | 11 | 12))
-}
-
 /// How long the routing engine retains routes learned from a neighbor or
 /// backbone session after it drops, giving the peer a chance to
 /// re-establish and refresh them before they are flushed. Experiment
@@ -928,7 +919,7 @@ impl VbgpRouter {
         // error — otherwise two misconfigured hops can ping-pong
         // TTL-exceeded-for-TTL-exceeded forever. Informational ICMP (echo
         // probes) still elicits one, which traceroute-over-ICMP needs.
-        if expired.header.proto == IpProto::Icmp && icmp_is_error(&expired.payload) {
+        if IcmpPacket::is_error(expired) {
             self.stats.icmp_suppressed_error += 1;
             self.obs.record(ObsEvent::IcmpSuppressed {
                 reason: "error-for-error",

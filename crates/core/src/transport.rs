@@ -15,6 +15,7 @@
 //! compliant subset via [`BgpHost::deliver`].
 
 use std::collections::{HashMap, HashSet};
+use std::net::{IpAddr, Ipv4Addr};
 
 use peering_bgp::fsm::TimerKind;
 use peering_bgp::message::{CodecError, Message, UpdateMsg};
@@ -215,6 +216,17 @@ impl BgpHost {
     /// The endpoint of a session.
     pub fn endpoint(&self, id: PeerId) -> Option<Endpoint> {
         self.endpoints.get(&id).copied()
+    }
+
+    /// Where traffic following `route` leaves: its session's endpoint port
+    /// and the route's IPv4 next hop. `None` for a locally originated
+    /// route, a non-IPv4 next hop or a session without an endpoint.
+    pub fn egress(&self, route: &Route) -> Option<(PortId, Ipv4Addr)> {
+        let Some(IpAddr::V4(next_hop)) = route.attrs.next_hop else {
+            return None;
+        };
+        let ep = self.endpoints.get(&route.source.peer()?)?;
+        Some((ep.port, next_hop))
     }
 
     /// The session using `(port, remote_mac)`, if any.

@@ -9,7 +9,7 @@
 
 use crate::bytes::Bytes;
 
-use crate::ip::{IpPacket, IPV4_HEADER_LEN};
+use crate::ip::{IpPacket, IpProto, IPV4_HEADER_LEN};
 
 /// An ICMP message the simulator models.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +57,16 @@ fn checksum(buf: &[u8]) -> u16 {
 }
 
 impl IcmpPacket {
+    /// Whether `packet` carries an ICMP error report (destination
+    /// unreachable, source quench, redirect, time exceeded, parameter
+    /// problem). RFC 1122 §3.2.2: an ICMP error message must never be sent
+    /// in response to one of these. A raw type-byte peek suffices — a
+    /// packet too mangled to classify gets no error either way.
+    pub fn is_error(packet: &IpPacket) -> bool {
+        packet.header.proto == IpProto::Icmp
+            && matches!(packet.payload.first(), Some(3 | 4 | 5 | 11 | 12))
+    }
+
     /// Build the time-exceeded body for a packet whose TTL just expired:
     /// its IP header plus the first 8 payload bytes (RFC 792).
     pub fn time_exceeded_for(expired: &IpPacket) -> IcmpPacket {
@@ -156,7 +166,6 @@ impl IcmpPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ip::IpProto;
     use std::net::Ipv4Addr;
 
     #[test]

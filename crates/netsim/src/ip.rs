@@ -149,6 +149,16 @@ impl IpPacket {
         }
     }
 
+    /// A TTL-limited UDP traceroute probe. `ident` tags the IP
+    /// identification field so the time-exceeded reply, which embeds the
+    /// probe's header (RFC 792), can be matched to it.
+    pub fn probe(src: Ipv4Addr, dst: Ipv4Addr, ttl: u8, ident: u16) -> Self {
+        let mut pkt = Self::new(src, dst, IpProto::Udp, Bytes::from_static(b"traceroute"));
+        pkt.header.ttl = ttl;
+        pkt.header.ident = ident;
+        pkt
+    }
+
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut out = Vec::with_capacity(IPV4_HEADER_LEN + self.payload.len());

@@ -2,10 +2,11 @@
 //!
 //! A deterministic, discrete-event network simulator providing the substrate
 //! that the PEERING paper ran on top of the real Internet and Linux kernel:
-//! Ethernet frames and MAC addressing, ARP, IPv4/IPv6 packets, point-to-point
-//! links with configurable latency/bandwidth/fault-injection, L2 learning
-//! switches (IXP fabrics), and a Reno-style TCP flow model used for the
-//! backbone-throughput experiments (paper §6).
+//! Ethernet frames and MAC addressing, ARP, IPv4/IPv6 packets, an IPv4 host
+//! stack, point-to-point links with configurable
+//! latency/bandwidth/fault-injection, L2 learning switches (IXP fabrics),
+//! and a Reno-style TCP flow model used for the backbone-throughput
+//! experiments (paper §6).
 //!
 //! The design follows the smoltcp idiom: protocol logic is event-driven and
 //! sans-IO. Nodes implement [`Node`] and exchange [`EtherFrame`]s; all
@@ -32,6 +33,7 @@ pub mod bytes;
 pub mod chaos;
 pub mod event;
 pub mod frame;
+pub mod host;
 pub mod icmp;
 pub mod ip;
 pub mod link;
@@ -48,6 +50,7 @@ pub use arp::{ArpCache, ArpOp, ArpPacket};
 pub use chaos::{ChaosChange, ChaosPlan, ChaosStep, Incident, IncidentKind};
 pub use event::{Event, EventKey, EventKind, EventQueue, CLASS_CHAOS, CLASS_NODE, EXTERNAL_SRC};
 pub use frame::{EtherFrame, EtherType};
+pub use host::{IpHost, ReceivedPacket};
 pub use icmp::IcmpPacket;
 pub use ip::{IpPacket, IpProto, Ipv4Header};
 pub use link::{FaultInjector, Link, LinkConfig, LinkStats};

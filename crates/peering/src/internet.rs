@@ -17,9 +17,10 @@ use peering_bgp::policy::{Action, Match, Policy, Rule, Verdict};
 use peering_bgp::rib::PeerId;
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig};
 use peering_bgp::types::{Asn, Community, Prefix, RouterId};
-use peering_netsim::arp::{ArpCache, ArpOp, ArpPacket};
+use peering_netsim::host::traceroute_hops;
 use peering_netsim::{
-    Bytes, Ctx, EtherFrame, EtherType, IcmpPacket, IpPacket, IpProto, MacAddr, Node, PortId,
+    Bytes, Ctx, EtherFrame, IcmpPacket, IpHost, IpPacket, IpProto, MacAddr, Node, PortId,
+    ReceivedPacket,
 };
 use peering_obs::Obs;
 use peering_vbgp::transport::{BgpHost, Endpoint, HostEvent};
@@ -47,31 +48,21 @@ impl Relationship {
     }
 }
 
-/// A terminated packet.
-#[derive(Debug, Clone)]
-pub struct TerminatedPacket {
-    /// The packet.
-    pub packet: IpPacket,
-    /// Port it arrived on.
-    pub port: PortId,
-}
-
 /// A synthetic Internet AS.
 pub struct InternetAs {
     /// BGP machinery.
     pub host: BgpHost,
+    /// Addressing, ARP and framing on the session ports.
+    ip: IpHost,
     asn: Asn,
     route_server: bool,
     te_communities: bool,
-    port_macs: HashMap<PortId, MacAddr>,
-    port_addrs: HashMap<PortId, Ipv4Addr>,
     relationships: HashMap<PeerId, Relationship>,
     originated: Vec<Prefix>,
     origin_communities: HashMap<Prefix, Vec<Community>>,
-    arp: ArpCache,
-    pending: HashMap<Ipv4Addr, Vec<(PortId, IpPacket)>>,
-    /// Packets terminated here (destination in an originated prefix).
-    pub received: Vec<TerminatedPacket>,
+    /// Packets terminated here (destination in an originated prefix or
+    /// one of our own addresses).
+    pub received: Vec<ReceivedPacket>,
     /// Packets forwarded onward.
     pub forwarded: u64,
     /// Packets dropped: no route.
@@ -87,16 +78,13 @@ impl InternetAs {
     pub fn new(asn: Asn, router_id: RouterId) -> Self {
         InternetAs {
             host: BgpHost::new(Speaker::new(SpeakerConfig { asn, router_id })),
+            ip: IpHost::new(),
             asn,
             route_server: false,
             te_communities: false,
-            port_macs: HashMap::new(),
-            port_addrs: HashMap::new(),
             relationships: HashMap::new(),
             originated: Vec::new(),
             origin_communities: HashMap::new(),
-            arp: ArpCache::new(),
-            pending: HashMap::new(),
             received: Vec::new(),
             forwarded: 0,
             no_route: 0,
@@ -294,8 +282,7 @@ impl InternetAs {
         remote_addr: Ipv4Addr,
         passive: bool,
     ) -> PeerId {
-        self.port_macs.insert(port, local_mac);
-        self.port_addrs.insert(port, local_addr);
+        self.ip.add_port(port, local_mac, local_addr);
         self.relationships.insert(session, relationship);
         let mut cfg = PeerConfig::ebgp(remote_asn, remote_addr.into(), local_addr.into())
             .with_import(Self::import_policy(relationship))
@@ -339,19 +326,11 @@ impl InternetAs {
             let events = self.host.start(ctx, session);
             self.events.extend(events);
         }
+        // The lowest port's address is the next hop; export rewrites it per
+        // session (next-hop-self).
+        let nh = self.ip.first_addr().unwrap_or(Ipv4Addr::UNSPECIFIED);
         let prefixes = self.originated.clone();
         for prefix in prefixes {
-            // Use the lowest port's address as next hop; export rewrites
-            // per session (next-hop-self). Lowest-port (not HashMap
-            // iteration order, which is seeded per process) keeps the
-            // originated attributes — and thus journal digests —
-            // deterministic for multi-port ASes.
-            let nh = self
-                .port_addrs
-                .iter()
-                .min_by_key(|(port, _)| **port)
-                .map(|(_, a)| *a)
-                .unwrap_or(Ipv4Addr::UNSPECIFIED);
             let mut attrs = PathAttributes::originated(nh.into());
             if let Some(communities) = self.origin_communities.get(&prefix) {
                 attrs.communities = communities.clone();
@@ -369,12 +348,7 @@ impl InternetAs {
     /// this live path.
     pub fn originate_now(&mut self, ctx: &mut Ctx<'_>, prefix: Prefix) {
         self.originated.push(prefix);
-        let nh = self
-            .port_addrs
-            .iter()
-            .min_by_key(|(port, _)| **port)
-            .map(|(_, a)| *a)
-            .unwrap_or(Ipv4Addr::UNSPECIFIED);
+        let nh = self.ip.first_addr().unwrap_or(Ipv4Addr::UNSPECIFIED);
         let attrs = PathAttributes::originated(nh.into());
         let out = self.host.speaker.originate(prefix, attrs);
         let events = self.host.apply(ctx, out);
@@ -417,31 +391,14 @@ impl InternetAs {
         ttl: u8,
         ident: u16,
     ) -> bool {
-        let mut pkt = IpPacket::new(src, dst, IpProto::Udp, Bytes::from_static(b"traceroute"));
-        pkt.header.ttl = ttl;
-        pkt.header.ident = ident;
-        self.forward(ctx, pkt, true)
+        self.forward(ctx, IpPacket::probe(src, dst, ttl, ident), true)
     }
 
     /// Time-exceeded replies received for probes tagged `ident`, as
     /// (replying hop address, original destination) pairs in arrival
     /// order — a traceroute result.
     pub fn traceroute_hops(&self, ident: u16) -> Vec<(Ipv4Addr, Ipv4Addr)> {
-        self.received
-            .iter()
-            .filter_map(|r| {
-                if r.packet.header.proto != IpProto::Icmp {
-                    return None;
-                }
-                let icmp = IcmpPacket::decode(&r.packet.payload)?;
-                let (probe_ident, original_dst) = icmp.original_probe()?;
-                if probe_ident == ident {
-                    Some((r.packet.header.src, original_dst))
-                } else {
-                    None
-                }
-            })
-            .collect()
+        traceroute_hops(&self.received, ident)
     }
 
     /// Best route next hop for a destination (looking-glass surface, §8).
@@ -450,98 +407,58 @@ impl InternetAs {
     }
 
     fn terminates(&self, dst: Ipv4Addr) -> bool {
-        self.originated.iter().any(|p| p.contains_addr(dst.into()))
-            || self.port_addrs.values().any(|a| *a == dst)
+        self.originated.iter().any(|p| p.contains_addr(dst.into())) || self.ip.owns(dst)
     }
 
     fn forward(&mut self, ctx: &mut Ctx<'_>, pkt: IpPacket, local_origin: bool) -> bool {
-        let Some(route) = self.host.speaker.loc_rib().lookup(pkt.header.dst.into()) else {
+        let route = self.host.speaker.loc_rib().lookup(pkt.header.dst.into());
+        let Some((port, next_hop)) = route.and_then(|r| self.host.egress(r)) else {
             self.no_route += 1;
             return false;
-        };
-        let (next_hop, port) = match (route.attrs.next_hop, route.source.peer()) {
-            (Some(std::net::IpAddr::V4(nh)), Some(peer)) => {
-                let Some(ep) = self.host.endpoint(peer) else {
-                    self.no_route += 1;
-                    return false;
-                };
-                (nh, ep.port)
-            }
-            _ => {
-                self.no_route += 1;
-                return false;
-            }
         };
         if !local_origin {
             self.forwarded += 1;
         }
-        let now = ctx.now();
-        match self.arp.lookup(next_hop, now) {
-            Some(mac) => self.transmit(ctx, port, mac, pkt),
-            None => {
-                self.pending.entry(next_hop).or_default().push((port, pkt));
-                if self.arp.may_request(next_hop, now) {
-                    let local_mac = self.port_macs[&port];
-                    let local_addr = self.port_addrs[&port];
-                    let req = ArpPacket::request(local_mac, local_addr, next_hop);
-                    ctx.send_frame(
-                        port,
-                        EtherFrame::new(
-                            MacAddr::BROADCAST,
-                            local_mac,
-                            EtherType::Arp,
-                            req.encode(),
-                        ),
-                    );
-                }
-            }
-        }
+        self.ip.send(ctx, port, next_hop, pkt);
         true
     }
 
     fn send_time_exceeded(&mut self, ctx: &mut Ctx<'_>, expired: &IpPacket, ingress: PortId) {
-        let Some(&our_addr) = self.port_addrs.get(&ingress) else {
+        // RFC 1122 §3.2.2: never answer an ICMP error with another one —
+        // two hops could otherwise trade time-exceededs forever. An echo
+        // request still gets one, which traceroute over ICMP needs.
+        if IcmpPacket::is_error(expired) {
+            return;
+        }
+        let Some(our_addr) = self.ip.addr(ingress) else {
             return;
         };
         let te = IcmpPacket::time_exceeded_for(expired);
         let out = IpPacket::new(our_addr, expired.header.src, IpProto::Icmp, te.encode());
         self.forward(ctx, out, true);
     }
+}
 
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst_mac: MacAddr, pkt: IpPacket) {
-        let src_mac = self.port_macs[&port];
-        ctx.send_frame(
-            port,
-            EtherFrame::new(dst_mac, src_mac, EtherType::Ipv4, pkt.encode()),
-        );
+/// The echo reply answering `pkt`, if it is an ICMP echo request.
+fn echo_reply(pkt: &IpPacket) -> Option<IpPacket> {
+    if pkt.header.proto != IpProto::Icmp {
+        return None;
     }
-
-    fn on_arp(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &EtherFrame) {
-        let Some(packet) = ArpPacket::decode(&frame.payload) else {
-            return;
-        };
-        match packet.op {
-            ArpOp::Request => {
-                if self.port_addrs.get(&port) == Some(&packet.target_ip) {
-                    let mac = self.port_macs[&port];
-                    let reply = ArpPacket::reply_to(&packet, mac);
-                    ctx.send_frame(
-                        port,
-                        EtherFrame::new(packet.sender_mac, mac, EtherType::Arp, reply.encode()),
-                    );
-                }
-            }
-            ArpOp::Reply => {
-                self.arp
-                    .insert(packet.sender_ip, packet.sender_mac, ctx.now());
-                if let Some(queued) = self.pending.remove(&packet.sender_ip) {
-                    for (p, pkt) in queued {
-                        self.transmit(ctx, p, packet.sender_mac, pkt);
-                    }
-                }
-            }
-        }
-    }
+    let Some(IcmpPacket::EchoRequest {
+        ident,
+        seq,
+        payload,
+    }) = IcmpPacket::decode(&pkt.payload)
+    else {
+        return None;
+    };
+    let reply = IcmpPacket::EchoReply {
+        ident,
+        seq,
+        payload,
+    };
+    let (src, dst) = (pkt.header.dst, pkt.header.src);
+    Some(IpPacket::new(src, dst, IpProto::Icmp, reply.encode()))
 }
 
 impl Node for InternetAs {
@@ -550,52 +467,28 @@ impl Node for InternetAs {
             self.events.extend(events);
             return;
         }
-        match frame.ethertype {
-            EtherType::Arp => self.on_arp(ctx, port, &frame),
-            EtherType::Ipv4 => {
-                let Some(mut pkt) = IpPacket::decode(&frame.payload) else {
-                    return;
-                };
-                if self.terminates(pkt.header.dst) {
-                    // Answer pings (ICMP sockets are part of the synthetic
-                    // Internet's measurement surface).
-                    if pkt.header.proto == IpProto::Icmp {
-                        if let Some(IcmpPacket::EchoRequest {
-                            ident,
-                            seq,
-                            payload,
-                        }) = IcmpPacket::decode(&pkt.payload)
-                        {
-                            let reply = IcmpPacket::EchoReply {
-                                ident,
-                                seq,
-                                payload,
-                            };
-                            let out = IpPacket::new(
-                                pkt.header.dst,
-                                pkt.header.src,
-                                IpProto::Icmp,
-                                reply.encode(),
-                            );
-                            self.received.push(TerminatedPacket { packet: pkt, port });
-                            self.forward(ctx, out, true);
-                            return;
-                        }
-                    }
-                    self.received.push(TerminatedPacket { packet: pkt, port });
-                    return;
-                }
-                if !pkt.decrement_ttl() {
-                    self.ttl_expired += 1;
-                    // RFC 792: time-exceeded back to the source, from OUR
-                    // address (the primary-address story of §5).
-                    self.send_time_exceeded(ctx, &pkt, port);
-                    return;
-                }
-                self.forward(ctx, pkt, false);
+        let Some(mut received) = self.ip.on_frame(ctx, port, &frame) else {
+            return;
+        };
+        let pkt = &mut received.packet;
+        if self.terminates(pkt.header.dst) {
+            // Answer pings (ICMP sockets are part of the synthetic
+            // Internet's measurement surface).
+            let reply = echo_reply(pkt);
+            self.received.push(received);
+            if let Some(reply) = reply {
+                self.forward(ctx, reply, true);
             }
-            _ => {}
+            return;
         }
+        if !pkt.decrement_ttl() {
+            self.ttl_expired += 1;
+            // RFC 792: time-exceeded back to the source, from OUR
+            // address (the primary-address story of §5).
+            self.send_time_exceeded(ctx, &received.packet, port);
+            return;
+        }
+        self.forward(ctx, received.packet, false);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -1046,8 +939,7 @@ mod tests {
     #[test]
     fn origination_next_hop_is_lowest_port() {
         // t1 has three ports (0, 1, 2 from link seqs 1, 2, 4). Its
-        // originated attributes must pin the next hop to port 0's address
-        // — not whatever HashMap iteration order yields this process.
+        // originated attributes must pin the next hop to port 0's address.
         let mut net = diamond();
         net.sim
             .with_node_ctx::<InternetAs, _>(net.nodes[1], |n, _| {

@@ -259,6 +259,7 @@ impl Peering {
                 // Route-server members: stub ASes peering multilaterally.
                 if nbr.rs_members > 0 {
                     let mut members = Vec::new();
+                    let mut member_sessions = Vec::new();
                     for m in 0..nbr.rs_members {
                         member_asn += 1;
                         let m_mac = MacAddr::from_id(0x0300_0000 | member_asn);
@@ -283,44 +284,27 @@ impl Peering {
                         );
                         let m_id = sim.add_node(Box::new(member));
                         members.push(m_id);
+                        member_sessions.push((Asn(member_asn), m_mac, m_addr));
                     }
                     // Register the member sessions on the RS node.
-                    let rs_node = node_id;
-                    let rs_addr = nbr_addr;
-                    let rs_asn = Asn(nbr.asn);
-                    for (k, m_id) in members.iter().enumerate() {
-                        let (m_asn, m_mac, m_addr) = {
-                            let m = sim.node::<InternetAs>(*m_id).unwrap();
-                            let asn = m.asn();
-                            (
-                                asn,
-                                MacAddr::from_id(0x0300_0000 | asn.0),
-                                Ipv4Addr::new(
-                                    10,
-                                    fabric_subnet,
-                                    200 + ((k as u32) / 200) as u8,
-                                    ((k as u32) % 200) as u8 + 1,
-                                ),
-                            )
-                        };
-                        sim.with_node_ctx::<InternetAs, _>(rs_node, |rs, _| {
+                    sim.with_node_ctx::<InternetAs, _>(node_id, |rs, _| {
+                        for (k, &(m_asn, m_mac, m_addr)) in member_sessions.iter().enumerate() {
                             rs.add_session(
                                 PeerId(1 + k as u32),
                                 Relationship::RsClient,
                                 m_asn,
                                 PortId(0),
                                 neighbor_mac(nbr.id),
-                                rs_addr,
+                                nbr_addr,
                                 m_mac,
                                 m_addr,
                                 true,
                             );
-                        });
-                        let _ = rs_asn;
-                    }
+                        }
+                    });
                     pop_nodes.extend(members.iter().copied());
                     rs_member_nodes.insert(nid, members.clone());
-                    rs_and_members.push((rs_node, members));
+                    rs_and_members.push((node_id, members));
                 }
             }
 
@@ -800,12 +784,6 @@ impl Peering {
 
         // The experimenter's router node.
         let mut node = ExperimentNode::new(lease.asn, RouterId(2_000_000 + exp.0));
-        for p in &lease.v4 {
-            node.add_local_prefix(*p);
-        }
-        if let Some(v6) = lease.v6 {
-            node.add_local_prefix(v6);
-        }
 
         let mut policy_prefixes = lease.v4.clone();
         if let Some(v6) = lease.v6 {
@@ -815,8 +793,7 @@ impl Peering {
         // Attach at each PoP: a tunnel port pair + interposed session.
         let mut attachments: Vec<PopAttachment> = Vec::new();
         let mut credentials = Vec::new();
-        let mut sessions: Vec<(NodeId, PortId, MacAddr, Ipv4Addr, MacAddr, Ipv4Addr, PeerId)> =
-            Vec::new();
+        let mut sessions: Vec<(NodeId, MacAddr, Ipv4Addr, MacAddr, Ipv4Addr, PeerId)> = Vec::new();
         for (k, pop_name) in pop_names.iter().enumerate() {
             let handle = self
                 .pops
@@ -835,7 +812,6 @@ impl Peering {
             credentials.push((pop_name.clone(), creds));
             let exp_port = PortId(k as u16);
             let router_node = handle.router;
-            let handle_id = handle.id.0;
 
             let peer = self
                 .sim
@@ -860,10 +836,8 @@ impl Peering {
                         },
                     })
                 });
-            let _ = handle_id;
             sessions.push((
                 router_node,
-                router_port,
                 local_mac,
                 local_addr,
                 remote_mac,
@@ -888,7 +862,7 @@ impl Peering {
         }
 
         // Configure the node's sessions and add it to the simulator.
-        for (k, (_, _, local_mac, local_addr, remote_mac, remote_addr, _)) in
+        for (k, (_, local_mac, local_addr, remote_mac, remote_addr, _)) in
             sessions.iter().enumerate()
         {
             node.add_pop_session(
@@ -902,13 +876,9 @@ impl Peering {
             );
         }
         let node_id = self.sim.add_node(Box::new(node));
-        for att in &mut attachments {
-            // (router/session fields already set; node side known now)
-            let _ = att;
-        }
 
         // Start the router-side (passive) sessions.
-        for (router_node, _, _, _, _, _, peer) in &sessions {
+        for (router_node, _, _, _, _, peer) in &sessions {
             let (router_node, peer) = (*router_node, *peer);
             self.sim
                 .with_node_ctx::<VbgpRouter, _>(router_node, |r, ctx| r.start_session(ctx, peer));
@@ -916,7 +886,7 @@ impl Peering {
 
         let announce_src = sessions
             .first()
-            .map(|(_, _, _, _, _, remote_addr, _)| *remote_addr)
+            .map(|(_, _, _, _, remote_addr, _)| *remote_addr)
             .unwrap_or(Ipv4Addr::UNSPECIFIED);
         let mut toolkit = Toolkit::new(node_id, self.platform_asn, announce_src);
         for att in attachments {

@@ -15,36 +15,22 @@ use peering_bgp::message::UpdateMsg;
 use peering_bgp::rib::{PeerId, Route};
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig};
 use peering_bgp::types::{Asn, Community, Prefix, RouterId};
-use peering_netsim::arp::{ArpCache, ArpOp, ArpPacket};
-use peering_netsim::{Bytes, Ctx, EtherFrame, EtherType, IpPacket, IpProto, MacAddr, Node, PortId};
+use peering_netsim::host::traceroute_hops;
+use peering_netsim::{Bytes, Ctx, EtherFrame, IpHost, IpPacket, IpProto, MacAddr, Node, PortId};
 use peering_vbgp::transport::{BgpHost, Endpoint, HostEvent};
 
 /// Re-export for convenience in examples.
 pub use peering_netsim::ip::IPV4_HEADER_LEN;
-
-/// A packet received by the experiment, with the delivery metadata vBGP
-/// encodes in the frame (the source MAC names the delivering neighbor).
-#[derive(Debug, Clone)]
-pub struct ReceivedPacket {
-    /// The IP packet.
-    pub packet: IpPacket,
-    /// Source MAC as delivered — a virtual neighbor MAC when the packet
-    /// came through vBGP (§3.2.2 "Routing traffic to experiments").
-    pub src_mac: MacAddr,
-    /// Tunnel port it arrived on.
-    pub port: PortId,
-}
+/// What [`ExperimentNode::received`] holds.
+pub use peering_netsim::ReceivedPacket;
 
 /// A standard experiment router attached to one or more PoPs.
 pub struct ExperimentNode {
     /// The BGP machinery (sessions over tunnel ports).
     pub host: BgpHost,
+    /// Addressing, ARP and framing on the tunnel ports.
+    ip: IpHost,
     asn: Asn,
-    port_macs: HashMap<PortId, MacAddr>,
-    port_addrs: HashMap<PortId, Ipv4Addr>,
-    local_prefixes: Vec<Prefix>,
-    arp: ArpCache,
-    pending: HashMap<Ipv4Addr, Vec<(PortId, IpPacket)>>,
     /// Packets delivered to this experiment. Only populated while
     /// recording is on (the default) — serving experiments that take
     /// millions of packets switch to counters via
@@ -64,8 +50,6 @@ pub struct ExperimentNode {
     tag_offset: Option<usize>,
     /// Structural BGP events observed (session up/down, routes learned…).
     pub events: Vec<HostEvent>,
-    /// Packets sent (for accounting in experiments).
-    pub sent: u64,
 }
 
 impl ExperimentNode {
@@ -73,12 +57,8 @@ impl ExperimentNode {
     pub fn new(asn: Asn, router_id: RouterId) -> Self {
         ExperimentNode {
             host: BgpHost::new(Speaker::new(SpeakerConfig { asn, router_id })),
+            ip: IpHost::new(),
             asn,
-            port_macs: HashMap::new(),
-            port_addrs: HashMap::new(),
-            local_prefixes: Vec::new(),
-            arp: ArpCache::new(),
-            pending: HashMap::new(),
             received: Vec::new(),
             received_count: 0,
             received_by_port: HashMap::new(),
@@ -86,7 +66,6 @@ impl ExperimentNode {
             record_received: true,
             tag_offset: None,
             events: Vec::new(),
-            sent: 0,
         }
     }
 
@@ -110,12 +89,6 @@ impl ExperimentNode {
         self.asn
     }
 
-    /// Declare a prefix as locally terminated (received traffic for it is
-    /// recorded rather than forwarded).
-    pub fn add_local_prefix(&mut self, prefix: Prefix) {
-        self.local_prefixes.push(prefix);
-    }
-
     /// Attach a tunnel to a PoP: our MAC/address on the tunnel port plus a
     /// BGP session to the vBGP router. Returns the session id.
     #[allow(clippy::too_many_arguments)] // mirrors the session 5-tuple + ids
@@ -129,8 +102,7 @@ impl ExperimentNode {
         remote_addr: Ipv4Addr,
         platform_asn: Asn,
     ) -> PeerId {
-        self.port_macs.insert(port, local_mac);
-        self.port_addrs.insert(port, local_addr);
+        self.ip.add_port(port, local_mac, local_addr);
         let cfg = PeerConfig::ebgp(platform_asn, remote_addr.into(), local_addr.into())
             .with_all_paths()
             .with_next_hop_unchanged();
@@ -257,18 +229,7 @@ impl ExperimentNode {
         dst: Ipv4Addr,
         payload: Bytes,
     ) -> bool {
-        let Some(std::net::IpAddr::V4(next_hop)) = route.attrs.next_hop else {
-            return false;
-        };
-        let Some(peer) = route.source.peer() else {
-            return false;
-        };
-        let Some(ep) = self.host.endpoint(peer) else {
-            return false;
-        };
-        let pkt = IpPacket::new(src, dst, IpProto::Udp, payload);
-        self.send_to_next_hop(ctx, ep.port, next_hop, pkt);
-        true
+        self.send_along(ctx, route, IpPacket::new(src, dst, IpProto::Udp, payload))
     }
 
     /// Send a TTL-limited traceroute probe via a specific route. `ident`
@@ -283,19 +244,14 @@ impl ExperimentNode {
         ttl: u8,
         ident: u16,
     ) -> bool {
-        let Some(std::net::IpAddr::V4(next_hop)) = route.attrs.next_hop else {
+        self.send_along(ctx, route, IpPacket::probe(src, dst, ttl, ident))
+    }
+
+    fn send_along(&mut self, ctx: &mut Ctx<'_>, route: &Route, pkt: IpPacket) -> bool {
+        let Some((port, next_hop)) = self.host.egress(route) else {
             return false;
         };
-        let Some(peer) = route.source.peer() else {
-            return false;
-        };
-        let Some(ep) = self.host.endpoint(peer) else {
-            return false;
-        };
-        let mut pkt = IpPacket::new(src, dst, IpProto::Udp, Bytes::from_static(b"traceroute"));
-        pkt.header.ttl = ttl;
-        pkt.header.ident = ident;
-        self.send_to_next_hop(ctx, ep.port, next_hop, pkt);
+        self.ip.send(ctx, port, next_hop, pkt);
         true
     }
 
@@ -303,21 +259,7 @@ impl ExperimentNode {
     /// (replying hop address, original destination) pairs in arrival order
     /// — a traceroute result.
     pub fn traceroute_hops(&self, ident: u16) -> Vec<(Ipv4Addr, Ipv4Addr)> {
-        self.received
-            .iter()
-            .filter_map(|r| {
-                if r.packet.header.proto != peering_netsim::IpProto::Icmp {
-                    return None;
-                }
-                let icmp = peering_netsim::IcmpPacket::decode(&r.packet.payload)?;
-                let (probe_ident, original_dst) = icmp.original_probe()?;
-                if probe_ident == ident {
-                    Some((r.packet.header.src, original_dst))
-                } else {
-                    None
-                }
-            })
-            .collect()
+        traceroute_hops(&self.received, ident)
     }
 
     /// Lower-level: send a packet out `port` toward `next_hop`, resolving
@@ -329,63 +271,7 @@ impl ExperimentNode {
         next_hop: Ipv4Addr,
         pkt: IpPacket,
     ) {
-        let now = ctx.now();
-        match self.arp.lookup(next_hop, now) {
-            Some(mac) => self.transmit(ctx, port, mac, pkt),
-            None => {
-                self.pending.entry(next_hop).or_default().push((port, pkt));
-                if self.arp.may_request(next_hop, now) {
-                    let local_mac = self.port_macs[&port];
-                    let local_addr = self.port_addrs[&port];
-                    let req = ArpPacket::request(local_mac, local_addr, next_hop);
-                    ctx.send_frame(
-                        port,
-                        EtherFrame::new(
-                            MacAddr::BROADCAST,
-                            local_mac,
-                            EtherType::Arp,
-                            req.encode(),
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst_mac: MacAddr, pkt: IpPacket) {
-        let src_mac = self.port_macs[&port];
-        self.sent += 1;
-        ctx.send_frame(
-            port,
-            EtherFrame::new(dst_mac, src_mac, EtherType::Ipv4, pkt.encode()),
-        );
-    }
-
-    fn on_arp(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &EtherFrame) {
-        let Some(packet) = ArpPacket::decode(&frame.payload) else {
-            return;
-        };
-        match packet.op {
-            ArpOp::Request => {
-                if self.port_addrs.get(&port) == Some(&packet.target_ip) {
-                    let mac = self.port_macs[&port];
-                    let reply = ArpPacket::reply_to(&packet, mac);
-                    ctx.send_frame(
-                        port,
-                        EtherFrame::new(packet.sender_mac, mac, EtherType::Arp, reply.encode()),
-                    );
-                }
-            }
-            ArpOp::Reply => {
-                self.arp
-                    .insert(packet.sender_ip, packet.sender_mac, ctx.now());
-                if let Some(queued) = self.pending.remove(&packet.sender_ip) {
-                    for (port, pkt) in queued {
-                        self.transmit(ctx, port, packet.sender_mac, pkt);
-                    }
-                }
-            }
-        }
+        self.ip.send(ctx, port, next_hop, pkt);
     }
 }
 
@@ -395,27 +281,18 @@ impl Node for ExperimentNode {
             self.events.extend(events);
             return;
         }
-        match frame.ethertype {
-            EtherType::Arp => self.on_arp(ctx, port, &frame),
-            EtherType::Ipv4 => {
-                if let Some(packet) = IpPacket::decode(&frame.payload) {
-                    self.received_count += 1;
-                    *self.received_by_port.entry(port).or_insert(0) += 1;
-                    if let Some(off) = self.tag_offset {
-                        if let Some(&tag) = packet.payload.get(off) {
-                            *self.received_by_tag.entry(tag).or_insert(0) += 1;
-                        }
-                    }
-                    if self.record_received {
-                        self.received.push(ReceivedPacket {
-                            packet,
-                            src_mac: frame.src,
-                            port,
-                        });
-                    }
-                }
+        let Some(received) = self.ip.on_frame(ctx, port, &frame) else {
+            return;
+        };
+        self.received_count += 1;
+        *self.received_by_port.entry(port).or_insert(0) += 1;
+        if let Some(off) = self.tag_offset {
+            if let Some(&tag) = received.packet.payload.get(off) {
+                *self.received_by_tag.entry(tag).or_insert(0) += 1;
             }
-            _ => {}
+        }
+        if self.record_received {
+            self.received.push(received);
         }
     }
 
@@ -484,12 +361,5 @@ mod tests {
         // Prepend alone is also bounded.
         let attrs = node.build_attrs(nh, 400, &[], &[]);
         assert_eq!(attrs.as_path.path_len(), 255);
-    }
-
-    #[test]
-    fn local_prefix_registration() {
-        let mut node = ExperimentNode::new(Asn(61574), RouterId(1));
-        node.add_local_prefix("184.164.224.0/24".parse().unwrap());
-        assert_eq!(node.local_prefixes.len(), 1);
     }
 }

@@ -206,15 +206,8 @@ impl DfzFabric {
                 .node::<ExperimentNode>(exp_node)
                 .expect("experiment node");
             node.routes_for(&via_prefix)
-                .into_iter()
-                .next()
-                .and_then(|r| {
-                    let ep = node.host.endpoint(r.source.peer()?)?;
-                    match r.attrs.next_hop {
-                        Some(std::net::IpAddr::V4(nh)) => Some((ep.port, nh)),
-                        _ => None,
-                    }
-                })
+                .first()
+                .and_then(|r| node.host.egress(r))
         }) else {
             return false;
         };

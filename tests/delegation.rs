@@ -147,7 +147,6 @@ fn build() -> Scenario {
         "100.125.1.1".parse().unwrap(),
         Asn(PLATFORM_ASN),
     );
-    x1_node.add_local_prefix(prefix("184.164.224.0/24"));
     let x1 = sim.add_node(Box::new(x1_node));
     let mut x2_node = ExperimentNode::new(Asn(61575), RouterId(4));
     x2_node.add_pop_session(
@@ -159,7 +158,6 @@ fn build() -> Scenario {
         "100.125.2.1".parse().unwrap(),
         Asn(PLATFORM_ASN),
     );
-    x2_node.add_local_prefix(prefix("184.164.225.0/24"));
     let x2 = sim.add_node(Box::new(x2_node));
 
     let link = LinkConfig::with_latency(SimDuration::from_millis(5));

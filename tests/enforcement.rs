@@ -366,7 +366,6 @@ fn rig() -> Rig {
         "100.125.1.1".parse().unwrap(),
         Asn(PLATFORM_ASN),
     );
-    exp.add_local_prefix(prefix("184.164.224.0/24"));
     let experiment = sim.add_node(Box::new(exp));
 
     let link = LinkConfig::with_latency(SimDuration::from_millis(5));

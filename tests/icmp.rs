@@ -1,13 +1,14 @@
-//! ICMP error-generation hygiene at the vBGP router (RFC 1122 §3.2.2,
-//! RFC 1812 §4.3.2.8).
+//! ICMP error-generation hygiene at the vBGP router and the synthetic ASes
+//! behind it (RFC 1122 §3.2.2, RFC 1812 §4.3.2.8).
 //!
 //! A router must never answer an ICMP *error* with another ICMP error —
 //! two buggy hops would otherwise ping-pong time-exceededs forever — and
-//! its error generation must be rate-limited so a TTL-expiring packet
-//! flood cannot be amplified into an ICMP flood. Informational ICMP
-//! (echo requests) still elicits time-exceeded: traceroute-over-ICMP
-//! depends on it. Both behaviors are observable: suppressions land in
-//! `RouterStats`, the metrics registry, and the event journal.
+//! the vBGP router's error generation must be rate-limited so a
+//! TTL-expiring packet flood cannot be amplified into an ICMP flood.
+//! Informational ICMP (echo requests) still elicits time-exceeded:
+//! traceroute-over-ICMP depends on it. The vBGP router's behaviors are
+//! observable: suppressions land in `RouterStats`, the metrics registry,
+//! and the event journal.
 
 use std::net::Ipv4Addr;
 
@@ -30,6 +31,7 @@ struct IcmpRig {
     router: peering_repro::netsim::NodeId,
     src: Ipv4Addr,
     dst: Ipv4Addr,
+    target: peering_repro::bgp::Prefix,
     tunnel_port: peering_repro::netsim::PortId,
     next_hop: Ipv4Addr,
 }
@@ -78,12 +80,7 @@ fn build_rig(seed: u64) -> IcmpRig {
             .into_iter()
             .next()
             .expect("destination learned");
-        let ep = node.host.endpoint(route.source.peer().unwrap()).unwrap();
-        let nh = match route.attrs.next_hop {
-            Some(std::net::IpAddr::V4(nh)) => nh,
-            _ => unreachable!(),
-        };
-        (ep.port, nh)
+        node.host.egress(&route).unwrap()
     };
 
     let router = p.router_node(&pop_a).unwrap();
@@ -93,6 +90,7 @@ fn build_rig(seed: u64) -> IcmpRig {
         router,
         src,
         dst,
+        target: target_prefix,
         tunnel_port,
         next_hop,
     }
@@ -126,39 +124,38 @@ fn time_exceeded_count(rig: &IcmpRig) -> usize {
         .count()
 }
 
-#[test]
-fn no_icmp_error_is_generated_for_an_icmp_error() {
-    let mut rig = build_rig(4242);
-
-    // A TTL=1 packet that is itself an ICMP error (time-exceeded): the
-    // router must drop it silently — no reply, one suppression.
+/// Send a `ttl`-limited packet that is itself an ICMP error
+/// (time-exceeded), then a `ttl`-limited echo request, each followed by 3 s
+/// of simulation. Returns the time-exceeded replies the experiment holds
+/// after each: an error must get none, while informational ICMP is NOT an
+/// error and still gets one (traceroute-over-ICMP relies on this).
+fn error_then_echo(rig: &mut IcmpRig, ttl: u8) -> [usize; 2] {
     let inner = IpPacket::new(rig.src, rig.dst, IpProto::Udp, Bytes::from_static(b"orig"));
     let error_payload = IcmpPacket::time_exceeded_for(&inner).encode();
-    let mut poison = IpPacket::new(rig.src, rig.dst, IpProto::Icmp, error_payload);
-    poison.header.ttl = 1;
-    send(&mut rig, poison);
-    rig.p.run_for(SimDuration::from_secs(3));
-    assert_eq!(
-        time_exceeded_count(&rig),
-        0,
-        "router answered an ICMP error with an ICMP error"
-    );
-
-    // Informational ICMP is NOT an error: a TTL=1 echo request still gets
-    // time-exceeded (traceroute-over-ICMP relies on this).
     let echo = IcmpPacket::EchoRequest {
         ident: 7,
         seq: 1,
         payload: Bytes::from_static(b"probe"),
     };
-    let mut ping = IpPacket::new(rig.src, rig.dst, IpProto::Icmp, echo.encode());
-    ping.header.ttl = 1;
-    send(&mut rig, ping);
-    rig.p.run_for(SimDuration::from_secs(3));
+    [error_payload, echo.encode()].map(|payload| {
+        let mut pkt = IpPacket::new(rig.src, rig.dst, IpProto::Icmp, payload);
+        pkt.header.ttl = ttl;
+        send(rig, pkt);
+        rig.p.run_for(SimDuration::from_secs(3));
+        time_exceeded_count(rig)
+    })
+}
+
+#[test]
+fn no_icmp_error_is_generated_for_an_icmp_error() {
+    let mut rig = build_rig(4242);
+
+    // TTL=1: the router drops the error silently — no reply, one
+    // suppression — and answers the echo request.
     assert_eq!(
-        time_exceeded_count(&rig),
-        1,
-        "TTL-expired echo request must still elicit time-exceeded"
+        error_then_echo(&mut rig, 1),
+        [0, 1],
+        "router answered an ICMP error with an ICMP error, or an expired echo request with nothing"
     );
 
     let stats = &rig.p.sim.node::<VbgpRouter>(rig.router).unwrap().stats;
@@ -181,6 +178,46 @@ fn no_icmp_error_is_generated_for_an_icmp_error() {
             .contains("icmp-suppressed reason=error-for-error"),
         "journal must record the suppression"
     );
+}
+
+#[test]
+fn no_icmp_error_is_generated_for_an_icmp_error_at_a_synthetic_as() {
+    let mut rig = build_rig(4243);
+
+    // Steer through the local transit: the vBGP router takes a TTL of 2
+    // down to 1, and the packet expires at the transit AS.
+    let pop_a = rig.p.pop_names()[0].clone();
+    let transit = rig
+        .p
+        .neighbors_at(&pop_a)
+        .into_iter()
+        .find(|(_, r)| *r == NeighborRole::Transit)
+        .and_then(|(id, _)| rig.p.neighbor_node(id))
+        .unwrap();
+    let transit_asn = rig.p.sim.node::<InternetAs>(transit).unwrap().asn();
+    (rig.tunnel_port, rig.next_hop) = {
+        let node = rig.p.sim.node::<ExperimentNode>(rig.exp_node).unwrap();
+        let route = node
+            .routes_for(&rig.target)
+            .into_iter()
+            .find(|r| r.attrs.as_path.asns().get(1) == Some(&transit_asn))
+            .expect("route via the local transit");
+        node.host.egress(&route).unwrap()
+    };
+
+    // TTL=2: both packets expire at the transit, which counts each, sends
+    // nothing back for the error and answers the echo request.
+    assert_eq!(
+        error_then_echo(&mut rig, 2),
+        [0, 1],
+        "transit AS answered an ICMP error with an ICMP error, or an expired echo request with nothing"
+    );
+    let transit = rig.p.sim.node::<InternetAs>(transit).unwrap();
+    assert_eq!(transit.ttl_expired, 2);
+
+    // Neither expired at the vBGP router.
+    let stats = &rig.p.sim.node::<VbgpRouter>(rig.router).unwrap().stats;
+    assert_eq!((stats.icmp_sent, stats.icmp_suppressed_error), (0, 0));
 }
 
 #[test]

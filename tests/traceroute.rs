@@ -133,12 +133,8 @@ fn traceroute_reveals_the_as_path_hop_by_hop() {
     let route2 = route.clone();
     p.sim
         .with_node_ctx::<ExperimentNode, _>(exp.node, |n, ctx| {
-            let ep = n.host.endpoint(route2.source.peer().unwrap()).unwrap();
-            let nh = match route2.attrs.next_hop {
-                Some(std::net::IpAddr::V4(nh)) => nh,
-                _ => unreachable!(),
-            };
-            n.send_to_next_hop(ctx, ep.port, nh, ping);
+            let (port, nh) = n.host.egress(&route2).unwrap();
+            n.send_to_next_hop(ctx, port, nh, ping);
         });
     p.run_for(SimDuration::from_secs(5));
     let node = p.sim.node::<ExperimentNode>(exp.node).unwrap();
