@@ -95,6 +95,67 @@ const PINNED_SERVING: (u64, u64) = (0xde69_6877_c70f_c70d, 23_392);
 /// `(seed, journal digest)` of two default chaos schedules.
 const PINNED_CHAOS: [(u64, u64); 2] = [(555, 0xe262_669f_1374_c509), (7, 0xbf1b_64ea_31ec_d08f)];
 
+/// `(FNV-1a digest, line count)` of the metrics snapshot text, zero-valued
+/// lines dropped, for the serving run and chaos seed 555. It pins every
+/// counter value a change to how counters are stored must keep. Regenerate
+/// as described on [`PINNED_SERVING`], from the `snapshot moved` messages.
+const PINNED_SNAPSHOT: [(u64, usize); 2] =
+    [(0xc533_ec7c_49ca_b0f8, 270), (0xbcdc_29d5_6faa_f39a, 211)];
+
+/// Metric names that count the same packets as a reason family, kept out
+/// of [`PINNED_SNAPSHOT`]: `(total, family prefix)`.
+const DUPLICATE_TOTALS: [(&str, &str); 2] = [
+    ("router.data_blocked", "data.blocked{policy="),
+    ("router.ingress_blocked", "data.ingress_blocked{policy="),
+];
+
+/// `(name, value)` of every line of a snapshot rendering.
+fn snapshot_lines(text: &str) -> impl Iterator<Item = (&str, &str)> {
+    text.lines()
+        .map(|line| line.rsplit_once(' ').expect("`name value` line"))
+}
+
+/// What [`PINNED_SNAPSHOT`] pins of a snapshot rendering.
+fn snapshot_digest(text: &str) -> (u64, usize) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut lines = 0;
+    for line in text.lines() {
+        let (name, value) = line.rsplit_once(' ').expect("`name value` line");
+        let duplicate = DUPLICATE_TOTALS.iter().any(|(t, _)| name.ends_with(t));
+        if value == "0" || duplicate {
+            continue;
+        }
+        for byte in line.bytes().chain([b'\n']) {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        lines += 1;
+    }
+    (hash, lines)
+}
+
+/// Each PoP's `router.data_blocked` and `router.ingress_blocked` equal the
+/// sums of the reason families they duplicate.
+fn assert_totals_match_reasons(what: &str, text: &str) {
+    let value = |v: &str| v.parse::<u64>().expect("counter value");
+    let mut checked = 0;
+    for (name, v) in snapshot_lines(text) {
+        for (total, family) in DUPLICATE_TOTALS {
+            let Some(scope) = name.strip_suffix(total) else {
+                continue;
+            };
+            let prefix = format!("{scope}{family}");
+            let sum: u64 = snapshot_lines(text)
+                .filter(|(n, _)| n.starts_with(&prefix))
+                .map(|(_, v)| value(v))
+                .sum();
+            assert_eq!(value(v), sum, "{what}: {name} vs Σ {prefix}*}}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "{what}: no per-PoP totals in the snapshot");
+}
+
 #[test]
 fn event_schedule_matches_pinned_digests() {
     let serving = run_serving(&ServingSpec::new(7, 4, 900, TrafficMix::under_attack()));
@@ -107,11 +168,26 @@ fn event_schedule_matches_pinned_digests() {
         PINNED_SERVING.0,
         PINNED_SERVING.1
     );
+    let mut snapshots = vec![("serving", serving.snapshot_text)];
     for (seed, pinned) in PINNED_CHAOS {
-        let digest = run(seed, 1).journal_digest;
+        let outcome = run(seed, 1);
+        let digest = outcome.journal_digest;
         assert!(
             digest == pinned,
             "chaos seed {seed}: schedule moved: digest {digest:#018x} (pinned {pinned:#018x})"
+        );
+        if seed == 555 {
+            snapshots.push(("chaos seed 555", outcome.snapshot.to_text()));
+        }
+    }
+    for ((what, text), pinned) in snapshots.iter().zip(PINNED_SNAPSHOT) {
+        assert_totals_match_reasons(what, text);
+        let (digest, lines) = snapshot_digest(text);
+        assert!(
+            (digest, lines) == pinned,
+            "{what}: snapshot moved: digest {digest:#018x}, {lines} lines (pinned {:#018x}, {})",
+            pinned.0,
+            pinned.1
         );
     }
 }
