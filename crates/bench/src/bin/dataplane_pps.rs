@@ -37,7 +37,7 @@ use peering_bgp::trie::PrefixTrie;
 use peering_bgp::types::Prefix;
 use peering_netsim::{MacAddr, PortId};
 use peering_obs::Obs;
-use peering_vbgp::{NeighborId, VbgpMux};
+use peering_vbgp::{MuxCounter, NeighborId, VbgpMux};
 
 const RESULTS: &str = "docs/results/BENCH_dataplane.json";
 const OBS_RESULTS: &str = "docs/results/OBS_dataplane.txt";
@@ -157,11 +157,13 @@ fn main() {
     println!("fastpath-fib     256k distinct    {fib_pps:>12.0}    {fib_speedup:.2}x");
     println!("fastpath-cached  2k distinct      {cached_pps:>12.0}    {cached_speedup:.2}x");
     println!("fastpath-batch   256k dist, x64   {batch_pps:>12.0}    {batch_speedup:.2}x");
-    println!("flow cache hits: {}", mux.stats.flow_cache_hits);
+    println!(
+        "flow cache hits: {}",
+        mux.stats.get(MuxCounter::FlowCacheHits)
+    );
 
-    // Mirror the mux counters into the registry and show what the run did
-    // to the data plane (cache hit/miss split, FIB patches vs rebuilds).
-    mux.publish_obs();
+    // Show what the run did to the data plane (cache hit/miss split, FIB
+    // patches vs rebuilds).
     let snap = obs.snapshot();
     println!();
     println!("registry snapshot ({} series):", snap.len());

@@ -18,7 +18,7 @@ use peering_bgp::attrs::{AsPath, PathAttributes};
 use peering_bgp::message::UpdateMsg;
 use peering_bgp::policy::Policy;
 use peering_bgp::rib::{PeerId, Route, RouteSource};
-use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig, SpeakerOutput};
+use peering_bgp::speaker::{PeerConfig, PeerCounter, Speaker, SpeakerConfig, SpeakerOutput};
 use peering_bgp::types::{Asn, Prefix, RouterId};
 
 /// The optional single positional argument of a bench binary: `default`
@@ -504,7 +504,7 @@ pub fn churn_fanout(coalesced: bool, rounds: u64, burst: u64) -> f64 {
     let exp_peers: Vec<PeerId> = (1..=3).map(PeerId).collect();
     let before: u64 = exp_peers
         .iter()
-        .map(|&p| pair.dut.peer_stats(p).unwrap().updates_out)
+        .map(|&p| pair.dut.peer_stats(p).unwrap().get(PeerCounter::UpdatesOut))
         .sum();
     for r in 0..rounds {
         let mut wire = Vec::new();
@@ -529,7 +529,7 @@ pub fn churn_fanout(coalesced: bool, rounds: u64, burst: u64) -> f64 {
     }
     let after: u64 = exp_peers
         .iter()
-        .map(|&p| pair.dut.peer_stats(p).unwrap().updates_out)
+        .map(|&p| pair.dut.peer_stats(p).unwrap().get(PeerCounter::UpdatesOut))
         .sum();
     (after - before) as f64 / rounds as f64
 }

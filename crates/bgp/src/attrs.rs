@@ -667,14 +667,6 @@ impl AttrStore {
         self.set.retain(|arc| std::sync::Arc::strong_count(arc) > 1);
         before - self.set.len()
     }
-
-    /// Total bytes of the distinct attribute bodies currently held.
-    pub fn body_bytes(&self) -> usize {
-        self.set
-            .iter()
-            .map(|a| crate::rib::attr_body_bytes(a))
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -141,11 +141,6 @@ impl FlatFib {
         self.generation
     }
 
-    /// Whether the FIB has been compiled at least once.
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
     /// What the most recent effective sync did: `(rebuilt, prefixes_patched)`.
     /// `None` until a sync has done work.
     pub fn last_sync(&self) -> Option<(bool, u64)> {

@@ -71,6 +71,6 @@ pub use message::{AddPathDirection, Capability, Message, NotificationMsg, OpenMs
 pub use policy::{Action, Match, Policy, Rule, Verdict};
 pub use rib::PeerId;
 pub use rib::{AdjRibIn, LocRib, Route, RouteKey, RouteSource};
-pub use speaker::{PeerConfig, Speaker, SpeakerConfig, SpeakerOutput};
+pub use speaker::{PeerConfig, PeerCounter, Speaker, SpeakerConfig, SpeakerOutput};
 pub use trie::PrefixTrie;
 pub use types::{Afi, Asn, Community, LargeCommunity, ParsePrefixError, PathId, Prefix, RouterId};

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use peering_obs::{EventKind as ObsEvent, Histogram, Obs};
+use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Gauge, Histogram, Obs};
 
 use crate::attrs::{AttrStore, PathAttributes};
 use crate::decision::sort_candidates;
@@ -172,30 +172,31 @@ impl PeerConfig {
     }
 }
 
-/// Counters per peer (for tests, benches and the scalability harness).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeerStats {
-    /// Messages decoded.
-    pub msgs_in: u64,
-    /// Messages sent.
-    pub msgs_out: u64,
-    /// UPDATEs received.
-    pub updates_in: u64,
-    /// UPDATEs sent.
-    pub updates_out: u64,
-    /// Routes rejected by import policy.
-    pub import_rejected: u64,
-    /// Routes rejected by AS-path loop detection.
-    pub loop_rejected: u64,
-    /// Export-policy suppressions toward this peer (each time a Loc-RIB
-    /// candidate was withheld by the session's export policy — the
-    /// valley-free enforcement surface of the synthetic internet).
-    pub export_rejected: u64,
-    /// Codec errors on this session.
-    pub codec_errors: u64,
-    /// ADD-PATH re-announcements that replaced an already-held
-    /// (prefix, path-id) entry in the Adj-RIB-In.
-    pub addpath_dups: u64,
+counter_keys! {
+    /// Counters per peer, published as `name{peer=id}`.
+    pub enum PeerCounter {
+        /// Messages decoded.
+        MsgsIn = "bgp.msgs_in",
+        /// Messages sent.
+        MsgsOut = "bgp.msgs_out",
+        /// UPDATEs received.
+        UpdatesIn = "bgp.updates_in",
+        /// UPDATEs sent.
+        UpdatesOut = "bgp.updates_out",
+        /// Routes rejected by import policy.
+        ImportRejected = "bgp.import_rejected",
+        /// Routes rejected by AS-path loop detection.
+        LoopRejected = "bgp.loop_rejected",
+        /// Export-policy suppressions toward this peer (each time a Loc-RIB
+        /// candidate was withheld by the session's export policy — the
+        /// valley-free enforcement surface of the synthetic internet).
+        ExportRejected = "bgp.export_rejected",
+        /// Codec errors on this session.
+        CodecErrors = "bgp.codec_errors",
+        /// ADD-PATH re-announcements that replaced an already-held
+        /// (prefix, path-id) entry in the Adj-RIB-In.
+        AddpathDups = "bgp.addpath_dups",
+    }
 }
 
 /// Per-peer dirty set of advertisements queued for the next flush. The
@@ -232,7 +233,11 @@ struct Peer {
     export_ids: HashMap<(Option<PeerId>, PathId), PathId>,
     next_export_id: PathId,
     pending: PendingAdverts,
-    stats: PeerStats,
+    counters: Counters<PeerCounter>,
+    /// `bgp.adj_in_paths{peer}`: paths held in `adj_in`.
+    adj_in_paths: Gauge,
+    /// `bgp.backoff_level{peer}`: the FSM's consecutive failures.
+    backoff_level: Gauge,
 }
 
 /// Structural events produced by the speaker.
@@ -294,6 +299,10 @@ pub struct Speaker {
     /// coalescing flush-size histogram land here.
     obs: Obs,
     h_flush: Histogram,
+    /// Distinct attribute sets in `attr_store`.
+    interned_attrs: Gauge,
+    /// Paths held across every Adj-RIB-In.
+    adj_in_paths_total: Gauge,
     /// Journal every export-policy suppression (off by default: at a
     /// mid-tier AS the suppression is the steady state, so only nodes
     /// whose enforcement is under observation opt in).
@@ -376,6 +385,8 @@ impl Speaker {
             gc_watermark: 1024,
             fault_skip_session_up_replay: false,
             h_flush: obs.histogram("bgp.flush_nlri", FLUSH_NLRI_BOUNDS),
+            interned_attrs: obs.gauge("bgp.interned_attrs"),
+            adj_in_paths_total: obs.gauge("bgp.adj_in_paths_total"),
             obs,
             journal_export_rejects: false,
             scratch_ids: Vec::new(),
@@ -387,7 +398,21 @@ impl Speaker {
     /// private default registry).
     pub fn set_obs(&mut self, obs: Obs) {
         self.h_flush = obs.histogram("bgp.flush_nlri", FLUSH_NLRI_BOUNDS);
+        self.interned_attrs = obs.gauge("bgp.interned_attrs");
+        self.interned_attrs.set(self.attr_store.len() as i64);
+        self.adj_in_paths_total = obs.gauge("bgp.adj_in_paths_total");
+        for (id, peer) in &mut self.peers {
+            peer.counters.set_obs(&obs);
+            peer.adj_in_paths = obs.gauge_dim("bgp.adj_in_paths", "peer", id.0);
+            peer.backoff_level = obs.gauge_dim("bgp.backoff_level", "peer", id.0);
+            peer.backoff_level
+                .set(peer.fsm.consecutive_failures() as i64);
+        }
         self.obs = obs;
+        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
+        for id in ids {
+            self.note_adj_in(id);
+        }
     }
 
     /// The speaker's observability handle.
@@ -446,7 +471,9 @@ impl Speaker {
             export_ids: HashMap::new(),
             next_export_id: 1,
             pending: PendingAdverts::default(),
-            stats: PeerStats::default(),
+            counters: Counters::labelled(&self.obs, "peer", id.0),
+            adj_in_paths: self.obs.gauge_dim("bgp.adj_in_paths", "peer", id.0),
+            backoff_level: self.obs.gauge_dim("bgp.backoff_level", "peer", id.0),
         };
         self.peers.insert(id, peer);
     }
@@ -454,12 +481,6 @@ impl Speaker {
     /// The hash-consed attribute store (interning stats; Fig. 6a).
     pub fn attr_store(&self) -> &AttrStore {
         &self.attr_store
-    }
-
-    /// Drop interned attribute sets no longer referenced by any RIB;
-    /// returns how many were released.
-    pub fn gc_attrs(&mut self) -> usize {
-        self.attr_store.gc()
     }
 
     /// Remove a peer entirely (used by the platform when an experiment
@@ -485,9 +506,9 @@ impl Speaker {
         self.session_state(id) == Some(FsmState::Established)
     }
 
-    /// Per-peer stats.
-    pub fn peer_stats(&self, id: PeerId) -> Option<PeerStats> {
-        self.peers.get(&id).map(|p| p.stats)
+    /// Per-peer counters.
+    pub fn peer_stats(&self, id: PeerId) -> Option<&Counters<PeerCounter>> {
+        self.peers.get(&id).map(|p| &p.counters)
     }
 
     /// The negotiated codec context for a session.
@@ -536,6 +557,7 @@ impl Speaker {
             self.export_prefix_to(id, prefix);
         }
         self.flush_peer(id, &mut out);
+        self.interned_attrs.set(self.attr_store.len() as i64);
         out
     }
 
@@ -595,9 +617,9 @@ impl Speaker {
             match Message::decode(&peer.rx_buf, &ctx) {
                 Ok((msg, used)) => {
                     peer.rx_buf.drain(..used);
-                    peer.stats.msgs_in += 1;
+                    peer.counters.inc(PeerCounter::MsgsIn);
                     if matches!(msg, Message::Update(_)) {
-                        peer.stats.updates_in += 1;
+                        peer.counters.inc(PeerCounter::UpdatesIn);
                     }
                     let o = self.drive(id, FsmEvent::Msg(msg));
                     out.merge(o);
@@ -608,14 +630,14 @@ impl Speaker {
                     // NOTIFICATION (RFC 4271 §6.1) and drop the session —
                     // the paper's security engines count on sessions
                     // failing closed.
-                    peer.stats.codec_errors += 1;
+                    peer.counters.inc(PeerCounter::CodecErrors);
                     peer.rx_buf.clear();
                     let ctx = peer.fsm.codec_ctx();
                     let notify = Message::Notification(NotificationMsg::new(
                         crate::message::ERR_MSG_HEADER,
                         1, // connection not synchronized
                     ));
-                    peer.stats.msgs_out += 1;
+                    peer.counters.inc(PeerCounter::MsgsOut);
                     out.send.push((id, notify.encode(&ctx)));
                     let o = self.drive(id, FsmEvent::TcpClosed);
                     out.merge(o);
@@ -682,8 +704,8 @@ impl Speaker {
             return out;
         }
         let ctx = peer.fsm.codec_ctx();
-        peer.stats.msgs_out += 1;
-        peer.stats.updates_out += 1;
+        peer.counters.inc(PeerCounter::MsgsOut);
+        peer.counters.inc(PeerCounter::UpdatesOut);
         out.send.push((id, Message::Update(update).encode(&ctx)));
         out
     }
@@ -700,6 +722,7 @@ impl Speaker {
         let actions = peer.fsm.handle(event);
         let state_after = peer.fsm.state();
         let failures = peer.fsm.consecutive_failures();
+        peer.backoff_level.set(failures as i64);
         if state_after != state_before {
             self.obs
                 .counter(&format!(
@@ -735,9 +758,9 @@ impl Speaker {
                 FsmAction::Send(msg) => {
                     let peer = self.peers.get_mut(&id).unwrap();
                     let ctx = peer.fsm.codec_ctx();
-                    peer.stats.msgs_out += 1;
+                    peer.counters.inc(PeerCounter::MsgsOut);
                     if matches!(msg, Message::Update(_)) {
-                        peer.stats.updates_out += 1;
+                        peer.counters.inc(PeerCounter::UpdatesOut);
                     }
                     out.send.push((id, msg.encode(&ctx)));
                 }
@@ -819,7 +842,7 @@ impl Speaker {
             return out;
         }
         let ctx = peer.fsm.codec_ctx();
-        peer.stats.msgs_out += 1;
+        peer.counters.inc(PeerCounter::MsgsOut);
         out.send
             .push((id, Message::RouteRefresh { afi, safi: 1 }.encode(&ctx)));
         out
@@ -850,8 +873,8 @@ impl Speaker {
         }
         if let Some(peer) = self.peers.get_mut(&id) {
             let ctx = peer.fsm.codec_ctx();
-            peer.stats.msgs_out += 1;
-            peer.stats.updates_out += 1;
+            peer.counters.inc(PeerCounter::MsgsOut);
+            peer.counters.inc(PeerCounter::UpdatesOut);
             out.send
                 .push((id, Message::Update(UpdateMsg::end_of_rib()).encode(&ctx)));
         }
@@ -888,6 +911,7 @@ impl Speaker {
         if swept.is_empty() {
             return;
         }
+        self.note_adj_in(id);
         let mut prefixes: Vec<Prefix> = swept.iter().map(|r| r.prefix).collect();
         prefixes.sort();
         prefixes.dedup();
@@ -910,6 +934,7 @@ impl Speaker {
         peer.export_ids.clear();
         peer.pending.clear();
         let dropped = peer.adj_in.clear();
+        self.note_adj_in(id);
         let mut prefixes: Vec<Prefix> = dropped.iter().map(|r| r.prefix).collect();
         prefixes.sort();
         prefixes.dedup();
@@ -969,7 +994,7 @@ impl Speaker {
                 let path_id = path_id.unwrap_or(0);
                 // Loop detection on eBGP sessions.
                 if ebgp && !peer.cfg.allow_own_asn_in && attrs.as_path.contains(self.cfg.asn) {
-                    peer.stats.loop_rejected += 1;
+                    peer.counters.inc(PeerCounter::LoopRejected);
                     continue;
                 }
                 self.stamp += 1;
@@ -992,7 +1017,7 @@ impl Speaker {
                         // Replacing an existing path keeps the old stamp so
                         // re-announcement does not look "newer" to decision.
                         if let Some(old) = peer.adj_in.insert(imported.clone()) {
-                            peer.stats.addpath_dups += 1;
+                            peer.counters.inc(PeerCounter::AddpathDups);
                             let refreshed = Route {
                                 stamp: old.stamp,
                                 ..imported.clone()
@@ -1005,7 +1030,7 @@ impl Speaker {
                         touched.push(*prefix);
                     }
                     None => {
-                        peer.stats.import_rejected += 1;
+                        peer.counters.inc(PeerCounter::ImportRejected);
                         // An import-rejected re-announcement implicitly
                         // withdraws any previously accepted path.
                         if peer.adj_in.remove(prefix, path_id).is_some() {
@@ -1018,6 +1043,7 @@ impl Speaker {
             }
         }
 
+        self.note_adj_in(id);
         touched.sort();
         touched.dedup();
         for prefix in touched {
@@ -1137,7 +1163,7 @@ impl Speaker {
                     // determined by the memo key, so equal sessions reuse
                     // one computation (and one interned allocation).
                     if !peer.cfg.export.accepts(route) {
-                        peer.stats.export_rejected += 1;
+                        peer.counters.inc(PeerCounter::ExportRejected);
                         if self.journal_export_rejects {
                             self.obs.record(ObsEvent::ExportSuppressed { peer: id.0 });
                         }
@@ -1171,7 +1197,7 @@ impl Speaker {
                     }
                 } else {
                     let Some(mut attrs) = peer.cfg.export.evaluate(route) else {
-                        peer.stats.export_rejected += 1;
+                        peer.counters.inc(PeerCounter::ExportRejected);
                         if self.journal_export_rejects {
                             self.obs.record(ObsEvent::ExportSuppressed { peer: id.0 });
                         }
@@ -1292,49 +1318,33 @@ impl Speaker {
             );
         }
         for msg in msgs {
-            peer.stats.msgs_out += 1;
-            peer.stats.updates_out += 1;
+            peer.counters.inc(PeerCounter::MsgsOut);
+            peer.counters.inc(PeerCounter::UpdatesOut);
             out.send.push((id, Message::Update(msg).encode(&ctx)));
         }
     }
 
     /// Flush every peer's pending advertisements (deterministic order).
+    /// Every entry point that can intern or collect attribute sets ends
+    /// here or in [`Speaker::set_export_policy`], so both set
+    /// `bgp.interned_attrs`.
     fn flush_all(&mut self, out: &mut SpeakerOutput) {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
         for id in ids {
             self.flush_peer(id, out);
         }
+        self.interned_attrs.set(self.attr_store.len() as i64);
     }
 
-    /// Mirror per-peer counters and RIB levels into the registry. The hot
-    /// paths keep bumping plain [`PeerStats`] fields; this copies them into
-    /// the shared registry so `Registry::snapshot()` sees current values.
-    pub fn publish_obs(&self) {
-        for (id, peer) in &self.peers {
-            let s = &peer.stats;
-            let set = |name: &str, v: u64| self.obs.counter_dim(name, "peer", id.0).set(v);
-            set("bgp.msgs_in", s.msgs_in);
-            set("bgp.msgs_out", s.msgs_out);
-            set("bgp.updates_in", s.updates_in);
-            set("bgp.updates_out", s.updates_out);
-            set("bgp.import_rejected", s.import_rejected);
-            set("bgp.loop_rejected", s.loop_rejected);
-            set("bgp.export_rejected", s.export_rejected);
-            set("bgp.codec_errors", s.codec_errors);
-            set("bgp.addpath_dups", s.addpath_dups);
-            self.obs
-                .gauge_dim("bgp.adj_in_paths", "peer", id.0)
-                .set(peer.adj_in.path_count as i64);
-            self.obs
-                .gauge_dim("bgp.backoff_level", "peer", id.0)
-                .set(peer.fsm.consecutive_failures() as i64);
-        }
-        self.obs
-            .gauge("bgp.interned_attrs")
-            .set(self.attr_store.len() as i64);
-        self.obs
-            .gauge("bgp.adj_in_paths_total")
-            .set(self.total_adj_in_paths() as i64);
+    /// Set `bgp.adj_in_paths{peer=id}` and the total after `id`'s
+    /// Adj-RIB-In changed.
+    fn note_adj_in(&mut self, id: PeerId) {
+        let Some(peer) = self.peers.get(&id) else {
+            return;
+        };
+        let paths = peer.adj_in.path_count as i64;
+        self.adj_in_paths_total.add(paths - peer.adj_in_paths.get());
+        peer.adj_in_paths.set(paths);
     }
 
     /// Number of routes held across all Adj-RIBs-In (Fig. 6a's x-axis).
@@ -1690,7 +1700,13 @@ mod tests {
             .is_none());
         assert_eq!(h.speakers[1].total_adj_in_paths(), 0);
         // Only the End-of-RIB from session establishment arrived.
-        assert_eq!(h.speakers[1].peer_stats(PeerId(0)).unwrap().updates_in, 1);
+        assert_eq!(
+            h.speakers[1]
+                .peer_stats(PeerId(0))
+                .unwrap()
+                .get(PeerCounter::UpdatesIn),
+            1
+        );
     }
 
     #[test]
@@ -1709,7 +1725,10 @@ mod tests {
             .best(&prefix("10.66.0.0/16"))
             .is_none());
         assert_eq!(
-            h.speakers[1].peer_stats(PeerId(0)).unwrap().loop_rejected,
+            h.speakers[1]
+                .peer_stats(PeerId(0))
+                .unwrap()
+                .get(PeerCounter::LoopRejected),
             1
         );
     }
@@ -1746,7 +1765,10 @@ mod tests {
             .best(&prefix("172.16.0.0/16"))
             .is_some());
         assert_eq!(
-            h.speakers[1].peer_stats(PeerId(0)).unwrap().import_rejected,
+            h.speakers[1]
+                .peer_stats(PeerId(0))
+                .unwrap()
+                .get(PeerCounter::ImportRejected),
             1
         );
     }
@@ -1945,7 +1967,13 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, SpeakerEvent::SessionDown(_, _))));
-        assert_eq!(h.speakers[1].peer_stats(PeerId(0)).unwrap().codec_errors, 1);
+        assert_eq!(
+            h.speakers[1]
+                .peer_stats(PeerId(0))
+                .unwrap()
+                .get(PeerCounter::CodecErrors),
+            1
+        );
     }
 
     #[test]
@@ -2223,12 +2251,18 @@ mod refresh_tests {
             PathAttributes::originated("10.0.0.1".parse().unwrap()),
         );
         pump2(&mut a, &mut b, out);
-        let updates_before = a.peer_stats(PeerId(0)).unwrap().updates_out;
+        let updates_before = a
+            .peer_stats(PeerId(0))
+            .unwrap()
+            .get(PeerCounter::UpdatesOut);
 
         // b asks for a refresh; a must re-send the route.
         let req = b.request_route_refresh(PeerId(0), 1);
         pump2(&mut b, &mut a, req);
-        let after = a.peer_stats(PeerId(0)).unwrap().updates_out;
+        let after = a
+            .peer_stats(PeerId(0))
+            .unwrap()
+            .get(PeerCounter::UpdatesOut);
         assert!(after > updates_before, "refresh must re-send routes");
         // And b still has exactly one copy (implicit replace).
         assert_eq!(b.total_adj_in_paths(), 1);
@@ -2245,11 +2279,19 @@ mod refresh_tests {
             PathAttributes::originated("10.0.0.1".parse().unwrap()),
         );
         pump2(&mut a, &mut b, out);
-        let before = a.peer_stats(PeerId(0)).unwrap().updates_out;
+        let before = a
+            .peer_stats(PeerId(0))
+            .unwrap()
+            .get(PeerCounter::UpdatesOut);
         // IPv6 refresh: nothing to re-send.
         let req = b.request_route_refresh(PeerId(0), 2);
         pump2(&mut b, &mut a, req);
-        assert_eq!(a.peer_stats(PeerId(0)).unwrap().updates_out, before);
+        assert_eq!(
+            a.peer_stats(PeerId(0))
+                .unwrap()
+                .get(PeerCounter::UpdatesOut),
+            before
+        );
     }
 
     #[test]

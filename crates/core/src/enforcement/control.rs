@@ -16,7 +16,7 @@ use peering_bgp::attrs::PathAttributes;
 use peering_bgp::message::UpdateMsg;
 use peering_bgp::types::{Asn, Prefix};
 use peering_netsim::SimTime;
-use peering_obs::{EventKind, Obs};
+use peering_obs::{counter_keys, Counters, EventKind, Obs};
 use std::sync::Mutex;
 
 use crate::capability::{CapabilityKind, CapabilitySet};
@@ -35,51 +35,35 @@ const SECS_PER_DAY: u64 = 86_400;
 /// window, so the window must span many rounds.
 pub const FLOOD_WINDOW_SECS: u64 = 600;
 
-/// Why an announcement (or part of one) was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Rejection {
-    /// The engine is overloaded / unconfigured for this experiment:
-    /// fail closed.
-    FailClosed,
-    /// Prefix is not part of the experiment's allocation (hijack
-    /// prevention).
-    NotAllocated,
-    /// The route does not originate from one of the experiment's ASNs.
-    BadOriginAsn,
-    /// Empty AS path (cannot attribute the announcement).
-    EmptyAsPath,
-    /// Foreign ASNs in the path without the poisoning capability, or more
-    /// than the granted limit.
-    PoisoningNotAllowed,
-    /// Providing transit (re-announcing learned routes) without the
-    /// capability.
-    TransitNotAllowed,
-    /// Non-control communities attached without (or beyond) the communities
-    /// capability.
-    CommunitiesNotAllowed,
-    /// Unknown/optional-transitive attributes without the capability.
-    TransitiveAttrsNotAllowed,
-    /// 6to4 space without the 6to4 capability.
-    SixToFourNotAllowed,
-    /// Per-(prefix, PoP) update budget exhausted.
-    RateLimited,
-}
-
-impl Rejection {
-    /// Stable kebab-case reason code (journal events, metric labels).
-    pub fn code(self) -> &'static str {
-        match self {
-            Rejection::FailClosed => "fail-closed",
-            Rejection::NotAllocated => "not-allocated",
-            Rejection::BadOriginAsn => "bad-origin-asn",
-            Rejection::EmptyAsPath => "empty-as-path",
-            Rejection::PoisoningNotAllowed => "poisoning-not-allowed",
-            Rejection::TransitNotAllowed => "transit-not-allowed",
-            Rejection::CommunitiesNotAllowed => "communities-not-allowed",
-            Rejection::TransitiveAttrsNotAllowed => "transitive-attrs-not-allowed",
-            Rejection::SixToFourNotAllowed => "6to4-not-allowed",
-            Rejection::RateLimited => "rate-limited",
-        }
+counter_keys! {
+    /// Why an announcement (or part of one) was rejected, named by a
+    /// stable kebab-case reason code (journal events, metric labels).
+    pub enum Rejection {
+        /// The engine is overloaded / unconfigured for this experiment:
+        /// fail closed.
+        FailClosed = "fail-closed",
+        /// Prefix is not part of the experiment's allocation (hijack
+        /// prevention).
+        NotAllocated = "not-allocated",
+        /// The route does not originate from one of the experiment's ASNs.
+        BadOriginAsn = "bad-origin-asn",
+        /// Empty AS path (cannot attribute the announcement).
+        EmptyAsPath = "empty-as-path",
+        /// Foreign ASNs in the path without the poisoning capability, or
+        /// more than the granted limit.
+        PoisoningNotAllowed = "poisoning-not-allowed",
+        /// Providing transit (re-announcing learned routes) without the
+        /// capability.
+        TransitNotAllowed = "transit-not-allowed",
+        /// Non-control communities attached without (or beyond) the
+        /// communities capability.
+        CommunitiesNotAllowed = "communities-not-allowed",
+        /// Unknown/optional-transitive attributes without the capability.
+        TransitiveAttrsNotAllowed = "transitive-attrs-not-allowed",
+        /// 6to4 space without the 6to4 capability.
+        SixToFourNotAllowed = "6to4-not-allowed",
+        /// Per-(prefix, PoP) update budget exhausted.
+        RateLimited = "rate-limited",
     }
 }
 
@@ -222,27 +206,6 @@ impl RateLedger {
         true
     }
 
-    /// Best-known packets charged against a flood bucket at one PoP in
-    /// the current window.
-    pub fn flood_used(&self, exp: ExperimentId, bucket: Prefix, pop: PopId, now: SimTime) -> u32 {
-        let window = Self::flood_window(now);
-        self.floods
-            .get(&(exp, bucket, window))
-            .and_then(|pops| pops.get(&pop))
-            .map(|c| c.best())
-            .unwrap_or(0)
-    }
-
-    /// Best-known platform-wide packets charged against a flood bucket in
-    /// the current window.
-    pub fn flood_wide(&self, exp: ExperimentId, bucket: Prefix, now: SimTime) -> u32 {
-        let window = Self::flood_window(now);
-        self.floods
-            .get(&(exp, bucket, window))
-            .map(|pops| pops.values().map(|c| c.best()).sum())
-            .unwrap_or(0)
-    }
-
     /// This PoP's own current-window flood tallies, for gossip — same
     /// sorted-for-byte-determinism contract as
     /// [`RateLedger::gossip_entries`].
@@ -367,24 +330,6 @@ impl RateLedger {
         }
     }
 
-    /// Current-window flood view for invariant checks: every (experiment,
-    /// bucket, PoP) tally, sorted. Same gossip-soundness contract as the
-    /// update entries: a `remote` tally is a monotone lower bound of the
-    /// origin PoP's `local`.
-    pub fn flood_entries_now(&self, now: SimTime) -> Vec<(ExperimentId, Prefix, PopId, PopCount)> {
-        let window = Self::flood_window(now);
-        let mut out: Vec<(ExperimentId, Prefix, PopId, PopCount)> = self
-            .floods
-            .iter()
-            .filter(|((_, _, w), _)| *w == window)
-            .flat_map(|((exp, bucket, _), pops)| {
-                pops.iter().map(|(pop, c)| (*exp, *bucket, *pop, *c))
-            })
-            .collect();
-        out.sort_unstable_by_key(|(exp, bucket, pop, _)| (*exp, *bucket, *pop));
-        out
-    }
-
     /// Current-day view for invariant checks: every (experiment, prefix,
     /// PoP) tally, sorted.
     pub fn entries_today(&self, now: SimTime) -> Vec<(ExperimentId, Prefix, PopId, PopCount)> {
@@ -402,15 +347,14 @@ impl RateLedger {
     }
 }
 
-/// Counters for the enforcement pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct ControlStats {
-    /// NLRI entries evaluated (announcements + withdrawals).
-    pub evaluated: u64,
-    /// Entries accepted.
-    pub accepted: u64,
-    /// Rejection counts by reason.
-    pub rejected: HashMap<Rejection, u64>,
+counter_keys! {
+    /// Counters for the enforcement pipeline.
+    pub enum ControlCounter {
+        /// NLRI entries evaluated (announcements + withdrawals).
+        Evaluated = "control.evaluated",
+        /// Entries accepted.
+        Accepted = "control.accepted",
+    }
 }
 
 /// The control-plane enforcement engine for one PoP.
@@ -428,7 +372,9 @@ pub struct ControlEnforcer {
     /// Journal handle (fail-closed transitions) + gauge.
     obs: Obs,
     /// Pipeline counters.
-    pub stats: ControlStats,
+    pub stats: Counters<ControlCounter>,
+    /// Rejections by reason (`control.rejected{reason=…}`).
+    pub rejected: Counters<Rejection>,
 }
 
 /// 6to4 space: 2002::/16.
@@ -442,20 +388,24 @@ fn is_6to4(prefix: &Prefix) -> bool {
 impl ControlEnforcer {
     /// Build an enforcer for a PoP, sharing the platform-wide rate ledger.
     pub fn new(pop: PopId, control: ControlCommunities, ledger: Arc<Mutex<RateLedger>>) -> Self {
+        let obs = Obs::new();
         ControlEnforcer {
             pop,
             control,
             experiments: HashMap::new(),
             ledger,
             fail_closed: false,
-            obs: Obs::new(),
-            stats: ControlStats::default(),
+            stats: Counters::new(&obs),
+            rejected: Counters::family(&obs, "control.rejected", "reason"),
+            obs,
         }
     }
 
-    /// Attach a shared observability handle and publish the current
-    /// fail-closed state as a gauge.
+    /// Attach a shared observability handle, move the counters into its
+    /// registry and publish the current fail-closed state as a gauge.
     pub fn set_obs(&mut self, obs: Obs) {
+        self.stats.set_obs(&obs);
+        self.rejected.set_obs(&obs);
         self.obs = obs;
         self.obs
             .gauge("control.fail_closed")
@@ -511,10 +461,6 @@ impl ControlEnforcer {
     /// Access the shared ledger (for inspection / pruning).
     pub fn ledger(&self) -> Arc<Mutex<RateLedger>> {
         Arc::clone(&self.ledger)
-    }
-
-    fn reject(&mut self, reason: Rejection) {
-        *self.stats.rejected.entry(reason).or_insert(0) += 1;
     }
 
     fn check_prefix_ownership(policy: &ExperimentPolicy, prefix: &Prefix) -> Result<(), Rejection> {
@@ -610,20 +556,17 @@ impl ControlEnforcer {
             _ => {
                 // Unknown experiment or overloaded engine: fail closed.
                 for (p, _) in update.announce.iter().chain(update.withdrawn.iter()) {
-                    self.stats.evaluated += 1;
-                    self.reject(Rejection::FailClosed);
                     rejections.push((*p, Rejection::FailClosed));
                 }
                 out.attrs = None;
+                self.tally(&out, &rejections);
                 return (out, rejections);
             }
         };
 
         for entry in &update.withdrawn {
-            self.stats.evaluated += 1;
             let (prefix, _) = entry;
             if let Err(r) = Self::check_prefix_ownership(&policy, prefix) {
-                self.reject(r);
                 rejections.push((*prefix, r));
                 continue;
             }
@@ -633,26 +576,21 @@ impl ControlEnforcer {
                 .unwrap()
                 .charge(exp, *prefix, self.pop, now)
             {
-                self.reject(Rejection::RateLimited);
                 rejections.push((*prefix, Rejection::RateLimited));
                 continue;
             }
-            self.stats.accepted += 1;
             out.withdrawn.push(*entry);
         }
 
         if let Some(attrs) = &update.attrs {
             let attr_check = self.check_attrs(&policy, attrs);
             for entry in &update.announce {
-                self.stats.evaluated += 1;
                 let (prefix, _) = entry;
                 if let Err(r) = attr_check {
-                    self.reject(r);
                     rejections.push((*prefix, r));
                     continue;
                 }
                 if let Err(r) = Self::check_prefix_ownership(&policy, prefix) {
-                    self.reject(r);
                     rejections.push((*prefix, r));
                     continue;
                 }
@@ -662,18 +600,29 @@ impl ControlEnforcer {
                     .unwrap()
                     .charge(exp, *prefix, self.pop, now)
                 {
-                    self.reject(Rejection::RateLimited);
                     rejections.push((*prefix, Rejection::RateLimited));
                     continue;
                 }
-                self.stats.accepted += 1;
                 out.announce.push(*entry);
             }
         }
         if out.announce.is_empty() {
             out.attrs = None;
         }
+        self.tally(&out, &rejections);
         (out, rejections)
+    }
+
+    /// Count an evaluated UPDATE: its entries, the accepted ones, and each
+    /// rejection by reason.
+    fn tally(&mut self, out: &UpdateMsg, rejections: &[(Prefix, Rejection)]) {
+        let accepted = (out.withdrawn.len() + out.announce.len()) as u64;
+        let evaluated = accepted + rejections.len() as u64;
+        self.stats.add(ControlCounter::Evaluated, evaluated);
+        self.stats.add(ControlCounter::Accepted, accepted);
+        for (_, r) in rejections {
+            self.rejected.inc(*r);
+        }
     }
 }
 
@@ -719,7 +668,7 @@ mod tests {
         let (out, rej) = check(&mut e, &announce("184.164.224.0/24", &[61574]));
         assert!(rej.is_empty());
         assert_eq!(out.announce.len(), 1);
-        assert_eq!(e.stats.accepted, 1);
+        assert_eq!(e.stats.get(ControlCounter::Accepted), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! executes once per flow, not once per packet; any policy change bumps the
 //! generation and wholesale-invalidates the cache. A malformed program or a
 //! fuel-exhausted run fails closed: verdict `Block`, counted in
-//! [`DataStats::blocked`], journaled via `peering-obs`.
+//! [`DataEnforcer::blocked`], journaled via `peering-obs`.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use peering_bgp::types::Prefix;
 use peering_netsim::{SimDuration, SimTime};
-use peering_obs::{EventKind, Obs};
+use peering_obs::{counter_keys, CounterKey, Counters, EventKind, Obs};
 
 use crate::fasthash::FxHasher;
 use crate::ids::{ExperimentId, NeighborId, PopId};
@@ -41,9 +41,39 @@ pub enum DataVerdict {
     /// Forward the packet with the header rewrite applied (a packet
     /// program's transform verdict, §3.3).
     Transform(Rewrite),
-    /// Drop it; the label names the policy that fired (for attribution
-    /// logs, §3.3).
-    Block(&'static str),
+    /// Drop it, naming the policy that fired (for attribution logs,
+    /// §3.3).
+    Block(DropReason),
+}
+
+counter_keys! {
+    /// Why the data-plane enforcer dropped a packet, named by the policy
+    /// label journal events and `data.blocked{policy=…}` carry.
+    pub enum DropReason {
+        /// No policy registered for the experiment: fail closed.
+        UnknownExperiment = "unknown-experiment",
+        /// Egress source outside the experiment's allocation
+        /// (anti-spoofing).
+        SpoofedSource = "spoofed-source",
+        /// Per-experiment egress shaper.
+        ExperimentRateLimit = "experiment-rate-limit",
+        /// Per-neighbor egress shaper.
+        NeighborRateLimit = "neighbor-rate-limit",
+        /// Whole-PoP egress shaper.
+        PopRateLimit = "pop-rate-limit",
+        /// Ingress destination outside the experiment's allocation.
+        NotExperimentDestination = "not-experiment-destination",
+        /// Ingress source the delivering neighbor cannot route back to.
+        Urpf = "urpf",
+        /// Ingress flood budget exhausted.
+        FloodBudget = "flood-budget",
+        /// The experiment's packet program failed validation.
+        ProgramInvalid = "program-invalid",
+        /// The packet program blocked the packet.
+        ProgramBlock = "program-block",
+        /// The packet program ran out of fuel.
+        ProgramFuel = "program-fuel",
+    }
 }
 
 impl DataVerdict {
@@ -150,28 +180,24 @@ pub struct ExperimentDataPolicy {
     pub flood: Option<FloodPolicy>,
 }
 
-/// Counters for the data-plane pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct DataStats {
-    /// Egress packets evaluated.
-    pub evaluated: u64,
-    /// Egress packets allowed.
-    pub allowed: u64,
-    /// Packet-program executions (cache misses), egress + ingress.
-    pub prog_runs: u64,
-    /// Packet-program verdicts served from the flow cache, egress +
-    /// ingress.
-    pub prog_cache_hits: u64,
-    /// Egress drops by policy label.
-    pub blocked: HashMap<&'static str, u64>,
-    /// Ingress packets evaluated by the full pipeline
-    /// ([`DataEnforcer::check_ingress_batch`]).
-    pub ingress_evaluated: u64,
-    /// Ingress packets allowed through to delivery.
-    pub ingress_allowed: u64,
-    /// Ingress drops by policy label (`urpf`, `flood-budget`, the
-    /// program labels, …).
-    pub ingress_blocked: HashMap<&'static str, u64>,
+counter_keys! {
+    /// Counters for the data-plane pipeline.
+    pub enum DataCounter {
+        /// Egress packets evaluated.
+        Evaluated = "data.evaluated",
+        /// Egress packets allowed.
+        Allowed = "data.allowed",
+        /// Packet-program executions (cache misses), egress + ingress.
+        ProgRuns = "data.prog_runs",
+        /// Packet-program verdicts served from the flow cache, egress +
+        /// ingress.
+        ProgCacheHits = "data.prog_cache_hits",
+        /// Ingress packets evaluated by the full pipeline
+        /// ([`DataEnforcer::check_ingress_batch`]).
+        IngressEvaluated = "data.ingress_evaluated",
+        /// Ingress packets allowed through to delivery.
+        IngressAllowed = "data.ingress_allowed",
+    }
 }
 
 /// What a packet program decided for a flow — the unit the verdict cache
@@ -180,7 +206,7 @@ pub struct DataStats {
 enum ProgDecision {
     Pass,
     Rewrite(Rewrite),
-    Block(&'static str),
+    Block(DropReason),
 }
 
 /// Install-time digest of an experiment's program.
@@ -267,7 +293,11 @@ pub struct DataEnforcer {
     /// Journal handle (fail-closed events).
     obs: Obs,
     /// Counters.
-    pub stats: DataStats,
+    pub stats: Counters<DataCounter>,
+    /// Egress drops by reason (`data.blocked{policy=…}`).
+    pub blocked: Counters<DropReason>,
+    /// Ingress drops by reason (`data.ingress_blocked{policy=…}`).
+    pub ingress_blocked: Counters<DropReason>,
 }
 
 /// Top bit of the verdict-cache experiment key, set for ingress-program
@@ -278,6 +308,7 @@ const INGRESS_CACHE_BIT: u32 = 0x8000_0000;
 
 impl Default for DataEnforcer {
     fn default() -> Self {
+        let obs = Obs::new();
         DataEnforcer {
             policies: HashMap::new(),
             buckets: HashMap::new(),
@@ -288,8 +319,10 @@ impl Default for DataEnforcer {
             verdict_cache: VerdictCache::new(),
             prog_generation: 1,
             flood_ledger: None,
-            obs: Obs::new(),
-            stats: DataStats::default(),
+            stats: Counters::new(&obs),
+            blocked: Counters::family(&obs, "data.blocked", "policy"),
+            ingress_blocked: Counters::family(&obs, "data.ingress_blocked", "policy"),
+            obs,
         }
     }
 }
@@ -300,8 +333,12 @@ impl DataEnforcer {
         Self::default()
     }
 
-    /// Attach a shared observability handle (fail-closed journal events).
+    /// Attach a shared observability handle (fail-closed journal events)
+    /// and move the counters into its registry.
     pub fn set_obs(&mut self, obs: Obs) {
+        self.stats.set_obs(&obs);
+        self.blocked.set_obs(&obs);
+        self.ingress_blocked.set_obs(&obs);
         self.obs = obs;
     }
 
@@ -503,10 +540,11 @@ impl DataEnforcer {
         out: &mut Vec<DataVerdict>,
     ) {
         out.clear();
-        self.stats.evaluated += pkts.len() as u64;
+        self.stats.add(DataCounter::Evaluated, pkts.len() as u64);
         let Some(policy) = self.policies.get(&exp) else {
-            *self.stats.blocked.entry("unknown-experiment").or_insert(0) += pkts.len() as u64;
-            out.resize(pkts.len(), DataVerdict::Block("unknown-experiment"));
+            let fail_closed = DataVerdict::Block(DropReason::UnknownExperiment);
+            out.resize(pkts.len(), fail_closed);
+            self.tally(out, false);
             return;
         };
         // Pass 1: anti-spoofing, against the one policy borrow.
@@ -518,8 +556,7 @@ impl DataEnforcer {
             {
                 out.push(DataVerdict::Allow);
             } else {
-                *self.stats.blocked.entry("spoofed-source").or_insert(0) += 1;
-                out.push(DataVerdict::Block("spoofed-source"));
+                out.push(DataVerdict::Block(DropReason::SpoofedSource));
             }
         }
         // Pass 2: packet program, in packet order (the cache fills
@@ -531,10 +568,7 @@ impl DataEnforcer {
             match self.prog_decision(exp, pkt) {
                 ProgDecision::Pass => {}
                 ProgDecision::Rewrite(rw) => out[i] = DataVerdict::Transform(rw),
-                ProgDecision::Block(label) => {
-                    *self.stats.blocked.entry(label).or_insert(0) += 1;
-                    out[i] = DataVerdict::Block(label);
-                }
+                ProgDecision::Block(reason) => out[i] = DataVerdict::Block(reason),
             }
         }
         // Pass 3: shaping. The three bucket references are disjoint fields,
@@ -542,41 +576,36 @@ impl DataEnforcer {
         let mut exp_bucket = self.buckets.get_mut(&exp);
         let mut nbr_bucket = nbr.and_then(|n| self.neighbor_shapers.get_mut(&n));
         let mut pop_bucket = self.pop_shaper.as_mut();
-        let mut allowed = 0u64;
         for (i, pkt) in pkts.iter().enumerate() {
             if !out[i].is_allow() {
                 continue;
             }
             let len = pkt.len as usize;
-            let mut label: Option<&'static str> = None;
+            let mut reason: Option<DropReason> = None;
             if let Some(b) = exp_bucket.as_deref_mut() {
                 if !b.admit(len, now) {
-                    label = Some("experiment-rate-limit");
+                    reason = Some(DropReason::ExperimentRateLimit);
                 }
             }
-            if label.is_none() {
+            if reason.is_none() {
                 if let Some(b) = nbr_bucket.as_deref_mut() {
                     if !b.admit(len, now) {
-                        label = Some("neighbor-rate-limit");
+                        reason = Some(DropReason::NeighborRateLimit);
                     }
                 }
             }
-            if label.is_none() {
+            if reason.is_none() {
                 if let Some(b) = pop_bucket.as_deref_mut() {
                     if !b.admit(len, now) {
-                        label = Some("pop-rate-limit");
+                        reason = Some(DropReason::PopRateLimit);
                     }
                 }
             }
-            match label {
-                Some(l) => {
-                    *self.stats.blocked.entry(l).or_insert(0) += 1;
-                    out[i] = DataVerdict::Block(l);
-                }
-                None => allowed += 1,
+            if let Some(r) = reason {
+                out[i] = DataVerdict::Block(r);
             }
         }
-        self.stats.allowed += allowed;
+        self.tally(out, false);
     }
 
     /// Evaluate a run of ingress packets (Internet → one experiment)
@@ -601,15 +630,13 @@ impl DataEnforcer {
         out: &mut Vec<DataVerdict>,
     ) {
         out.clear();
-        self.stats.ingress_evaluated += pkts.len() as u64;
+        self.stats
+            .add(DataCounter::IngressEvaluated, pkts.len() as u64);
         let Some(policy) = self.policies.get(&exp) else {
             // Unknown experiment: fail closed (mirrors egress).
-            *self
-                .stats
-                .ingress_blocked
-                .entry("unknown-experiment")
-                .or_insert(0) += pkts.len() as u64;
-            out.resize(pkts.len(), DataVerdict::Block("unknown-experiment"));
+            let fail_closed = DataVerdict::Block(DropReason::UnknownExperiment);
+            out.resize(pkts.len(), fail_closed);
+            self.tally(out, true);
             return;
         };
         let flood = policy.flood;
@@ -621,19 +648,13 @@ impl DataEnforcer {
                 .iter()
                 .any(|p| p.contains_addr(pkt.dst))
             {
-                *self
-                    .stats
-                    .ingress_blocked
-                    .entry("not-experiment-destination")
-                    .or_insert(0) += 1;
-                out.push(DataVerdict::Block("not-experiment-destination"));
+                out.push(DataVerdict::Block(DropReason::NotExperimentDestination));
                 continue;
             }
             if policy.ingress_urpf {
                 if let Some(ok) = urpf_ok {
                     if !ok[i] {
-                        *self.stats.ingress_blocked.entry("urpf").or_insert(0) += 1;
-                        out.push(DataVerdict::Block("urpf"));
+                        out.push(DataVerdict::Block(DropReason::Urpf));
                         continue;
                     }
                 }
@@ -662,10 +683,7 @@ impl DataEnforcer {
                 match decision {
                     ProgDecision::Pass => {}
                     ProgDecision::Rewrite(rw) => out[i] = DataVerdict::Transform(rw),
-                    ProgDecision::Block(label) => {
-                        *self.stats.ingress_blocked.entry(label).or_insert(0) += 1;
-                        out[i] = DataVerdict::Block(label);
-                    }
+                    ProgDecision::Block(reason) => out[i] = DataVerdict::Block(reason),
                 }
             }
         }
@@ -690,16 +708,28 @@ impl DataEnforcer {
                     len: fp.bucket_len,
                 };
                 if !guard.charge_flood(exp, bucket, pop, now, fp.per_pop_limit, fp.as_wide_limit) {
-                    *self
-                        .stats
-                        .ingress_blocked
-                        .entry("flood-budget")
-                        .or_insert(0) += 1;
-                    out[i] = DataVerdict::Block("flood-budget");
+                    out[i] = DataVerdict::Block(DropReason::FloodBudget);
                 }
             }
         }
-        self.stats.ingress_allowed += out.iter().filter(|v| v.is_allow()).count() as u64;
+        self.tally(out, true);
+    }
+
+    /// Count a finished batch from its verdicts: each passing packet as
+    /// allowed, each drop under its reason.
+    fn tally(&mut self, out: &[DataVerdict], ingress: bool) {
+        let (allowed, blocked) = match ingress {
+            false => (DataCounter::Allowed, &mut self.blocked),
+            true => (DataCounter::IngressAllowed, &mut self.ingress_blocked),
+        };
+        let mut passed = 0;
+        for verdict in out {
+            match *verdict {
+                DataVerdict::Block(reason) => blocked.inc(reason),
+                _ => passed += 1,
+            }
+        }
+        self.stats.add(allowed, passed);
     }
 }
 
@@ -716,33 +746,33 @@ fn run_program_entry(
     pkt: &PacketView,
     generation: u64,
     cache: &mut VerdictCache,
-    stats: &mut DataStats,
+    stats: &mut Counters<DataCounter>,
     obs: &Obs,
     exp_for_event: u32,
 ) -> ProgDecision {
     if !entry.valid {
         // Malformed program: fail closed, no execution.
-        return ProgDecision::Block("program-invalid");
+        return ProgDecision::Block(DropReason::ProgramInvalid);
     }
     let key = pkt.flow_key();
     if entry.flow_invariant {
         if let Some(cached) = cache.get(cache_key, key, generation) {
-            stats.prog_cache_hits += 1;
+            stats.inc(DataCounter::ProgCacheHits);
             return cached;
         }
     }
-    stats.prog_runs += 1;
+    stats.inc(DataCounter::ProgRuns);
     let (outcome, _fuel) = entry.program.run(pkt);
     let decision = match outcome {
         ProgOutcome::Allow => ProgDecision::Pass,
         ProgOutcome::Transform(rw) => ProgDecision::Rewrite(rw),
-        ProgOutcome::Block => ProgDecision::Block("program-block"),
+        ProgOutcome::Block => ProgDecision::Block(DropReason::ProgramBlock),
         ProgOutcome::FuelExhausted => {
             obs.record(EventKind::ProgramFailClosed {
                 experiment: exp_for_event,
-                reason: "program-fuel",
+                reason: DropReason::ProgramFuel.name(),
             });
-            ProgDecision::Block("program-fuel")
+            ProgDecision::Block(DropReason::ProgramFuel)
         }
     };
     if entry.flow_invariant {
@@ -796,23 +826,23 @@ mod tests {
         let mut e = enforcer();
         let v = egress(&mut e, EXP, &view("184.164.224.9", 100), None);
         assert_eq!(v, DataVerdict::Allow);
-        assert_eq!(e.stats.allowed, 1);
+        assert_eq!(e.stats.get(DataCounter::Allowed), 1);
     }
 
     #[test]
     fn spoofed_source_blocked() {
         let mut e = enforcer();
         let v = egress(&mut e, EXP, &view("8.8.8.8", 100), None);
-        assert_eq!(v, DataVerdict::Block("spoofed-source"));
+        assert_eq!(v, DataVerdict::Block(DropReason::SpoofedSource));
         assert!(!v.is_allow());
-        assert_eq!(e.stats.blocked["spoofed-source"], 1);
+        assert_eq!(e.blocked.get(DropReason::SpoofedSource), 1);
     }
 
     #[test]
     fn unknown_experiment_fails_closed() {
         let mut e = enforcer();
         let v = egress(&mut e, ExperimentId(9), &view("184.164.224.9", 100), None);
-        assert_eq!(v, DataVerdict::Block("unknown-experiment"));
+        assert_eq!(v, DataVerdict::Block(DropReason::UnknownExperiment));
     }
 
     #[test]
@@ -861,7 +891,7 @@ mod tests {
         );
         assert!(egress(&mut e, EXP, &view("184.164.224.1", 1500), None).is_allow());
         let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
-        assert_eq!(v, DataVerdict::Block("experiment-rate-limit"));
+        assert_eq!(v, DataVerdict::Block(DropReason::ExperimentRateLimit));
     }
 
     #[test]
@@ -878,7 +908,7 @@ mod tests {
         assert!(egress(&mut e, EXP, &view("184.164.224.1", 800), None).is_allow());
         // A different experiment shares the site budget.
         let v = egress(&mut e, ExperimentId(2), &view("184.164.226.1", 800), None);
-        assert_eq!(v, DataVerdict::Block("pop-rate-limit"));
+        assert_eq!(v, DataVerdict::Block(DropReason::PopRateLimit));
     }
 
     #[test]
@@ -898,7 +928,7 @@ mod tests {
             &view("184.164.224.1", 900),
             Some(NeighborId(1)),
         );
-        assert_eq!(v, DataVerdict::Block("neighbor-rate-limit"));
+        assert_eq!(v, DataVerdict::Block(DropReason::NeighborRateLimit));
         // Another neighbor is unconstrained.
         assert!(egress(
             &mut e,
@@ -963,19 +993,25 @@ mod tests {
         let mut out = Vec::new();
         batched.check_egress_batch(EXP, &pkts, Some(NeighborId(1)), SimTime::ZERO, &mut out);
         assert_eq!(out, verdicts);
-        let (b, s) = (&batched.stats, &singles.stats);
-        assert_eq!((b.evaluated, b.allowed), (s.evaluated, s.allowed));
-        assert_eq!(b.blocked, s.blocked);
-        assert_eq!(
-            (b.prog_runs, b.prog_cache_hits),
-            (s.prog_runs, s.prog_cache_hits)
-        );
-        assert_eq!((b.prog_runs, b.prog_cache_hits), (5, 1));
+        let counts = |e: &DataEnforcer| {
+            let stats: Vec<u64> = e.stats.iter().map(|(_, n)| n).collect();
+            let blocked: Vec<u64> = e.blocked.iter().map(|(_, n)| n).collect();
+            (stats, blocked)
+        };
+        assert_eq!(counts(&batched), counts(&singles));
+        let runs = |e: &DataEnforcer| {
+            let s = &e.stats;
+            (
+                s.get(DataCounter::ProgRuns),
+                s.get(DataCounter::ProgCacheHits),
+            )
+        };
+        assert_eq!(runs(&batched), (5, 1));
         // Unknown experiment fails the whole batch closed.
         batched.check_egress_batch(ExperimentId(9), &pkts, None, SimTime::ZERO, &mut out);
         assert!(out
             .iter()
-            .all(|v| *v == DataVerdict::Block("unknown-experiment")));
+            .all(|v| *v == DataVerdict::Block(DropReason::UnknownExperiment)));
     }
 
     #[test]
@@ -985,10 +1021,10 @@ mod tests {
             .unwrap();
         // Spoofed source fires first (program runs after the source check).
         let v = egress(&mut e, EXP, &view("9.9.9.9", 100), None);
-        assert_eq!(v, DataVerdict::Block("spoofed-source"));
+        assert_eq!(v, DataVerdict::Block(DropReason::SpoofedSource));
         let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
-        assert_eq!(v, DataVerdict::Block("program-block"));
-        assert_eq!(e.stats.blocked["program-block"], 1);
+        assert_eq!(v, DataVerdict::Block(DropReason::ProgramBlock));
+        assert_eq!(e.blocked.get(DropReason::ProgramBlock), 1);
     }
 
     #[test]
@@ -997,9 +1033,9 @@ mod tests {
         let bad = PacketProgram::new(vec![Insn::Jmp(99)]);
         assert!(e.install_packet_program(EXP, Some(bad)).is_err());
         let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
-        assert_eq!(v, DataVerdict::Block("program-invalid"));
+        assert_eq!(v, DataVerdict::Block(DropReason::ProgramInvalid));
         // Never Allow, and no execution happened.
-        assert_eq!(e.stats.prog_runs, 0);
+        assert_eq!(e.stats.get(DataCounter::ProgRuns), 0);
     }
 
     #[test]
@@ -1008,7 +1044,7 @@ mod tests {
         let spin = PacketProgram::new(vec![Insn::Jmp(0)]).with_fuel(32);
         e.install_packet_program(EXP, Some(spin)).unwrap();
         let v = egress(&mut e, EXP, &view("184.164.224.1", 100), None);
-        assert_eq!(v, DataVerdict::Block("program-fuel"));
+        assert_eq!(v, DataVerdict::Block(DropReason::ProgramFuel));
     }
 
     #[test]
@@ -1037,18 +1073,30 @@ mod tests {
         e.install_packet_program(EXP, Some(p)).unwrap();
         let pkt = view("184.164.224.1", 100);
         assert!(egress(&mut e, EXP, &pkt, None).is_allow());
-        assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (1, 0));
+        assert_eq!(
+            (
+                e.stats.get(DataCounter::ProgRuns),
+                e.stats.get(DataCounter::ProgCacheHits)
+            ),
+            (1, 0)
+        );
         // Same flow again: served from the cache.
         assert!(egress(&mut e, EXP, &pkt, None).is_allow());
-        assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (1, 1));
+        assert_eq!(
+            (
+                e.stats.get(DataCounter::ProgRuns),
+                e.stats.get(DataCounter::ProgCacheHits)
+            ),
+            (1, 1)
+        );
         // Policy change bumps the generation: the next packet re-runs.
         let gen_before = e.prog_generation();
         e.install_packet_program(EXP, Some(PacketProgram::block_all()))
             .unwrap();
         assert!(e.prog_generation() > gen_before);
         let v = egress(&mut e, EXP, &pkt, None);
-        assert_eq!(v, DataVerdict::Block("program-block"));
-        assert_eq!(e.stats.prog_runs, 2);
+        assert_eq!(v, DataVerdict::Block(DropReason::ProgramBlock));
+        assert_eq!(e.stats.get(DataCounter::ProgRuns), 2);
     }
 
     #[test]
@@ -1064,9 +1112,15 @@ mod tests {
         e.install_packet_program(EXP, Some(p)).unwrap();
         assert!(egress(&mut e, EXP, &view("184.164.224.1", 100), None).is_allow());
         let v = egress(&mut e, EXP, &view("184.164.224.1", 900), None);
-        assert_eq!(v, DataVerdict::Block("program-block"));
+        assert_eq!(v, DataVerdict::Block(DropReason::ProgramBlock));
         // Both packets executed the program — no unsound cache hit.
-        assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (2, 0));
+        assert_eq!(
+            (
+                e.stats.get(DataCounter::ProgRuns),
+                e.stats.get(DataCounter::ProgCacheHits)
+            ),
+            (2, 0)
+        );
     }
 
     #[test]
@@ -1074,7 +1128,7 @@ mod tests {
         let mut e = enforcer();
         e.remove_experiment(EXP);
         let v = egress(&mut e, EXP, &view("184.164.224.1", 10), None);
-        assert_eq!(v, DataVerdict::Block("unknown-experiment"));
+        assert_eq!(v, DataVerdict::Block(DropReason::UnknownExperiment));
     }
 
     /// An inbound packet toward the experiment's allocation.
@@ -1107,13 +1161,13 @@ mod tests {
             out,
             vec![
                 DataVerdict::Allow,
-                DataVerdict::Block("not-experiment-destination"),
-                DataVerdict::Block("urpf"),
+                DataVerdict::Block(DropReason::NotExperimentDestination),
+                DataVerdict::Block(DropReason::Urpf),
             ]
         );
-        assert_eq!(e.stats.ingress_evaluated, 3);
-        assert_eq!(e.stats.ingress_allowed, 1);
-        assert_eq!(e.stats.ingress_blocked["urpf"], 1);
+        assert_eq!(e.stats.get(DataCounter::IngressEvaluated), 3);
+        assert_eq!(e.stats.get(DataCounter::IngressAllowed), 1);
+        assert_eq!(e.ingress_blocked.get(DropReason::Urpf), 1);
         // No neighbor context (backbone ingress): uRPF is skipped.
         e.check_ingress_batch(EXP, &pkts[2..], None, SimTime::ZERO, &mut out);
         assert_eq!(out, vec![DataVerdict::Allow]);
@@ -1144,12 +1198,18 @@ mod tests {
             out,
             vec![
                 DataVerdict::Allow,
-                DataVerdict::Block("program-block"),
-                DataVerdict::Block("program-block"),
+                DataVerdict::Block(DropReason::ProgramBlock),
+                DataVerdict::Block(DropReason::ProgramBlock),
             ]
         );
-        assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (2, 1));
-        assert_eq!(e.stats.ingress_blocked["program-block"], 2);
+        assert_eq!(
+            (
+                e.stats.get(DataCounter::ProgRuns),
+                e.stats.get(DataCounter::ProgCacheHits)
+            ),
+            (2, 1)
+        );
+        assert_eq!(e.ingress_blocked.get(DropReason::ProgramBlock), 2);
         // The egress direction is untouched by the ingress program.
         assert!(egress(&mut e, EXP, &view("184.164.224.1", 100), None).is_allow());
     }
@@ -1174,10 +1234,16 @@ mod tests {
                 SimTime::ZERO,
                 &mut out,
             );
-            assert_eq!(out, vec![DataVerdict::Block("program-block")]);
+            assert_eq!(out, vec![DataVerdict::Block(DropReason::ProgramBlock)]);
         }
         // One real run per direction; the second round was all cache hits.
-        assert_eq!((e.stats.prog_runs, e.stats.prog_cache_hits), (2, 2));
+        assert_eq!(
+            (
+                e.stats.get(DataCounter::ProgRuns),
+                e.stats.get(DataCounter::ProgCacheHits)
+            ),
+            (2, 2)
+        );
     }
 
     #[test]
@@ -1194,8 +1260,8 @@ mod tests {
             SimTime::ZERO,
             &mut out,
         );
-        assert_eq!(out, vec![DataVerdict::Block("program-invalid")]);
-        assert_eq!(e.stats.prog_runs, 0);
+        assert_eq!(out, vec![DataVerdict::Block(DropReason::ProgramInvalid)]);
+        assert_eq!(e.stats.get(DataCounter::ProgRuns), 0);
     }
 
     #[test]
@@ -1230,7 +1296,7 @@ mod tests {
             4,
             "3 from the hot /16 + 1 from the cold one"
         );
-        assert_eq!(e.stats.ingress_blocked["flood-budget"], 2);
+        assert_eq!(e.ingress_blocked.get(DropReason::FloodBudget), 2);
         // Remote gossip can exhaust the AS-wide budget: another PoP
         // reports 5 admits for the cold bucket (local count is only 1, far
         // under the per-PoP limit), pushing the platform-wide total past
@@ -1251,7 +1317,7 @@ mod tests {
         );
         assert_eq!(
             out,
-            vec![DataVerdict::Block("flood-budget")],
+            vec![DataVerdict::Block(DropReason::FloodBudget)],
             "AS-wide limit (5) already consumed remotely"
         );
     }
@@ -1267,7 +1333,7 @@ mod tests {
             SimTime::ZERO,
             &mut out,
         );
-        assert_eq!(out, vec![DataVerdict::Block("unknown-experiment")]);
-        assert_eq!(e.stats.ingress_blocked["unknown-experiment"], 1);
+        assert_eq!(out, vec![DataVerdict::Block(DropReason::UnknownExperiment)]);
+        assert_eq!(e.ingress_blocked.get(DropReason::UnknownExperiment), 1);
     }
 }

@@ -12,6 +12,8 @@ pub mod control;
 pub mod data;
 pub mod pprog;
 
-pub use control::{ControlEnforcer, ExperimentPolicy, PopCount, RateLedger, Rejection};
-pub use data::{DataEnforcer, DataVerdict, TokenBucket};
+pub use control::{
+    ControlCounter, ControlEnforcer, ExperimentPolicy, PopCount, RateLedger, Rejection,
+};
+pub use data::{DataCounter, DataEnforcer, DataVerdict, DropReason, TokenBucket};
 pub use pprog::{Field, Insn, PacketProgram, PacketView, ProgError, ProgOutcome, Rewrite};

@@ -46,13 +46,14 @@ pub mod vnh;
 
 pub use capability::{CapabilityKind, CapabilitySet, Grant};
 pub use communities::ControlCommunities;
-pub use enforcement::control::{ControlEnforcer, ExperimentPolicy, Rejection};
-pub use enforcement::data::{DataEnforcer, DataVerdict};
+pub use enforcement::control::{ControlCounter, ControlEnforcer, ExperimentPolicy, Rejection};
+pub use enforcement::data::{DataCounter, DataEnforcer, DataVerdict, DropReason};
 pub use fasthash::{FastHashMap, FxHasher};
 pub use ids::{ExperimentId, NeighborId, PopId};
-pub use mux::{Delivery, Egress, MuxTarget, VbgpMux};
+pub use mux::{Delivery, Egress, MuxCounter, MuxTarget, NeighborCounter, VbgpMux};
 pub use router::{
-    BackboneConfig, ExperimentConfig, NeighborConfig, NeighborKind, RemoteNeighbor, VbgpRouter,
+    BackboneConfig, ExperimentConfig, NeighborConfig, NeighborKind, RemoteNeighbor, RouterCounter,
+    VbgpRouter,
 };
-pub use transport::{BgpHost, HostEvent, ETHERTYPE_BGP};
+pub use transport::{BgpHost, HostEvent, TransportCounter, ETHERTYPE_BGP};
 pub use vnh::{VnhAllocator, GLOBAL_POOL, LOCAL_POOL};

@@ -37,7 +37,7 @@ use peering_bgp::flatfib::FlatFib;
 use peering_bgp::trie::PrefixTrie;
 use peering_bgp::types::Prefix;
 use peering_netsim::{MacAddr, PortId};
-use peering_obs::{EventKind as ObsEvent, Obs, DELIVERY_TABLE};
+use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Gauge, Obs, DELIVERY_TABLE};
 
 use crate::fasthash::{hash_u32, FastHashMap};
 use crate::ids::{ExperimentId, NeighborId};
@@ -124,60 +124,70 @@ impl DeliverySet {
     }
 }
 
-/// Mux counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MuxStats {
-    /// Frames forwarded to a neighbor.
-    pub to_neighbor: u64,
-    /// Frames delivered to a local experiment.
-    pub to_experiment: u64,
-    /// Frames relayed across the backbone.
-    pub to_backbone: u64,
-    /// Drops: destination not in the selected neighbor table.
-    pub no_route: u64,
-    /// Drops: remote neighbor's MAC not yet resolved.
-    pub unresolved: u64,
-    /// ARP queries answered.
-    pub arp_answered: u64,
-    /// Forwarding lookups served by a flow cache without touching a FIB.
-    pub flow_cache_hits: u64,
-    /// Forwarding lookups that missed every flow cache and hit a FIB.
-    pub flow_cache_misses: u64,
-    /// Flow-cache invalidations (one per effective FIB sync — the
-    /// generation bump invalidates the whole cache without touching it).
-    pub flow_invalidations: u64,
-    /// FIB syncs satisfied by a full recompile.
-    pub fib_rebuilds: u64,
-    /// FIB syncs satisfied by patching only the dirty prefixes.
-    pub fib_patch_rounds: u64,
-    /// Individual prefixes patched across all patch rounds.
-    pub fib_prefixes_patched: u64,
+counter_keys! {
+    /// Mux counters.
+    pub enum MuxCounter {
+        /// Frames forwarded to a neighbor.
+        ToNeighbor = "mux.to_neighbor",
+        /// Frames delivered to a local experiment.
+        ToExperiment = "mux.to_experiment",
+        /// Frames relayed across the backbone.
+        ToBackbone = "mux.to_backbone",
+        /// Drops: destination not in the selected neighbor table.
+        NoRoute = "mux.no_route",
+        /// Drops: remote neighbor's MAC not yet resolved.
+        Unresolved = "mux.unresolved",
+        /// ARP queries answered.
+        ArpAnswered = "mux.arp_answered",
+        /// Forwarding lookups served by a flow cache without touching a FIB.
+        FlowCacheHits = "mux.flow_cache_hits",
+        /// Forwarding lookups that missed every flow cache and hit a FIB.
+        FlowCacheMisses = "mux.flow_cache_misses",
+        /// Flow-cache invalidations (one per effective FIB sync — the
+        /// generation bump invalidates the whole cache without touching it).
+        FlowInvalidations = "mux.flow_invalidations",
+        /// FIB syncs satisfied by a full recompile.
+        FibRebuilds = "mux.fib_rebuilds",
+        /// FIB syncs satisfied by patching only the dirty prefixes.
+        FibPatchRounds = "mux.fib_patch_rounds",
+        /// Individual prefixes patched across all patch rounds.
+        FibPrefixesPatched = "mux.fib_prefixes_patched",
+    }
 }
 
-impl MuxStats {
-    /// Record an effective FIB sync: classify patch vs rebuild from the
-    /// FIB's own report, count it, and journal the sync + the flow-cache
-    /// invalidation it implies. `neighbor` is [`DELIVERY_TABLE`] for the
-    /// experiment delivery table.
-    fn note_fib_sync(&mut self, obs: &Obs, neighbor: u32, fib: &FlatFib) {
-        let (rebuild, changed) = fib.last_sync().unwrap_or((true, 0));
-        if rebuild {
-            self.fib_rebuilds += 1;
-        } else {
-            self.fib_patch_rounds += 1;
-            self.fib_prefixes_patched += changed;
-        }
-        self.flow_invalidations += 1;
-        obs.record(ObsEvent::FibSync {
-            neighbor,
-            rebuild,
-            changed,
-        });
-        obs.record(ObsEvent::FlowCacheInvalidation {
-            neighbor,
-            generation: fib.generation(),
-        });
+counter_keys! {
+    /// Per-neighbor packet counters, published as `name{nbr=id}`.
+    pub enum NeighborCounter {
+        /// Packets forwarded out via this neighbor's table.
+        EgressPkts = "mux.egress_pkts",
+        /// Packets delivered to an experiment that ingressed via this
+        /// neighbor.
+        IngressPkts = "mux.ingress_pkts",
     }
+}
+
+/// Record an effective FIB sync: classify patch vs rebuild from the FIB's
+/// own report, count it, and journal the sync + the flow-cache
+/// invalidation it implies. `neighbor` is [`DELIVERY_TABLE`] for the
+/// experiment delivery table.
+fn note_fib_sync(stats: &mut Counters<MuxCounter>, obs: &Obs, neighbor: u32, fib: &FlatFib) {
+    let (rebuild, changed) = fib.last_sync().unwrap_or((true, 0));
+    if rebuild {
+        stats.inc(MuxCounter::FibRebuilds);
+    } else {
+        stats.inc(MuxCounter::FibPatchRounds);
+        stats.add(MuxCounter::FibPrefixesPatched, changed);
+    }
+    stats.inc(MuxCounter::FlowInvalidations);
+    obs.record(ObsEvent::FibSync {
+        neighbor,
+        rebuild,
+        changed,
+    });
+    obs.record(ObsEvent::FlowCacheInvalidation {
+        neighbor,
+        generation: fib.generation(),
+    });
 }
 
 /// Direct-mapped flow cache: dst address → last lookup outcome, valid only
@@ -242,20 +252,31 @@ struct Table<T> {
     trie: PrefixTrie<u32>,
     fib: Option<FlatFib>,
     cache: Option<Box<FlowCache<T>>>,
+    /// The trie's prefix count (`mux.table_routes{nbr}` or
+    /// `mux.delivery_routes`).
+    routes: Gauge,
 }
 
 impl<T: FibAnswer> Table<T> {
-    fn new() -> Self {
+    fn new(routes: Gauge) -> Self {
         Table {
             trie: PrefixTrie::new(),
             fib: None,
             cache: None,
+            routes,
         }
+    }
+
+    /// Publish the prefix count through `routes` from now on.
+    fn set_routes_gauge(&mut self, routes: Gauge) {
+        routes.set(self.trie.len() as i64);
+        self.routes = routes;
     }
 
     /// Set `prefix` in the trie and mark it dirty in the compiled FIB.
     fn insert(&mut self, prefix: Prefix, value: u32) {
         self.trie.insert(prefix, value);
+        self.routes.set(self.trie.len() as i64);
         if let Some(fib) = &mut self.fib {
             fib.mark_dirty(&prefix);
         }
@@ -264,6 +285,7 @@ impl<T: FibAnswer> Table<T> {
     /// Remove `prefix` from the trie and mark it dirty in the compiled FIB.
     fn remove(&mut self, prefix: &Prefix) {
         self.trie.remove(prefix);
+        self.routes.set(self.trie.len() as i64);
         if let Some(fib) = &mut self.fib {
             fib.mark_dirty(prefix);
         }
@@ -271,15 +293,15 @@ impl<T: FibAnswer> Table<T> {
 
     /// Bring the compiled FIB up to date with the trie, compiling it on
     /// first use; an effective sync is counted and journaled under `id`.
-    fn sync(&mut self, id: u32, stats: &mut MuxStats, obs: &Obs) {
+    fn sync(&mut self, id: u32, stats: &mut Counters<MuxCounter>, obs: &Obs) {
         let fib = self.fib.get_or_insert_with(FlatFib::new);
         if fib.sync(&self.trie) {
-            stats.note_fib_sync(obs, id, fib);
+            note_fib_sync(stats, obs, id, fib);
         }
     }
 
     /// Sync once, then hand out a reader for a run of lookups.
-    fn reader(&mut self, id: u32, stats: &mut MuxStats, obs: &Obs) -> Reader<'_, T> {
+    fn reader(&mut self, id: u32, stats: &mut Counters<MuxCounter>, obs: &Obs) -> Reader<'_, T> {
         self.sync(id, stats, obs);
         let fib = self.fib.as_ref().expect("synced above");
         Reader {
@@ -300,13 +322,13 @@ struct Reader<'a, T> {
 
 impl<T: FibAnswer> Reader<'_, T> {
     #[inline]
-    fn lookup(&mut self, ip: Ipv4Addr, stats: &mut MuxStats) -> T {
+    fn lookup(&mut self, ip: Ipv4Addr, stats: &mut Counters<MuxCounter>) -> T {
         let key = u32::from(ip);
         if let Some(hit) = self.cache.get(key, self.generation) {
-            stats.flow_cache_hits += 1;
+            stats.inc(MuxCounter::FlowCacheHits);
             return hit;
         }
-        stats.flow_cache_misses += 1;
+        stats.inc(MuxCounter::FlowCacheMisses);
         let answer = T::from_fib(self.fib, ip.into());
         self.cache.put(key, self.generation, answer);
         answer
@@ -322,14 +344,10 @@ struct NeighborEntry {
     table: Table<bool>,
     /// The local-pool MAC index (for classifier cleanup on removal).
     vnh_idx: u32,
-    /// Packets forwarded out via this neighbor's table.
-    pkts_out: u64,
-    /// Packets delivered to an experiment that ingressed via this neighbor.
-    pkts_in: u64,
+    pkts: Counters<NeighborCounter>,
 }
 
 struct ExperimentEntry {
-    id: ExperimentId,
     port: PortId,
     mac: MacAddr,
     delivery_mac: MacAddr,
@@ -356,9 +374,9 @@ pub struct VbgpMux {
     /// Backbone ARP cache: global IP → remote MAC.
     resolved: FastHashMap<Ipv4Addr, MacAddr>,
     /// Counters.
-    pub stats: MuxStats,
-    /// Observability handle (journal events live; counters mirrored by
-    /// [`VbgpMux::publish_obs`]).
+    pub stats: Counters<MuxCounter>,
+    /// Observability handle: journal events, and the registry the
+    /// counters and table gauges are published in.
     obs: Obs,
 }
 
@@ -371,6 +389,7 @@ impl Default for VbgpMux {
 impl VbgpMux {
     /// An empty mux.
     pub fn new() -> Self {
+        let obs = Obs::new();
         VbgpMux {
             alloc: VnhAllocator::new(),
             neighbors: Vec::new(),
@@ -380,56 +399,42 @@ impl VbgpMux {
             experiments: Vec::new(),
             free_experiment_slots: Vec::new(),
             experiment_slot: FastHashMap::default(),
-            delivery: Table::new(),
+            delivery: Table::new(obs.gauge("mux.delivery_routes")),
             delivery_sets: Vec::new(),
             free_delivery_sets: Vec::new(),
             owned_ips: FastHashMap::default(),
             resolved: FastHashMap::default(),
-            stats: MuxStats::default(),
-            obs: Obs::new(),
+            stats: Counters::new(&obs),
+            obs,
         }
     }
 
     /// Attach a shared observability handle (typically already scoped to
-    /// this PoP). Until called, events land in a private default store.
+    /// this PoP) and move the counters and table gauges into its
+    /// registry. Until called, they live in a private default store.
     pub fn set_obs(&mut self, obs: Obs) {
+        self.stats.set_obs(&obs);
+        for entry in self.neighbors.iter_mut().flatten() {
+            entry.pkts.set_obs(&obs);
+            entry
+                .table
+                .set_routes_gauge(obs.gauge_dim("mux.table_routes", "nbr", entry.id.0));
+        }
+        self.delivery
+            .set_routes_gauge(obs.gauge("mux.delivery_routes"));
         self.obs = obs;
     }
 
-    /// Mirror the mux's plain-integer counters into the metrics registry.
-    /// Called at snapshot points (not per packet) so the forwarding hot
-    /// path never touches the registry.
-    pub fn publish_obs(&self) {
-        let s = &self.stats;
-        let o = &self.obs;
-        o.counter("mux.to_neighbor").set(s.to_neighbor);
-        o.counter("mux.to_experiment").set(s.to_experiment);
-        o.counter("mux.to_backbone").set(s.to_backbone);
-        o.counter("mux.no_route").set(s.no_route);
-        o.counter("mux.unresolved").set(s.unresolved);
-        o.counter("mux.arp_answered").set(s.arp_answered);
-        o.counter("mux.flow_cache_hits").set(s.flow_cache_hits);
-        o.counter("mux.flow_cache_misses").set(s.flow_cache_misses);
-        o.counter("mux.flow_invalidations")
-            .set(s.flow_invalidations);
-        o.counter("mux.fib_rebuilds").set(s.fib_rebuilds);
-        o.counter("mux.fib_patch_rounds").set(s.fib_patch_rounds);
-        o.counter("mux.fib_prefixes_patched")
-            .set(s.fib_prefixes_patched);
-        for entry in self.neighbors.iter().flatten() {
-            let nbr = entry.id.0;
-            o.counter_dim("mux.egress_pkts", "nbr", nbr)
-                .set(entry.pkts_out);
-            o.counter_dim("mux.ingress_pkts", "nbr", nbr)
-                .set(entry.pkts_in);
-            o.gauge_dim("mux.table_routes", "nbr", nbr)
-                .set(entry.table.trie.len() as i64);
-        }
-        o.gauge("mux.delivery_routes")
-            .set(self.delivery.trie.len() as i64);
-    }
-
-    fn insert_neighbor_entry(&mut self, entry: NeighborEntry) -> u32 {
+    /// Store a fresh table entry for neighbor `id`, its counters and
+    /// route gauge published in this mux's registry; returns its slot.
+    fn insert_neighbor_entry(&mut self, id: NeighborId, fwd: NeighborFwd) -> u32 {
+        let entry = NeighborEntry {
+            id,
+            fwd,
+            table: Table::new(self.obs.gauge_dim("mux.table_routes", "nbr", id.0)),
+            vnh_idx: 0,
+            pkts: Counters::labelled(&self.obs, "nbr", id.0),
+        };
         let slot = match self.free_neighbor_slots.pop() {
             Some(s) => {
                 self.neighbors[s as usize] = Some(entry);
@@ -440,10 +445,7 @@ impl VbgpMux {
                 self.neighbors.len() as u32 - 1
             }
         };
-        self.neighbor_slot.insert(
-            self.neighbors[slot as usize].as_ref().expect("just set").id,
-            slot,
-        );
+        self.neighbor_slot.insert(id, slot);
         slot
     }
 
@@ -467,17 +469,13 @@ impl VbgpMux {
         global_ip: Option<Ipv4Addr>,
     ) -> Vnh {
         let vnh = self.alloc.allocate(id);
-        let slot = self.insert_neighbor_entry(NeighborEntry {
+        let slot = self.insert_neighbor_entry(
             id,
-            fwd: NeighborFwd::Local {
+            NeighborFwd::Local {
                 port,
                 dst_mac: neighbor_mac,
             },
-            table: Table::new(),
-            vnh_idx: 0,
-            pkts_out: 0,
-            pkts_in: 0,
-        });
+        );
         let idx = self.register_vnh_mac(&vnh, slot);
         self.neighbors[slot as usize]
             .as_mut()
@@ -500,17 +498,13 @@ impl VbgpMux {
         global_ip: Ipv4Addr,
     ) -> Vnh {
         let vnh = self.alloc.allocate(id);
-        let slot = self.insert_neighbor_entry(NeighborEntry {
+        let slot = self.insert_neighbor_entry(
             id,
-            fwd: NeighborFwd::Remote {
+            NeighborFwd::Remote {
                 port: backbone_port,
                 global_ip,
             },
-            table: Table::new(),
-            vnh_idx: 0,
-            pkts_out: 0,
-            pkts_in: 0,
-        });
+        );
         let idx = self.register_vnh_mac(&vnh, slot);
         self.neighbors[slot as usize]
             .as_mut()
@@ -569,7 +563,6 @@ impl VbgpMux {
             self.owned_ips.insert(gip, delivery_mac);
         }
         let entry = ExperimentEntry {
-            id,
             port,
             mac: experiment_mac,
             delivery_mac,
@@ -738,7 +731,7 @@ impl VbgpMux {
     pub fn arp_answer(&mut self, ip: Ipv4Addr) -> Option<MacAddr> {
         let mac = self.owned_ips.get(&ip).copied();
         if mac.is_some() {
-            self.stats.arp_answered += 1;
+            self.stats.inc(MuxCounter::ArpAnswered);
         }
         mac
     }
@@ -800,14 +793,14 @@ impl VbgpMux {
         }
     }
 
-    fn count_egress(stats: &mut MuxStats, fwd: NeighborFwd, egress: Egress) {
-        match egress {
+    fn count_egress(stats: &mut Counters<MuxCounter>, fwd: NeighborFwd, egress: Egress) {
+        stats.inc(match egress {
             Egress::Frame { .. } => match fwd {
-                NeighborFwd::Local { .. } => stats.to_neighbor += 1,
-                NeighborFwd::Remote { .. } => stats.to_backbone += 1,
+                NeighborFwd::Local { .. } => MuxCounter::ToNeighbor,
+                NeighborFwd::Remote { .. } => MuxCounter::ToBackbone,
             },
-            Egress::Unresolved { .. } => stats.unresolved += 1,
-        }
+            Egress::Unresolved { .. } => MuxCounter::Unresolved,
+        });
     }
 
     /// Strict reverse-path check for ingress enforcement: whether
@@ -863,10 +856,10 @@ impl VbgpMux {
         for &ip in dst_ips {
             if reader.lookup(ip, &mut self.stats) {
                 Self::count_egress(&mut self.stats, entry.fwd, egress);
-                entry.pkts_out += 1;
+                entry.pkts.inc(NeighborCounter::EgressPkts);
                 out.push(Some(egress));
             } else {
-                self.stats.no_route += 1;
+                self.stats.inc(MuxCounter::NoRoute);
                 out.push(None);
             }
         }
@@ -905,7 +898,7 @@ impl VbgpMux {
                     .get(&exp)
                     .and_then(|&slot| self.experiments[slot as usize].as_ref())
                     .map(|entry| {
-                        self.stats.to_experiment += 1;
+                        self.stats.inc(MuxCounter::ToExperiment);
                         let egress = Egress::Frame {
                             port: entry.port,
                             dst_mac: entry.mac,
@@ -915,11 +908,11 @@ impl VbgpMux {
                 Some(Delivery::Remote { port, global_ip }) => {
                     let egress = match self.resolved.get(&global_ip) {
                         Some(&dst_mac) => {
-                            self.stats.to_backbone += 1;
+                            self.stats.inc(MuxCounter::ToBackbone);
                             Egress::Frame { port, dst_mac }
                         }
                         None => {
-                            self.stats.unresolved += 1;
+                            self.stats.inc(MuxCounter::Unresolved);
                             Egress::Unresolved { port, global_ip }
                         }
                     };
@@ -931,7 +924,7 @@ impl VbgpMux {
         let delivered = out.iter().flatten().count() as u64;
         if delivered > 0 {
             if let Some(entry) = from_neighbor.and_then(|n| self.neighbor_mut(n)) {
-                entry.pkts_in += delivered;
+                entry.pkts.add(NeighborCounter::IngressPkts, delivered);
             }
         }
     }
@@ -975,13 +968,6 @@ impl VbgpMux {
             };
             (p, total, exp)
         })
-    }
-
-    /// Local experiments registered with the mux, sorted.
-    pub fn experiment_ids(&self) -> Vec<ExperimentId> {
-        let mut ids: Vec<ExperimentId> = self.experiments.iter().flatten().map(|e| e.id).collect();
-        ids.sort();
-        ids
     }
 
     /// Force-compile every FIB and cross-check it against its source trie:
@@ -1111,7 +1097,7 @@ mod tests {
                 dst_mac: MacAddr::from_id(0x22)
             }
         );
-        assert_eq!(m.stats.to_neighbor, 1);
+        assert_eq!(m.stats.get(MuxCounter::ToNeighbor), 1);
     }
 
     #[test]
@@ -1120,7 +1106,7 @@ mod tests {
         m.install_route(N1, prefix("192.168.0.0/24"));
         // N2's table is empty: steering via N2 fails even though N1 has it.
         assert!(egress(&mut m, N2, "192.168.0.1").is_none());
-        assert_eq!(m.stats.no_route, 1);
+        assert_eq!(m.stats.get(MuxCounter::NoRoute), 1);
     }
 
     #[test]
@@ -1143,7 +1129,7 @@ mod tests {
         let vnh1 = m.vnh(N1).unwrap();
         assert_eq!(m.arp_answer(vnh1.ip), Some(vnh1.mac));
         assert_eq!(m.arp_answer("9.9.9.9".parse().unwrap()), None);
-        assert_eq!(m.stats.arp_answered, 1);
+        assert_eq!(m.stats.get(MuxCounter::ArpAnswered), 1);
     }
 
     #[test]
@@ -1187,8 +1173,8 @@ mod tests {
                 dst_mac: MacAddr::from_id(0x99)
             }
         );
-        assert_eq!(m.stats.to_backbone, 1);
-        assert_eq!(m.stats.unresolved, 1);
+        assert_eq!(m.stats.get(MuxCounter::ToBackbone), 1);
+        assert_eq!(m.stats.get(MuxCounter::Unresolved), 1);
     }
 
     #[test]
@@ -1366,9 +1352,9 @@ mod tests {
         m.install_route(N1, prefix("10.0.0.0/8"));
         let ip = "10.1.1.1";
         assert!(egress(&mut m, N1, ip).is_some()); // compile + miss
-        let before = m.stats.flow_cache_hits;
+        let before = m.stats.get(MuxCounter::FlowCacheHits);
         assert!(egress(&mut m, N1, ip).is_some());
-        assert_eq!(m.stats.flow_cache_hits, before + 1);
+        assert_eq!(m.stats.get(MuxCounter::FlowCacheHits), before + 1);
         // A more specific install must invalidate the cached answer.
         m.install_route(N1, prefix("10.1.0.0/16"));
         m.remove_route(N1, prefix("10.0.0.0/8"));

@@ -30,7 +30,7 @@ use peering_netsim::{
     SimDuration,
 };
 
-use peering_obs::{EventKind as ObsEvent, Obs};
+use peering_obs::{counter_keys, CounterKey, Counters, EventKind as ObsEvent, Obs};
 
 use crate::communities::ControlCommunities;
 use crate::enforcement::control::{ControlEnforcer, ExperimentPolicy, RateLedger};
@@ -135,35 +135,32 @@ enum Installed {
     DeliveryEntry(Delivery),
 }
 
-/// Router counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RouterStats {
-    /// Packets dropped by the data-plane enforcement engine.
-    pub data_blocked: u64,
-    /// Inbound packets dropped by the ingress serving pipeline (uRPF,
-    /// ingress program, flood budget) before delivery to an experiment.
-    pub ingress_blocked: u64,
-    /// Packets passed with a packet-program header rewrite applied.
-    pub data_transformed: u64,
-    /// Rate-ledger gossip frames sent to backbone peers.
-    pub ledger_gossip_tx: u64,
-    /// Rate-ledger gossip frames received and applied.
-    pub ledger_gossip_rx: u64,
-    /// Packets dropped for TTL expiry.
-    pub ttl_expired: u64,
-    /// Packets dropped with no matching route or delivery entry.
-    pub no_route: u64,
-    /// Updates dropped (fully) by the control-plane engine.
-    pub updates_blocked: u64,
-    /// Updates passed (possibly partially) to the routing engine.
-    pub updates_passed: u64,
-    /// ICMP error messages generated.
-    pub icmp_sent: u64,
-    /// ICMP errors suppressed because the offending packet was itself an
-    /// ICMP error (RFC 1122 §3.2.2).
-    pub icmp_suppressed_error: u64,
-    /// ICMP errors suppressed by the per-router rate limit.
-    pub icmp_rate_limited: u64,
+counter_keys! {
+    /// Router counters. Blocked packets are counted by reason in
+    /// [`DataEnforcer::blocked`] and [`DataEnforcer::ingress_blocked`].
+    pub enum RouterCounter {
+        /// Packets passed with a packet-program header rewrite applied.
+        DataTransformed = "router.data_transformed",
+        /// Rate-ledger gossip frames sent to backbone peers.
+        LedgerGossipTx = "router.ledger_gossip_tx",
+        /// Rate-ledger gossip frames received and applied.
+        LedgerGossipRx = "router.ledger_gossip_rx",
+        /// Packets dropped for TTL expiry.
+        TtlExpired = "router.ttl_expired",
+        /// Packets dropped with no matching route or delivery entry.
+        NoRoute = "router.no_route",
+        /// Updates dropped (fully) by the control-plane engine.
+        UpdatesBlocked = "router.updates_blocked",
+        /// Updates passed (possibly partially) to the routing engine.
+        UpdatesPassed = "router.updates_passed",
+        /// ICMP error messages generated.
+        IcmpSent = "router.icmp_sent",
+        /// ICMP errors suppressed because the offending packet was itself
+        /// an ICMP error (RFC 1122 §3.2.2).
+        IcmpSuppressedError = "router.icmp_suppressed_error",
+        /// ICMP errors suppressed by the per-router rate limit.
+        IcmpRateLimited = "router.icmp_rate_limited",
+    }
 }
 
 const TOKEN_ARP_RETRY: u64 = 1;
@@ -214,9 +211,9 @@ pub struct VbgpRouter {
     /// Data-plane enforcement.
     pub data: DataEnforcer,
     /// Counters.
-    pub stats: RouterStats,
-    /// Observability (journal events live, counters mirrored by
-    /// [`VbgpRouter::publish_obs`]).
+    pub stats: Counters<RouterCounter>,
+    /// Observability: journal events, and the registry every layer's
+    /// counters are published in.
     obs: Obs,
     /// Per-router ICMP error-generation limiter (RFC 1812 §4.3.2.8).
     icmp_bucket: TokenBucket,
@@ -272,6 +269,7 @@ impl VbgpRouter {
         assert!(asn.is_2byte(), "platform ASN must fit the community scheme");
         let cc = ControlCommunities::new(asn.0 as u16);
         let speaker = Speaker::new(SpeakerConfig { asn, router_id });
+        let obs = Obs::new();
         VbgpRouter {
             pop,
             asn,
@@ -280,8 +278,8 @@ impl VbgpRouter {
             mux: VbgpMux::new(),
             control,
             data,
-            stats: RouterStats::default(),
-            obs: Obs::new(),
+            stats: Counters::new(&obs),
+            obs,
             icmp_bucket: TokenBucket::new(ICMP_ERRORS_PER_SEC, ICMP_ERROR_BURST),
             port_macs: FastHashMap::default(),
             iface_ips: HashMap::new(),
@@ -312,70 +310,20 @@ impl VbgpRouter {
     }
 
     /// Attach a shared observability handle (typically scoped per PoP by
-    /// the platform) and cascade it into the mux and the routing engine.
+    /// the platform) and cascade it into the mux, the enforcement engines
+    /// and the routing engine; every layer's counters move with it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.mux.set_obs(obs.clone());
         self.host.set_obs(obs.clone());
         self.control.set_obs(obs.clone());
         self.data.set_obs(obs.clone());
+        self.stats.set_obs(&obs);
         self.obs = obs;
-    }
-
-    /// Mirror this router's plain-integer counters (and those of its mux,
-    /// enforcement engines and routing engine) into the metrics registry.
-    /// Called at snapshot points, never on the forwarding hot path.
-    pub fn publish_obs(&self) {
-        let o = &self.obs;
-        let s = &self.stats;
-        o.counter("router.data_blocked").set(s.data_blocked);
-        o.counter("router.ingress_blocked").set(s.ingress_blocked);
-        o.counter("router.data_transformed").set(s.data_transformed);
-        o.counter("router.ledger_gossip_tx").set(s.ledger_gossip_tx);
-        o.counter("router.ledger_gossip_rx").set(s.ledger_gossip_rx);
-        o.counter("router.ttl_expired").set(s.ttl_expired);
-        o.counter("router.no_route").set(s.no_route);
-        o.counter("router.updates_blocked").set(s.updates_blocked);
-        o.counter("router.updates_passed").set(s.updates_passed);
-        o.counter("router.icmp_sent").set(s.icmp_sent);
-        o.counter("router.icmp_suppressed_error")
-            .set(s.icmp_suppressed_error);
-        o.counter("router.icmp_rate_limited")
-            .set(s.icmp_rate_limited);
-        let cs = &self.control.stats;
-        o.counter("control.evaluated").set(cs.evaluated);
-        o.counter("control.accepted").set(cs.accepted);
-        for (r, n) in &cs.rejected {
-            o.counter(&format!("control.rejected{{reason={}}}", r.code()))
-                .set(*n);
-        }
-        let ds = &self.data.stats;
-        o.counter("data.evaluated").set(ds.evaluated);
-        o.counter("data.allowed").set(ds.allowed);
-        o.counter("data.prog_runs").set(ds.prog_runs);
-        o.counter("data.prog_cache_hits").set(ds.prog_cache_hits);
-        for (label, n) in &ds.blocked {
-            o.counter(&format!("data.blocked{{policy={label}}}"))
-                .set(*n);
-        }
-        o.counter("data.ingress_evaluated")
-            .set(ds.ingress_evaluated);
-        o.counter("data.ingress_allowed").set(ds.ingress_allowed);
-        for (label, n) in &ds.ingress_blocked {
-            o.counter(&format!("data.ingress_blocked{{policy={label}}}"))
-                .set(*n);
-        }
-        self.mux.publish_obs();
-        self.host.publish_obs();
     }
 
     /// The platform ASN.
     pub fn asn(&self) -> Asn {
         self.asn
-    }
-
-    /// The control-community codec.
-    pub fn control_communities(&self) -> ControlCommunities {
-        self.cc
     }
 
     /// Declare a port and the MAC this router uses on it.
@@ -616,7 +564,7 @@ impl VbgpRouter {
                     for (_, r) in &rejections {
                         self.obs.record(ObsEvent::EnforcementReject {
                             experiment: exp.0,
-                            reason: r.code(),
+                            reason: r.name(),
                         });
                     }
                     if compliant.announce.is_empty()
@@ -624,10 +572,10 @@ impl VbgpRouter {
                         && !update.is_end_of_rib()
                         && !rejections.is_empty()
                     {
-                        self.stats.updates_blocked += 1;
+                        self.stats.inc(RouterCounter::UpdatesBlocked);
                         continue;
                     }
-                    self.stats.updates_passed += 1;
+                    self.stats.inc(RouterCounter::UpdatesPassed);
                     // The update charged the rate ledger: make sure the
                     // housekeeping/gossip tick is running.
                     self.ensure_ledger_timer(ctx);
@@ -694,21 +642,6 @@ impl VbgpRouter {
             Installed::NeighborRoute(nbr) => self.mux.remove_route(nbr, prefix),
             Installed::DeliveryEntry(delivery) => self.mux.remove_delivery(prefix, &delivery),
         }
-    }
-
-    /// The experiment attached over a peer session, if any.
-    pub fn experiment_of_peer(&self, peer: PeerId) -> Option<ExperimentId> {
-        self.exp_peers.get(&peer).copied()
-    }
-
-    /// The neighbor on a peer session, if any.
-    pub fn neighbor_of_peer(&self, peer: PeerId) -> Option<NeighborId> {
-        self.neighbor_peers.get(&peer).copied()
-    }
-
-    /// Whether a peer session is a backbone (inter-PoP) session.
-    pub fn is_backbone_peer(&self, peer: PeerId) -> bool {
-        self.backbone_peers.contains(&peer)
     }
 
     /// Fault hook for the chaos harness's self-test: when enabled, the
@@ -920,7 +853,7 @@ impl VbgpRouter {
         // TTL-exceeded-for-TTL-exceeded forever. Informational ICMP (echo
         // probes) still elicits one, which traceroute-over-ICMP needs.
         if IcmpPacket::is_error(expired) {
-            self.stats.icmp_suppressed_error += 1;
+            self.stats.inc(RouterCounter::IcmpSuppressedError);
             self.obs.record(ObsEvent::IcmpSuppressed {
                 reason: "error-for-error",
             });
@@ -933,7 +866,7 @@ impl VbgpRouter {
         // a line-rate TTL-expiring flood cannot be amplified into a
         // line-rate ICMP flood toward the (possibly spoofed) source.
         if !self.icmp_bucket.admit(1, ctx.now()) {
-            self.stats.icmp_rate_limited += 1;
+            self.stats.inc(RouterCounter::IcmpRateLimited);
             self.obs.record(ObsEvent::IcmpSuppressed {
                 reason: "rate-limit",
             });
@@ -947,14 +880,14 @@ impl VbgpRouter {
         match decisions[0] {
             Some((Egress::Frame { port: out, dst_mac }, _, _)) => {
                 let src = self.port_mac(out);
-                self.stats.icmp_sent += 1;
+                self.stats.inc(RouterCounter::IcmpSent);
                 ctx.send_frame(
                     out,
                     EtherFrame::new(dst_mac, src, EtherType::Ipv4, reply.encode()),
                 );
             }
             _ => {
-                self.stats.no_route += 1;
+                self.stats.inc(RouterCounter::NoRoute);
             }
         }
         self.delivery_scratch = decisions;
@@ -1046,7 +979,7 @@ impl VbgpRouter {
                 );
             }
             Some(Egress::Unresolved { port, global_ip }) => self.arp_request(ctx, port, global_ip),
-            None => self.stats.no_route += 1,
+            None => self.stats.inc(RouterCounter::NoRoute),
         }
     }
 
@@ -1088,13 +1021,12 @@ impl VbgpRouter {
                         // Rewrite before TTL and lookup, so a rewritten
                         // destination is re-routed on its new address.
                         apply_rewrite(pkt, rw);
-                        self.stats.data_transformed += 1;
+                        self.stats.inc(RouterCounter::DataTransformed);
                     }
                     DataVerdict::Block(reason) => {
-                        self.stats.data_blocked += 1;
                         self.obs.record(ObsEvent::DataBlocked {
                             experiment: exp.0,
-                            reason,
+                            reason: reason.name(),
                         });
                         *p = None;
                     }
@@ -1110,7 +1042,7 @@ impl VbgpRouter {
         for (i, p) in pkts.iter_mut().enumerate() {
             let Some(pkt) = p else { continue };
             if !pkt.decrement_ttl() {
-                self.stats.ttl_expired += 1;
+                self.stats.inc(RouterCounter::TtlExpired);
                 expired[i] = p.take();
                 continue;
             }
@@ -1150,7 +1082,7 @@ impl VbgpRouter {
         for p in pkts.iter_mut() {
             let Some(pkt) = p else { continue };
             if !pkt.decrement_ttl() {
-                self.stats.ttl_expired += 1;
+                self.stats.inc(RouterCounter::TtlExpired);
                 *p = None;
                 continue;
             }
@@ -1231,13 +1163,12 @@ impl VbgpRouter {
                                 // a dst rewrite does not re-route.
                                 let pkt = pkts[i].as_mut().expect("target packets survive");
                                 apply_rewrite(pkt, rw);
-                                self.stats.data_transformed += 1;
+                                self.stats.inc(RouterCounter::DataTransformed);
                             }
                             DataVerdict::Block(reason) => {
-                                self.stats.ingress_blocked += 1;
                                 self.obs.record(ObsEvent::DataBlocked {
                                     experiment: exp.0,
-                                    reason,
+                                    reason: reason.name(),
                                 });
                                 skip[di] = true;
                             }
@@ -1326,7 +1257,7 @@ impl VbgpRouter {
                         payload.clone(),
                     ),
                 );
-                self.stats.ledger_gossip_tx += 1;
+                self.stats.inc(RouterCounter::LedgerGossipTx);
             }
         }
         if keep_ticking {
@@ -1347,7 +1278,7 @@ impl VbgpRouter {
         if origin == self.pop {
             return;
         }
-        self.stats.ledger_gossip_rx += 1;
+        self.stats.inc(RouterCounter::LedgerGossipRx);
         {
             let ledger = self.control.ledger();
             let mut guard = ledger.lock().unwrap();

@@ -23,7 +23,7 @@ use peering_bgp::rib::{PeerId, Route};
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerEvent, SpeakerOutput};
 use peering_bgp::types::{PathId, Prefix};
 use peering_netsim::{Ctx, EtherFrame, EtherType, MacAddr, PortId, SimDuration};
-use peering_obs::{EventKind as ObsEvent, Obs};
+use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Obs};
 
 /// EtherType used for the simulated BGP transport.
 pub const ETHERTYPE_BGP: EtherType = EtherType::Other(0x0B69);
@@ -83,19 +83,20 @@ pub struct BgpHost {
     tx_seq: HashMap<PeerId, u32>,
     rx_seq: HashMap<PeerId, u32>,
     /// Counters.
-    pub stats: TransportStats,
+    pub stats: Counters<TransportCounter>,
     obs: Obs,
 }
 
-/// Transport counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TransportStats {
-    /// Connections reset after a sequence gap (a frame lost or reordered
-    /// under the byte stream).
-    pub gap_resets: u64,
-    /// Connections reset after an undecodable BGP message on an
-    /// interposed session.
-    pub decode_resets: u64,
+counter_keys! {
+    /// Transport counters.
+    pub enum TransportCounter {
+        /// Connections reset after a sequence gap (a frame lost or
+        /// reordered under the byte stream).
+        GapResets = "transport.gap_resets",
+        /// Connections reset after an undecodable BGP message on an
+        /// interposed session.
+        DecodeResets = "transport.decode_resets",
+    }
 }
 
 fn timer_kind_index(kind: TimerKind) -> u8 {
@@ -140,6 +141,7 @@ fn encode_token(peer: PeerId, kind: TimerKind, gen: u64) -> u64 {
 impl BgpHost {
     /// Wrap a speaker.
     pub fn new(speaker: Speaker) -> Self {
+        let obs = Obs::new();
         BgpHost {
             speaker,
             endpoints: HashMap::new(),
@@ -150,27 +152,16 @@ impl BgpHost {
             transport_up: HashSet::new(),
             tx_seq: HashMap::new(),
             rx_seq: HashMap::new(),
-            stats: TransportStats::default(),
-            obs: Obs::new(),
+            stats: Counters::new(&obs),
+            obs,
         }
     }
 
     /// Attach a shared observability handle and cascade it to the speaker.
     pub fn set_obs(&mut self, obs: Obs) {
         self.speaker.set_obs(obs.clone());
+        self.stats.set_obs(&obs);
         self.obs = obs;
-    }
-
-    /// Mirror transport counters into the registry and cascade to the
-    /// speaker's own mirror.
-    pub fn publish_obs(&self) {
-        self.obs
-            .counter("transport.gap_resets")
-            .set(self.stats.gap_resets);
-        self.obs
-            .counter("transport.decode_resets")
-            .set(self.stats.decode_resets);
-        self.speaker.publish_obs();
     }
 
     /// Register a session: speaker peer config plus its transport endpoint.
@@ -208,11 +199,6 @@ impl BgpHost {
         events
     }
 
-    /// Whether a session is interposed.
-    pub fn is_interposed(&self, id: PeerId) -> bool {
-        self.interposed.contains(&id)
-    }
-
     /// The endpoint of a session.
     pub fn endpoint(&self, id: PeerId) -> Option<Endpoint> {
         self.endpoints.get(&id).copied()
@@ -227,11 +213,6 @@ impl BgpHost {
         };
         let ep = self.endpoints.get(&route.source.peer()?)?;
         Some((ep.port, next_hop))
-    }
-
-    /// The session using `(port, remote_mac)`, if any.
-    pub fn session_at(&self, port: PortId, remote_mac: MacAddr) -> Option<PeerId> {
-        self.by_addr.get(&(port, remote_mac)).copied()
     }
 
     /// Start a session (active or passive per its config).
@@ -339,7 +320,7 @@ impl BgpHost {
                     // transport has no retransmission, so reset — the FSM
                     // reconnects (with backoff) and resynchronizes rather
                     // than silently diverging from its peer.
-                    self.stats.gap_resets += 1;
+                    self.stats.inc(TransportCounter::GapResets);
                     self.obs.record(ObsEvent::TransportReset {
                         peer: peer.0,
                         reason: "sequence-gap",
@@ -391,7 +372,7 @@ impl BgpHost {
                 Err(CodecError::Truncated) => break,
                 Err(_) => {
                     buf.clear();
-                    self.stats.decode_resets += 1;
+                    self.stats.inc(TransportCounter::DecodeResets);
                     self.obs.record(ObsEvent::TransportReset {
                         peer: peer.0,
                         reason: "decode-error",

@@ -96,14 +96,6 @@ impl Train {
         }
     }
 
-    /// The frames, in order.
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, EtherFrame> {
-        match self {
-            Train::One(frame) => std::slice::from_ref(frame).iter(),
-            Train::Many(frames) => frames.iter(),
-        }
-    }
-
     /// Append the frames of `more` after this train's.
     pub(crate) fn extend(&mut self, more: Train) {
         if let Train::One(_) = self {
@@ -469,18 +461,21 @@ mod tests {
     /// at `seq + i`.
     fn flatten(event: &Event) -> Vec<Entry> {
         match &event.kind {
-            EventKind::FrameDelivery { node, port, frames } => frames
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let key = EventKey {
-                        seq: event.key.seq + i as u64,
-                        ..event.key
-                    };
-                    let carried = u64::from_le_bytes(f.payload.as_ref().try_into().unwrap());
-                    (key, Some((node.0, port.0)), carried)
-                })
-                .collect(),
+            EventKind::FrameDelivery { node, port, frames } => match frames {
+                Train::One(frame) => std::slice::from_ref(frame),
+                Train::Many(frames) => frames.as_slice(),
+            }
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let key = EventKey {
+                    seq: event.key.seq + i as u64,
+                    ..event.key
+                };
+                let carried = u64::from_le_bytes(f.payload.as_ref().try_into().unwrap());
+                (key, Some((node.0, port.0)), carried)
+            })
+            .collect(),
             EventKind::Timer { token, .. } => vec![(event.key, None, *token)],
             EventKind::Chaos(_) => unreachable!("the differential pushes no chaos steps"),
         }

@@ -64,9 +64,8 @@ use crate::event::{
     EXTERNAL_SRC,
 };
 use crate::frame::EtherFrame;
-use crate::link::{FaultInjector, Link, LinkConfig, LinkStats, TxOutcome};
+use crate::link::{Link, LinkConfig, LinkStats, TxOutcome};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceDirection, TraceEvent, Tracer};
 
 /// Identifies a node within a simulator.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -323,8 +322,6 @@ struct DispatchEnv<'a> {
     counters: &'a SimCounters,
     out: &'a mut Vec<Event>,
     stats: &'a mut LocalStats,
-    /// The frame tracer, when one is recording (never on a shard worker).
-    tracer: Option<&'a mut Tracer>,
 }
 
 fn key_for(at: SimTime, dst: u32, src: u32, seq: &mut u64) -> EventKey {
@@ -367,18 +364,6 @@ fn apply_actions(
                     env.stats.unrouted += 1;
                     continue;
                 };
-                if let Some(tracer) = env.tracer.as_deref_mut() {
-                    tracer.record(TraceEvent {
-                        time: now,
-                        node,
-                        port,
-                        direction: TraceDirection::Tx,
-                        src: frame.src,
-                        dst: frame.dst,
-                        ethertype: frame.ethertype,
-                        len: frame.wire_len(),
-                    });
-                }
                 if held.as_ref().is_none_or(|(id, _)| *id != link_id) {
                     // Release the previous link before locking the next.
                     drop(held.take());
@@ -491,27 +476,6 @@ fn dispatch_node(
     slot.actions = actions;
 }
 
-fn trace_rx(
-    env: &mut DispatchEnv<'_>,
-    now: SimTime,
-    node: NodeId,
-    port: PortId,
-    frame: &EtherFrame,
-) {
-    if let Some(tracer) = env.tracer.as_deref_mut() {
-        tracer.record(TraceEvent {
-            time: now,
-            node,
-            port,
-            direction: TraceDirection::Rx,
-            src: frame.src,
-            dst: frame.dst,
-            ethertype: frame.ethertype,
-            len: frame.wire_len(),
-        });
-    }
-}
-
 /// Process one node event popped from `queue`. A delivery reaches the node
 /// together with every train queued right behind it for the same instant,
 /// node and port: only head-of-queue events join, so the key order across
@@ -554,9 +518,6 @@ fn process_node_event(env: &mut DispatchEnv<'_>, obs: &Obs, event: Event, queue:
                 frames.extend(more);
             }
             env.stats.processed += frames.len() as u64;
-            for frame in frames.iter() {
-                trace_rx(env, now, node, port, frame);
-            }
             match frames {
                 Train::One(frame) => {
                     dispatch_node(env, now, node, |n, ctx| n.on_frame(ctx, port, frame))
@@ -750,7 +711,6 @@ unsafe fn run_shard_window(
                 counters,
                 out: &mut *out,
                 stats: &mut stats,
-                tracer: None,
             };
             process_node_event(&mut env, obs, ev, queue);
         }
@@ -798,7 +758,6 @@ pub struct Simulator {
     /// Control-plane stream for callers ([`Simulator::rng_mut`]), e.g. chaos
     /// plan generation; node callbacks use their own per-node streams.
     rng: SimRng,
-    tracer: Tracer,
     /// Frames sent to unconnected ports (usually a wiring bug in a scenario).
     pub unrouted_frames: u64,
     /// Total events processed.
@@ -839,7 +798,6 @@ impl Simulator {
             },
             seed,
             rng: SimRng::new(seed),
-            tracer: Tracer::disabled(),
             unrouted_frames: 0,
             processed_events: 0,
             pool: None,
@@ -869,18 +827,6 @@ impl Simulator {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.time
-    }
-
-    /// Enable frame tracing (see [`Tracer`]). Tracing pins execution to the
-    /// sequential engine (the trace ring is not thread-safe and its order is
-    /// part of the observable output).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Access recorded trace events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Partition nodes into `shards` event-queue shards, round-robin by node
@@ -1069,35 +1015,6 @@ impl Simulator {
         self.link_state(link).link.stats
     }
 
-    /// Administratively raise or lower a link. A downed link stays wired
-    /// but drops every frame until raised again — the substrate for chaos
-    /// link flaps, partitions and tunnel resets.
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.link_state(link).link.up = up;
-    }
-
-    /// Whether a link is administratively up.
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.link_state(link).link.up
-    }
-
-    /// Replace a link's fault injector (chaos fault bursts).
-    pub fn set_link_faults(&mut self, link: LinkId, faults: FaultInjector) {
-        self.link_state(link).link.config.faults = faults;
-    }
-
-    /// A link's current fault injector.
-    pub fn link_faults(&self, link: LinkId) -> FaultInjector {
-        self.link_state(link).link.config.faults
-    }
-
-    /// Restore a link's fault injector to the configuration it was created
-    /// with (ends a chaos fault burst).
-    pub fn restore_link_faults(&mut self, link: LinkId) {
-        let mut state = self.link_state(link);
-        state.link.config.faults = state.link.base_faults;
-    }
-
     /// Mutable access to the simulator's control RNG stream, so chaos plans
     /// can be generated from a deterministic stream tied to the seed.
     pub fn rng_mut(&mut self) -> &mut SimRng {
@@ -1229,7 +1146,6 @@ impl Simulator {
                 counters: &self.counters,
                 out: &mut out,
                 stats: &mut stats,
-                tracer: Some(&mut self.tracer).filter(|t| t.enabled()),
             };
             apply_actions(
                 &mut env,
@@ -1300,7 +1216,6 @@ impl Simulator {
                 counters: &self.counters,
                 out: &mut out,
                 stats: &mut stats,
-                tracer: Some(&mut self.tracer).filter(|t| t.enabled()),
             };
             process_node_event(&mut env, &self.obs, ev, &mut self.queues[i]);
         }
@@ -1364,10 +1279,9 @@ impl Simulator {
     /// Run until the queue is exhausted or `deadline` is reached; the clock
     /// ends at `deadline` if it was reached, otherwise at the last event.
     ///
-    /// With more than one shard (and tracing disabled), events execute in
-    /// parallel lookahead windows on worker threads; the results — node
-    /// state, counters, journal, clock — are bit-identical to a
-    /// single-shard run.
+    /// With more than one shard, events execute in parallel lookahead
+    /// windows on worker threads; the results — node state, counters,
+    /// journal, clock — are bit-identical to a single-shard run.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.check_poisoned();
         self.ensure_partition();
@@ -1395,14 +1309,14 @@ impl Simulator {
 
     /// Per-shard minimum latency over cross-shard links incident to each
     /// shard (`L_out`), or `None` when the run must stay on the sequential
-    /// engine: one shard, tracing on, or a zero-latency cross-shard link
-    /// (which leaves no safe window). Any cross-shard arrival emitted by
+    /// engine: one shard, or a zero-latency cross-shard link (which leaves
+    /// no safe window). Any cross-shard arrival emitted by
     /// shard `s` is the end of a causal chain whose final hop adds at
     /// least `L_out(s)`, so shard `s` cannot disturb anyone before
     /// `t_s + L_out(s)`. Shards with no cross-shard links get the
     /// saturating "never" bound.
     fn per_shard_out_lookahead(&self) -> Option<Vec<SimDuration>> {
-        if self.queues.len() < 2 || self.tracer.enabled() {
+        if self.queues.len() < 2 {
             return None;
         }
         let mut out = vec![SimDuration::from_nanos(u64::MAX); self.queues.len()];
@@ -1608,8 +1522,8 @@ impl Simulator {
     /// Both engines count processed events, and both check the cap only
     /// between units of work, so a run may overshoot it: the sequential
     /// engine by one node's batch of frame trains, the parallel engine by
-    /// one window. With shards configured (and tracing off) this uses the
-    /// same windowed parallel engine as [`Simulator::run_until`] —
+    /// one window. With shards configured this uses the same windowed
+    /// parallel engine as [`Simulator::run_until`] —
     /// quiescence is detected at window barriers, where the coordinator
     /// holds the global queue view — and produces results bit-identical to
     /// the sequential engine.
@@ -1842,7 +1756,7 @@ mod tests {
         }));
         let echo = sim.add_node(Box::new(Echo { seen: 0 }));
         let cfg = LinkConfig::with_latency(SimDuration::from_millis(2))
-            .with_faults(FaultInjector::dropping(20));
+            .with_faults(crate::link::FaultInjector::dropping(20));
         sim.connect(pinger, PortId(0), echo, PortId(0), cfg);
         sim.set_shards(shards);
         for i in 0..40 {

@@ -1,13 +1,16 @@
 //! Platform-wide observability: a metrics registry and a structured
 //! event journal, both deterministic and allocation-free on hot paths.
 //!
-//! The registry interns metric names to dense [`MetricId`]s and hands out
-//! cheap clone-able handles ([`Counter`], [`Gauge`], [`Histogram`]) backed
-//! by shared atomic cells, so instrumented code increments a plain integer
-//! — no lock, no lookup, no allocation per event. Label dimensions
-//! (per-neighbor, per-experiment, per-pop) are encoded into the metric
-//! name at registration time from the same compact slot indexes the data
-//! plane already uses, so a hot loop never formats a string.
+//! The registry keeps every metric by its full name. A component keeps
+//! its own counters in an owned [`Counters`] block indexed by an enum: it
+//! is the block's only writer, and the registry reads the same cells when
+//! a snapshot is taken, so a snapshot always shows current values. Cells
+//! several writers share ([`Counter`]) and levels ([`Gauge`],
+//! [`Histogram`]) are clone-able handles onto atomic cells. Either way
+//! instrumented code bumps an integer — no lock, no lookup, no allocation
+//! per event. Label dimensions (per-neighbor, per-peer, per-reason) are
+//! encoded into the metric name at registration time, so a hot loop never
+//! formats a string.
 //!
 //! The journal is a bounded store of typed [`Event`]s stamped from a clock
 //! the simulator advances. Runs are seeded, and when the simulator shards
@@ -21,12 +24,14 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 mod journal;
 mod registry;
 mod snapshot;
 
+pub use counters::{CounterKey, Counters};
 pub use journal::{DispatchKey, Event, EventKind, DELIVERY_TABLE, JOURNAL_CAPACITY, MAX_LANES};
-pub use registry::{Counter, Gauge, Histogram, MetricId};
+pub use registry::{Counter, Gauge, Histogram};
 pub use snapshot::{Snapshot, SnapshotValue};
 
 use std::cell::Cell;
@@ -98,7 +103,7 @@ impl Obs {
         Obs {
             prefix: String::new(),
             clocks: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            registry: Arc::new(SharedRegistry::new(Registry::new())),
+            registry: Arc::default(),
             journal: Arc::new(Journal::new(JOURNAL_CAPACITY)),
         }
     }
@@ -126,27 +131,11 @@ impl Obs {
         self.clocks[thread_lane()].store(nanos, Ordering::Relaxed);
     }
 
-    /// Current journal clock for this thread's lane.
-    pub fn now_nanos(&self) -> u64 {
-        self.clocks[thread_lane()].load(Ordering::Relaxed)
-    }
-
     // --- metric registration ---------------------------------------------
 
-    fn full_name(&self, name: &str) -> String {
-        if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}{name}", self.prefix)
-        }
-    }
-
-    /// Intern a metric name (scoped by this handle's prefix) to its id.
-    pub fn metric_id(&self, name: &str) -> MetricId {
-        self.registry
-            .lock()
-            .expect("obs registry poisoned")
-            .intern(&self.full_name(name))
+    /// The registry, locked (registration and snapshots are cold paths).
+    fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
+        self.registry.lock().expect("obs registry poisoned")
     }
 
     /// A monotonic counter handle. Idempotent: the same name always
@@ -155,30 +144,17 @@ impl Obs {
     /// # Panics
     /// Panics if `name` was already registered as a different kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let id = self.metric_id(name);
-        self.registry
-            .lock()
-            .expect("obs registry poisoned")
-            .counter(id)
-    }
-
-    /// A counter carrying one label dimension encoded as a compact index,
-    /// e.g. `counter_dim("mux.egress_pkts", "nbr", 3)` registers
-    /// `mux.egress_pkts{nbr=3}`. The formatting happens once, here.
-    pub fn counter_dim(&self, name: &str, dim: &str, idx: u32) -> Counter {
-        self.counter(&format!("{name}{{{dim}={idx}}}"))
+        self.registry().counter(&format!("{}{name}", self.prefix))
     }
 
     /// A gauge handle (a settable signed level).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let id = self.metric_id(name);
-        self.registry
-            .lock()
-            .expect("obs registry poisoned")
-            .gauge(id)
+        self.registry().gauge(&format!("{}{name}", self.prefix))
     }
 
-    /// A gauge carrying one label dimension (see [`Obs::counter_dim`]).
+    /// A gauge carrying one label dimension, e.g.
+    /// `gauge_dim("mux.table_routes", "nbr", 3)` registers
+    /// `mux.table_routes{nbr=3}`. The formatting happens once, here.
     pub fn gauge_dim(&self, name: &str, dim: &str, idx: u32) -> Gauge {
         self.gauge(&format!("{name}{{{dim}={idx}}}"))
     }
@@ -187,11 +163,8 @@ impl Obs {
     /// bucket bounds; one overflow bucket is added past the last bound.
     /// Re-registering must use identical bounds.
     pub fn histogram(&self, name: &str, bounds: &'static [u64]) -> Histogram {
-        let id = self.metric_id(name);
-        self.registry
-            .lock()
-            .expect("obs registry poisoned")
-            .histogram(id, bounds)
+        self.registry()
+            .histogram(&format!("{}{name}", self.prefix), bounds)
     }
 
     // --- journal ----------------------------------------------------------
@@ -261,10 +234,7 @@ impl Obs {
 
     /// A stable, name-sorted snapshot of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
-        self.registry
-            .lock()
-            .expect("obs registry poisoned")
-            .snapshot()
+        self.registry().snapshot()
     }
 }
 
@@ -313,6 +283,37 @@ mod tests {
         let obs = Obs::new();
         obs.counter("x");
         obs.gauge("x");
+    }
+
+    counter_keys! {
+        enum Key {
+            A = "k.a",
+            B = "k.b",
+        }
+    }
+
+    #[test]
+    fn owned_blocks_read_live_and_move_with_their_values() {
+        let first = Obs::new();
+        let mut c = Counters::<Key>::labelled(&first.scoped("pop0"), "nbr", 2);
+        c.add(Key::B, 3);
+        assert_eq!(first.snapshot().counter("pop0/k.b{nbr=2}"), Some(3));
+        assert_eq!(first.snapshot().counter("pop0/k.a{nbr=2}"), Some(0));
+        let second = Obs::new();
+        c.set_obs(&second);
+        c.inc(Key::B);
+        assert_eq!(second.snapshot().counter("k.b{nbr=2}"), Some(4));
+        let reasons = Counters::<Key>::family(&second, "drops", "reason");
+        assert_eq!(second.snapshot().counter("drops{reason=k.a}"), Some(0));
+        assert_eq!(reasons.total(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as a different kind")]
+    fn owned_block_over_a_shared_counter_panics() {
+        let obs = Obs::new();
+        obs.counter("k.a");
+        Counters::<Key>::new(&obs);
     }
 
     #[test]

@@ -10,15 +10,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::counters::{cell, Line};
 use crate::snapshot::{Snapshot, SnapshotValue};
 
-/// Dense id for an interned metric name. Stable for the life of the
-/// registry; the id is the index into the registry's slot vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MetricId(pub u32);
-
-/// A monotonic counter. Cloning shares the cell; incrementing is a single
-/// relaxed atomic add — no lock, no lookup, no allocation.
+/// A monotonic counter several writers share. Cloning shares the cell;
+/// incrementing is a single relaxed atomic add — no lock, no lookup, no
+/// allocation. A counter with one owner lives in a
+/// [`Counters`](crate::Counters) block instead.
 #[derive(Clone)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -33,13 +31,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the value — for mirroring an existing plain-u64 stats
-    /// field into the registry at publish time.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -111,6 +102,8 @@ enum MetricStore {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+    /// Cell `.1` of an owned [`Counters`](crate::Counters) block.
+    Owned(Arc<[Line]>, usize),
 }
 
 impl MetricStore {
@@ -119,147 +112,117 @@ impl MetricStore {
             MetricStore::Counter(_) => "counter",
             MetricStore::Gauge(_) => "gauge",
             MetricStore::Histogram(_) => "histogram",
+            MetricStore::Owned(..) => "owned counter",
         }
     }
 }
 
-struct Slot {
-    name: String,
-    store: Option<MetricStore>,
-}
-
-/// Name-interning metric table. Not public: callers go through
+/// Metric table keyed by full name. Not public: callers go through
 /// [`crate::Obs`], which adds scope prefixes and the shared clock.
+#[derive(Default)]
 pub(crate) struct Registry {
-    ids: HashMap<String, MetricId>,
-    slots: Vec<Slot>,
+    metrics: HashMap<String, MetricStore>,
 }
 
 /// Registration goes through a mutex (cold path); the handles it returns
 /// touch only their own atomics afterwards.
 pub(crate) type SharedRegistry = Mutex<Registry>;
 
+fn kind_mismatch(name: &str, other: &MetricStore) -> ! {
+    panic!(
+        "metric `{name}` already registered as a different kind ({})",
+        other.kind()
+    )
+}
+
 impl Registry {
-    pub fn new() -> Self {
-        Registry {
-            ids: HashMap::new(),
-            slots: Vec::new(),
+    /// The metric registered as `name`, `new` on first sight.
+    fn entry(&mut self, name: &str, new: impl FnOnce() -> MetricStore) -> &mut MetricStore {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), new());
+        }
+        self.metrics.get_mut(name).expect("inserted above")
+    }
+
+    pub fn counter(&mut self, name: &str) -> Counter {
+        match self.entry(name, || MetricStore::Counter(Counter(Arc::default()))) {
+            MetricStore::Counter(c) => c.clone(),
+            other => kind_mismatch(name, other),
         }
     }
 
-    /// Intern `name`, creating an empty slot on first sight.
-    pub fn intern(&mut self, name: &str) -> MetricId {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = MetricId(self.slots.len() as u32);
-        self.slots.push(Slot {
-            name: name.to_string(),
-            store: None,
-        });
-        self.ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn slot(&mut self, id: MetricId) -> &mut Slot {
-        &mut self.slots[id.0 as usize]
-    }
-
-    pub fn counter(&mut self, id: MetricId) -> Counter {
-        let slot = self.slot(id);
-        match &slot.store {
-            None => {
-                let c = Counter(Arc::new(AtomicU64::new(0)));
-                slot.store = Some(MetricStore::Counter(c.clone()));
-                c
-            }
-            Some(MetricStore::Counter(c)) => c.clone(),
-            Some(other) => panic!(
-                "metric `{}` already registered as a different kind ({})",
-                slot.name,
-                other.kind()
-            ),
+    pub fn gauge(&mut self, name: &str) -> Gauge {
+        match self.entry(name, || MetricStore::Gauge(Gauge(Arc::default()))) {
+            MetricStore::Gauge(g) => g.clone(),
+            other => kind_mismatch(name, other),
         }
     }
 
-    pub fn gauge(&mut self, id: MetricId) -> Gauge {
-        let slot = self.slot(id);
-        match &slot.store {
-            None => {
-                let g = Gauge(Arc::new(AtomicI64::new(0)));
-                slot.store = Some(MetricStore::Gauge(g.clone()));
-                g
-            }
-            Some(MetricStore::Gauge(g)) => g.clone(),
-            Some(other) => panic!(
-                "metric `{}` already registered as a different kind ({})",
-                slot.name,
-                other.kind()
-            ),
-        }
-    }
-
-    pub fn histogram(&mut self, id: MetricId, bounds: &'static [u64]) -> Histogram {
+    pub fn histogram(&mut self, name: &str, bounds: &'static [u64]) -> Histogram {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        let slot = self.slot(id);
-        match &slot.store {
-            None => {
-                let buckets: Box<[AtomicU64]> =
-                    (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-                let h = Histogram(Arc::new(HistState {
-                    bounds,
-                    buckets,
-                    count: AtomicU64::new(0),
-                    sum: AtomicU64::new(0),
-                }));
-                slot.store = Some(MetricStore::Histogram(h.clone()));
-                h
-            }
-            Some(MetricStore::Histogram(h)) => {
+        let new = || {
+            MetricStore::Histogram(Histogram(Arc::new(HistState {
+                bounds,
+                buckets: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0),
+            })))
+        };
+        match self.entry(name, new) {
+            MetricStore::Histogram(h) => {
                 assert_eq!(
                     h.0.bounds, bounds,
-                    "metric `{}` re-registered with different bounds",
-                    slot.name
+                    "metric `{name}` re-registered with different bounds"
                 );
                 h.clone()
             }
-            Some(other) => panic!(
-                "metric `{}` already registered as a different kind ({})",
-                slot.name,
-                other.kind()
-            ),
+            other => kind_mismatch(name, other),
         }
     }
 
-    /// Name-sorted snapshot of every populated slot.
+    /// Publish cell `i` of an owned block under `name`, replacing any
+    /// block cell published there before.
+    ///
+    /// # Panics
+    /// Panics if `name` is registered as a shared metric.
+    pub fn adopt(&mut self, name: &str, lines: &Arc<[Line]>, i: usize) {
+        let owned = MetricStore::Owned(lines.clone(), i);
+        match self.entry(name, || MetricStore::Owned(lines.clone(), i)) {
+            store @ MetricStore::Owned(..) => *store = owned,
+            other => kind_mismatch(name, other),
+        }
+    }
+
+    /// Name-sorted snapshot of every metric.
     pub fn snapshot(&self) -> Snapshot {
-        let mut entries: Vec<(String, SnapshotValue)> = self
-            .slots
+        let value = |store: &MetricStore| match store {
+            MetricStore::Counter(c) => SnapshotValue::Counter(c.get()),
+            MetricStore::Owned(lines, i) => {
+                SnapshotValue::Counter(cell(lines, *i).load(Ordering::Relaxed))
+            }
+            MetricStore::Gauge(g) => SnapshotValue::Gauge(g.get()),
+            MetricStore::Histogram(h) => {
+                let h = &h.0;
+                SnapshotValue::Histogram {
+                    bounds: h.bounds,
+                    buckets: h
+                        .buckets
+                        .iter()
+                        .map(|b| b.load(Ordering::Relaxed))
+                        .collect(),
+                    count: h.count.load(Ordering::Relaxed),
+                    sum: h.sum.load(Ordering::Relaxed),
+                }
+            }
+        };
+        let mut entries: Vec<_> = self
+            .metrics
             .iter()
-            .filter_map(|slot| {
-                let value = match slot.store.as_ref()? {
-                    MetricStore::Counter(c) => SnapshotValue::Counter(c.get()),
-                    MetricStore::Gauge(g) => SnapshotValue::Gauge(g.get()),
-                    MetricStore::Histogram(h) => {
-                        let h = &h.0;
-                        SnapshotValue::Histogram {
-                            bounds: h.bounds,
-                            buckets: h
-                                .buckets
-                                .iter()
-                                .map(|b| b.load(Ordering::Relaxed))
-                                .collect(),
-                            count: h.count.load(Ordering::Relaxed),
-                            sum: h.sum.load(Ordering::Relaxed),
-                        }
-                    }
-                };
-                Some((slot.name.clone(), value))
-            })
+            .map(|(n, s)| (n.clone(), value(s)))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Snapshot::from_entries(entries)

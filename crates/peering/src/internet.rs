@@ -120,11 +120,6 @@ impl InternetAs {
         self.host.speaker.set_journal_export_rejects(true);
     }
 
-    /// Publish the speaker's per-peer counters into its obs registry.
-    pub fn publish_obs(&self) {
-        self.host.speaker.publish_obs();
-    }
-
     /// Honor TE action communities (`asn16:50` do-not-announce-regional,
     /// `asn16:61..=63` prepend-to-peer) on exports toward settlement-free
     /// peers. Existing peer sessions are re-compiled and their Adj-RIB-Out
@@ -510,6 +505,7 @@ impl Node for InternetAs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peering_bgp::speaker::PeerCounter;
     use peering_bgp::types::prefix;
     use peering_netsim::{LinkConfig, NodeId, SimDuration, Simulator};
 
@@ -863,16 +859,10 @@ mod tests {
         assert!(big.best_route("198.18.3.1".parse().unwrap()).is_none());
         // t1's session toward big is PeerId(4) (link seq 4).
         let stats = t1.host.speaker.peer_stats(PeerId(4)).unwrap();
-        assert!(
-            stats.export_rejected > 0,
-            "valley-free suppression must be counted (got {stats:?})"
-        );
-        t1.publish_obs();
+        let rejected = stats.get(PeerCounter::ExportRejected);
+        assert!(rejected > 0, "valley-free suppression must be counted");
         let snap = obs.snapshot();
-        assert_eq!(
-            snap.counter("bgp.export_rejected{peer=4}"),
-            Some(stats.export_rejected)
-        );
+        assert_eq!(snap.counter("bgp.export_rejected{peer=4}"), Some(rejected));
         let journaled = obs
             .events()
             .iter()

@@ -563,20 +563,9 @@ impl Peering {
         self.registry.grow_synthetic(extra_asns, extra_v4);
     }
 
-    /// Mirror every router's (and its layers') counters into the registry.
-    /// Journal events are always live; this refreshes the counter side.
-    pub fn publish_obs(&mut self) {
-        let routers: Vec<NodeId> = self.pops.iter().map(|p| p.router).collect();
-        for r in routers {
-            self.sim
-                .with_node_ctx::<VbgpRouter, _>(r, |router, _| router.publish_obs());
-        }
-    }
-
-    /// Publish and snapshot the full metrics registry (stable,
-    /// name-sorted; identical seeds yield identical snapshots).
+    /// Snapshot the full metrics registry (stable, name-sorted; identical
+    /// seeds yield identical snapshots). The same as `obs().snapshot()`.
     pub fn obs_snapshot(&mut self) -> Snapshot {
-        self.publish_obs();
         self.obs.snapshot()
     }
 

@@ -246,13 +246,6 @@ impl AnycastServing {
         self.announced[pop] = false;
     }
 
-    /// PoPs currently announcing the anycast prefix.
-    pub fn announced_pops(&self) -> Vec<usize> {
-        (0..self.params.pops)
-            .filter(|&p| self.announced[p])
-            .collect()
-    }
-
     /// Install the experiment's ingress serving policy on every PoP:
     /// strict uRPF, an optional ingress packet program, an optional
     /// flood budget (enforced against the gossiped platform-wide count).
@@ -351,15 +344,6 @@ impl AnycastServing {
             out.insert(tag, count);
         }
         out
-    }
-
-    /// Total packets delivered to the experiment.
-    pub fn delivered_total(&self) -> u64 {
-        self.platform
-            .sim
-            .node::<ExperimentNode>(self.exp.node)
-            .expect("experiment node")
-            .received_count
     }
 
     /// Mirror the observed per-PoP catchment into peering-obs gauges

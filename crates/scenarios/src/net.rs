@@ -889,29 +889,17 @@ impl ScenarioNet {
             .remote_addr
     }
 
-    /// (summed `export_rejected` speaker counters, `ExportSuppressed`
-    /// journal events) across transit + scenario nodes — the satellite-1
-    /// regression surface.
+    /// (summed `bgp.export_rejected` counters, `ExportSuppressed` journal
+    /// events) across transit + scenario nodes, read from the platform's
+    /// registry snapshot and journal.
     pub fn export_suppressions(&self) -> (u64, u64) {
-        let mut counter = 0;
-        let nodes: Vec<NodeId> = self
+        let snapshot = self.platform.obs().snapshot();
+        let counter = self
             .transits
-            .values()
-            .map(|&(n, _)| n)
-            .chain(self.ases.values().map(|i| i.node))
-            .collect();
-        for node in nodes {
-            let n = self
-                .platform
-                .sim
-                .node::<InternetAs>(node)
-                .expect("scenario node");
-            for pid in n.host.speaker.peer_ids() {
-                if let Some(stats) = n.host.speaker.peer_stats(pid) {
-                    counter += stats.export_rejected;
-                }
-            }
-        }
+            .keys()
+            .chain(self.ases.keys())
+            .map(|asn| snapshot.counter_family(&format!("as{asn}/bgp.export_rejected{{peer=")))
+            .sum();
         let journal = self
             .platform
             .obs()

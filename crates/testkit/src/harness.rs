@@ -76,8 +76,7 @@ pub struct ChaosOutcome {
     /// the whole run. Tells a test whether the chaos actually bit (an
     /// all-converged sweep where nothing ever dropped proves nothing).
     pub sessions_dropped: usize,
-    /// Metrics registry snapshot after quiescence, with every layer's
-    /// counters freshly published.
+    /// Metrics registry snapshot after quiescence.
     pub snapshot: Snapshot,
     /// Registry lines that changed between the pre-chaos steady state and
     /// quiescence — what the schedule actually exercised.

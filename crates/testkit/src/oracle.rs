@@ -24,6 +24,9 @@
 //!    agree with the per-neighbor and delivery tables they were compiled
 //!    from ([`VbgpRouter::verify_data_plane`]) — a stale generation or a
 //!    bad incremental patch after churn shows up here.
+//! 6. **Every drop has a reason.** At each PoP, what an enforcement
+//!    engine evaluated but did not pass equals the sum of its per-reason
+//!    drop counters ([`reason_sum_problems`]).
 //!
 //! [`Speaker::would_accept`]: peering_bgp::speaker::Speaker::would_accept
 //! [`VbgpRouter::verify_consistency`]: peering_vbgp::VbgpRouter::verify_consistency
@@ -36,6 +39,7 @@ use peering_bgp::attrs::PathAttributes;
 use peering_bgp::rib::PeerId;
 use peering_bgp::types::{PathId, Prefix};
 use peering_netsim::{MacAddr, NodeId, Simulator};
+use peering_obs::Snapshot;
 use peering_platform::{InternetAs, Peering};
 use peering_toolkit::ExperimentNode;
 use peering_vbgp::{BgpHost, VbgpRouter};
@@ -185,6 +189,48 @@ fn check_ledger_gossip(p: &Peering, problems: &mut Vec<String>) {
     }
 }
 
+/// `(evaluated, passed, reason family)` of each enforcement counter set.
+const REASON_SUMS: [(&str, &str, &str); 3] = [
+    ("data.evaluated", "data.allowed", "data.blocked{policy="),
+    (
+        "data.ingress_evaluated",
+        "data.ingress_allowed",
+        "data.ingress_blocked{policy=",
+    ),
+    (
+        "control.evaluated",
+        "control.accepted",
+        "control.rejected{reason=",
+    ),
+];
+
+/// Violations of "every drop has a reason" in a platform snapshot: at each
+/// PoP scope, `evaluated − passed` must equal the sum of the reason family.
+pub fn reason_sum_problems(snapshot: &Snapshot) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut scopes = 0;
+    for name in snapshot.names() {
+        for (evaluated, passed, reasons) in REASON_SUMS {
+            let Some(scope) = name.strip_suffix(evaluated) else {
+                continue;
+            };
+            scopes += 1;
+            let count = |n: &str| snapshot.counter(&format!("{scope}{n}")).unwrap_or(0);
+            let dropped = count(evaluated).checked_sub(count(passed));
+            let sum = snapshot.counter_family(&format!("{scope}{reasons}"));
+            if dropped != Some(sum) {
+                problems.push(format!(
+                    "{scope}: {evaluated} − {passed} = {dropped:?}, but Σ {reasons}*}} = {sum}"
+                ));
+            }
+        }
+    }
+    if scopes == 0 {
+        problems.push("no enforcement counters in the snapshot".to_string());
+    }
+    problems
+}
+
 /// Run every global invariant; returns human-readable violations (empty =
 /// converged). The list is sorted so failures are stable across runs.
 /// Takes `&mut` because the data-plane check force-compiles each router's
@@ -258,6 +304,7 @@ pub fn check_convergence(p: &mut Peering) -> Vec<String> {
     }
 
     check_ledger_gossip(p, &mut problems);
+    problems.extend(reason_sum_problems(&p.obs().snapshot()));
 
     problems.sort();
 

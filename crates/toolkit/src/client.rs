@@ -186,12 +186,6 @@ impl Toolkit {
         })
     }
 
-    /// The simulator link backing an open tunnel, if any. Lets test
-    /// harnesses target the tunnel itself with faults.
-    pub fn tunnel_link(&self, pop: &str) -> Option<LinkId> {
-        self.pops.get(pop).and_then(|a| a.link)
-    }
-
     /// Start the BGP session(s) toward a PoP.
     pub fn start_bgp(&mut self, sim: &mut Simulator, pop: &str) -> Result<(), ToolkitError> {
         let att = self.attachment(pop)?;

@@ -22,6 +22,7 @@ use std::net::Ipv4Addr;
 
 use peering_bgp::policy::Policy;
 use peering_bgp::rib::PeerId;
+use peering_bgp::speaker::PeerCounter;
 use peering_bgp::types::Prefix;
 use peering_netsim::{Bytes, IpPacket, IpProto, NodeId, SimDuration};
 use peering_platform::platform::AttachedExperiment;
@@ -443,11 +444,6 @@ impl DfzFabric {
         }
     }
 
-    /// Routes currently withdrawn by churn.
-    pub fn withdrawn_routes(&self) -> Vec<usize> {
-        self.withdrawn.keys().copied().collect()
-    }
-
     /// Re-announce everything churn left withdrawn (deterministic
     /// order), so the fabric returns to a full-table steady state the
     /// convergence oracle can check.
@@ -509,7 +505,7 @@ impl DfzFabric {
                 .peer_ids()
                 .iter()
                 .filter_map(|&id| r.host.speaker.peer_stats(id))
-                .map(|s| s.updates_in)
+                .map(|s| s.get(PeerCounter::UpdatesIn))
                 .sum()
         })
     }

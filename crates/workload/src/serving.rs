@@ -23,6 +23,7 @@ use std::net::Ipv4Addr;
 
 use peering_bgp::types::Prefix;
 use peering_netsim::{Bytes, IpPacket, IpProto};
+use peering_obs::Snapshot;
 use peering_platform::serving::{AnycastServing, ServingParams};
 use peering_vbgp::enforcement::data::FloodPolicy;
 use peering_vbgp::enforcement::pprog::{Field, Insn, PacketProgram};
@@ -143,9 +144,8 @@ pub struct ServingOutcome {
     /// Flood budget the run calibrated from its own schedule (absent
     /// when undefended).
     pub flood_policy: Option<FloodPolicy>,
-    /// Full obs snapshot rendering (the cross-shard determinism
-    /// artifact).
-    pub snapshot_text: String,
+    /// Full obs snapshot (the cross-shard determinism artifact).
+    pub snapshot: Snapshot,
     /// Obs journal digest (the second determinism artifact).
     pub journal_digest: u64,
     /// Events the simulator processed over the whole run (a count of
@@ -198,7 +198,7 @@ impl ServingOutcome {
             self.predicted_after_churn,
             self.observed_after_churn,
             self.journal_digest,
-            self.snapshot_text,
+            self.snapshot.to_text(),
         )
     }
 }
@@ -276,8 +276,9 @@ fn flow_packet(f: &crate::traffic::Flow, dst: Ipv4Addr) -> IpPacket {
 }
 
 /// Sum the `data.ingress_blocked{policy=…}` counter family across PoPs
-/// out of an obs snapshot rendering, keyed by policy label.
-fn blocked_by_reason(snapshot: &peering_obs::Snapshot) -> BTreeMap<String, u64> {
+/// out of an obs snapshot rendering, keyed by policy label; only the
+/// reasons that fired are listed.
+fn blocked_by_reason(snapshot: &Snapshot) -> BTreeMap<String, u64> {
     let mut out: BTreeMap<String, u64> = BTreeMap::new();
     for name in snapshot.names() {
         let Some(at) = name.find("data.ingress_blocked{policy=") else {
@@ -288,8 +289,9 @@ fn blocked_by_reason(snapshot: &peering_obs::Snapshot) -> BTreeMap<String, u64> 
             continue;
         };
         let label = name[label_start..label_start + rel_end].to_string();
-        if let Some(v) = snapshot.counter(name) {
-            *out.entry(label).or_insert(0) += v;
+        match snapshot.counter(name) {
+            Some(v) if v > 0 => *out.entry(label).or_insert(0) += v,
+            _ => {}
         }
     }
     out
@@ -465,7 +467,6 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
 
     let snapshot = net.platform.obs_snapshot();
     let blocked = blocked_by_reason(&snapshot);
-    let snapshot_text = snapshot.to_text();
     let journal_digest = net.platform.obs().journal_digest();
 
     ServingOutcome {
@@ -481,7 +482,7 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
         legit_delivery,
         attack_block,
         flood_policy,
-        snapshot_text,
+        snapshot,
         journal_digest,
         processed_events: net.platform.sim.processed_events,
         wall_ms: started.elapsed().as_millis(),

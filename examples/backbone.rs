@@ -14,7 +14,7 @@ use peering_repro::platform::internet::InternetAs;
 use peering_repro::platform::platform::Peering;
 use peering_repro::platform::topology::{paper_intent, TopologyParams};
 use peering_repro::toolkit::node::ExperimentNode;
-use peering_repro::vbgp::VbgpRouter;
+use peering_repro::vbgp::{MuxCounter, VbgpRouter};
 
 fn main() {
     println!("== vBGP across the backbone (paper §4.4, Fig. 5) ==\n");
@@ -105,7 +105,7 @@ fn main() {
     println!(
         "\npop {} mux: {} frames relayed over the backbone, {} FIB entries across {} per-neighbor tables",
         pops[0],
-        router_a.mux.stats.to_backbone,
+        router_a.mux.stats.get(MuxCounter::ToBackbone),
         router_a.mux.total_fib_entries(),
         p.neighbors_at(&pops[0]).len()
             + p.neighbors_at(&pops[1]).len()
@@ -117,6 +117,7 @@ fn main() {
         .unwrap();
     println!(
         "pop {} mux: {} frames forwarded to local neighbors",
-        pops[1], router_b.mux.stats.to_neighbor
+        pops[1],
+        router_b.mux.stats.get(MuxCounter::ToNeighbor)
     );
 }

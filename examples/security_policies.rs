@@ -11,6 +11,7 @@ use peering_repro::bgp::attrs::{AsPath, PathAttributes, UnknownAttr};
 use peering_repro::bgp::message::UpdateMsg;
 use peering_repro::bgp::types::{prefix, Asn, Community};
 use peering_repro::netsim::SimTime;
+use peering_repro::obs::CounterKey;
 use peering_repro::vbgp::enforcement::control::{
     ControlEnforcer, ExperimentPolicy, UPDATES_PER_DAY_LIMIT,
 };
@@ -268,5 +269,11 @@ fn main() {
         "  infinite loop (fuel exhausted, fails closed)        {}",
         verdict(v[0].is_allow())
     );
-    println!("\nstats: {:?}", d.stats.blocked);
+    let fired: std::collections::BTreeMap<&str, u64> = d
+        .blocked
+        .iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(reason, n)| (reason.name(), n))
+        .collect();
+    println!("\nstats: {fired:?}");
 }

@@ -17,7 +17,7 @@ use peering_repro::bgp::flatfib::{FlatFib, CHURN_REBUILD_THRESHOLD};
 use peering_repro::bgp::trie::PrefixTrie;
 use peering_repro::bgp::types::Prefix;
 use peering_repro::netsim::{MacAddr, PortId};
-use peering_repro::vbgp::{Delivery, Egress, ExperimentId, NeighborId, VbgpMux};
+use peering_repro::vbgp::{Delivery, Egress, ExperimentId, MuxCounter, NeighborId, VbgpMux};
 
 /// SplitMix64 — deterministic churn and probe generator.
 struct Gen(u64);
@@ -288,11 +288,11 @@ fn mux_fast_path_matches_slow_path_under_churn() {
         assert_eq!(mux.verify_fast_path(), Vec::<String>::new());
     }
     assert!(
-        mux.stats.flow_cache_hits > 0,
+        mux.stats.get(MuxCounter::FlowCacheHits) > 0,
         "churn test never exercised the flow cache"
     );
     assert!(
-        mux.stats.to_experiment > 0 && mux.stats.to_backbone > 0,
+        mux.stats.get(MuxCounter::ToExperiment) > 0 && mux.stats.get(MuxCounter::ToBackbone) > 0,
         "churn test never delivered both locally and remotely"
     );
 }
@@ -332,7 +332,6 @@ fn mux_observability_tracks_the_fast_path() {
     mux.install_route(NBR, extra);
     mux.egress_via_neighbor_batch(NBR, &probes[..1], &mut out);
 
-    mux.publish_obs();
     let snap = obs.snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     assert!(

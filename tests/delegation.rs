@@ -19,8 +19,9 @@ use peering_repro::toolkit::node::ExperimentNode;
 use peering_repro::vbgp::enforcement::control::ExperimentPolicy;
 use peering_repro::vbgp::enforcement::data::ExperimentDataPolicy;
 use peering_repro::vbgp::{
-    CapabilitySet, ControlCommunities, ControlEnforcer, DataEnforcer, ExperimentConfig,
-    ExperimentId, NeighborConfig, NeighborId, NeighborKind, PopId, VbgpRouter,
+    CapabilitySet, ControlCommunities, ControlCounter, ControlEnforcer, DataEnforcer,
+    ExperimentConfig, ExperimentId, NeighborConfig, NeighborId, NeighborKind, PopId, RouterCounter,
+    VbgpRouter,
 };
 
 const PLATFORM_ASN: u32 = 47065;
@@ -393,8 +394,8 @@ fn hijack_is_blocked_by_control_enforcement() {
         assert!(n.routes_for(&prefix("8.8.8.0/24")).is_empty());
     }
     let router = s.sim.node::<VbgpRouter>(s.router).unwrap();
-    assert!(router.stats.updates_blocked >= 2);
-    assert_eq!(router.control.stats.accepted, 0);
+    assert!(router.stats.get(RouterCounter::UpdatesBlocked) >= 2);
+    assert_eq!(router.control.stats.get(ControlCounter::Accepted), 0);
 }
 
 #[test]
@@ -419,7 +420,7 @@ fn spoofed_traffic_is_blocked_by_data_enforcement() {
     });
     s.sim.run_for(SimDuration::from_secs(3));
     let router = s.sim.node::<VbgpRouter>(s.router).unwrap();
-    assert_eq!(router.stats.data_blocked, 1);
+    assert_eq!(router.data.blocked.total(), 1);
     let n1 = s.sim.node::<ExperimentNode>(s.n1).unwrap();
     let n2 = s.sim.node::<ExperimentNode>(s.n2).unwrap();
     assert!(n1.received.is_empty() && n2.received.is_empty());

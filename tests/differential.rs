@@ -16,7 +16,7 @@ use std::net::IpAddr;
 
 use peering_repro::bgp::attrs::{AsPath, PathAttributes};
 use peering_repro::bgp::speaker::{
-    PeerConfig, Speaker, SpeakerConfig, SpeakerEvent, SpeakerOutput,
+    PeerConfig, PeerCounter, Speaker, SpeakerConfig, SpeakerEvent, SpeakerOutput,
 };
 use peering_repro::bgp::types::{Asn, Community, PathId, Prefix, RouterId};
 use peering_repro::bgp::PeerId;
@@ -314,7 +314,7 @@ fn hub_updates_out(net: &Net) -> u64 {
             net.speakers[HUB]
                 .peer_stats(PeerId(pid))
                 .unwrap()
-                .updates_out
+                .get(PeerCounter::UpdatesOut)
         })
         .sum()
 }

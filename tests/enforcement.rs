@@ -35,11 +35,14 @@ use peering_repro::platform::topology::{paper_intent, TopologyParams};
 use peering_repro::toolkit::client::AnnounceOptions;
 use peering_repro::toolkit::node::ExperimentNode;
 use peering_repro::vbgp::enforcement::control::ExperimentPolicy;
-use peering_repro::vbgp::enforcement::data::{DataEnforcer, DataVerdict, ExperimentDataPolicy};
+use peering_repro::vbgp::enforcement::data::{
+    DataCounter, DataEnforcer, DataVerdict, DropReason, ExperimentDataPolicy,
+};
 use peering_repro::vbgp::enforcement::pprog::{Field, Insn, PacketProgram, PacketView};
 use peering_repro::vbgp::{
-    CapabilitySet, ControlCommunities, ControlEnforcer, ExperimentConfig, ExperimentId,
-    NeighborConfig, NeighborId, NeighborKind, PopId, Rejection, VbgpRouter,
+    CapabilitySet, ControlCommunities, ControlCounter, ControlEnforcer, ExperimentConfig,
+    ExperimentId, NeighborConfig, NeighborId, NeighborKind, PopId, Rejection, RouterCounter,
+    VbgpRouter,
 };
 
 const EXP: ExperimentId = ExperimentId(1);
@@ -168,18 +171,11 @@ fn one_by_one(e: &mut DataEnforcer, pkts: &[PacketView]) -> Vec<DataVerdict> {
         .collect()
 }
 
-/// The counters both ways of batching must agree on.
-fn counters(e: &DataEnforcer) -> (u64, u64, u64, u64, Vec<(&'static str, u64)>) {
-    let s = &e.stats;
-    let mut blocked: Vec<_> = s.blocked.iter().map(|(k, v)| (*k, *v)).collect();
-    blocked.sort();
-    (
-        s.evaluated,
-        s.allowed,
-        s.prog_runs,
-        s.prog_cache_hits,
-        blocked,
-    )
+/// The counters both ways of batching must agree on: the pipeline's, then
+/// the drops by reason.
+fn counters(e: &DataEnforcer) -> Vec<u64> {
+    let stats = e.stats.iter().map(|(_, n)| n);
+    stats.chain(e.blocked.iter().map(|(_, n)| n)).collect()
 }
 
 /// The core differential: random programs over random packets, one batch
@@ -222,18 +218,19 @@ fn random_programs_batch_matches_single() {
         // pass; len/TTL-reading programs must never be.
         if valid && invariant {
             assert!(
-                batch.stats.prog_cache_hits > 0,
+                batch.stats.get(DataCounter::ProgCacheHits) > 0,
                 "seed {seed}: flow-invariant program never hit the cache"
             );
         }
         if valid && !invariant {
             assert_eq!(
-                batch.stats.prog_cache_hits, 0,
+                batch.stats.get(DataCounter::ProgCacheHits),
+                0,
                 "seed {seed}: len/TTL-reading program served from the cache"
             );
         }
-        for label in ["experiment-rate-limit", "pop-rate-limit"] {
-            shaped += batch.stats.blocked.get(label).copied().unwrap_or(0);
+        for reason in [DropReason::ExperimentRateLimit, DropReason::PopRateLimit] {
+            shaped += batch.blocked.get(reason);
         }
     }
     assert!(shaped > 0, "no seed exhausted a shaper");
@@ -277,7 +274,7 @@ fn fuel_exhaustion_blocks_in_both_paths() {
         "fuel exhaustion must fail closed"
     );
     assert_eq!(counters(&single), counters(&batch));
-    assert_eq!(batch.stats.blocked.get("program-fuel"), Some(&16));
+    assert_eq!(batch.blocked.get(DropReason::ProgramFuel), 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ fn installed_program_blocks_and_transforms_on_the_wire() {
         let nbr = r.sim.node::<ExperimentNode>(r.neighbor).unwrap();
         assert_eq!(nbr.received[1].packet.header.ttl, 8, "TTL rewrite applied");
         let rt = r.sim.node::<VbgpRouter>(r.router).unwrap();
-        assert_eq!(rt.stats.data_transformed, 1);
+        assert_eq!(rt.stats.get(RouterCounter::DataTransformed), 1);
     }
 
     // Block: nothing further arrives, and the drop is accounted.
@@ -460,7 +457,7 @@ fn installed_program_blocks_and_transforms_on_the_wire() {
     assert_eq!(send_one(&mut r, "192.168.0.4"), 2, "fail closed");
     {
         let rt = r.sim.node::<VbgpRouter>(r.router).unwrap();
-        assert_eq!(rt.stats.data_blocked, 2);
+        assert_eq!(rt.data.blocked.total(), 2);
     }
 
     // Clearing the program restores the open path.
@@ -495,11 +492,8 @@ fn rate_limited(p: &Peering, router: NodeId) -> u64 {
         .node::<VbgpRouter>(router)
         .unwrap()
         .control
-        .stats
         .rejected
-        .get(&Rejection::RateLimited)
-        .copied()
-        .unwrap_or(0)
+        .get(Rejection::RateLimited)
 }
 
 /// One full partition/heal scenario at a given shard count. Returns the
@@ -672,7 +666,8 @@ fn ledger_prunes_on_day_rollover() {
     assert_eq!(ledger_len(&r), 1, "the ledger must not grow across days");
     let rt = r.sim.node::<VbgpRouter>(r.router).unwrap();
     assert_eq!(
-        rt.control.stats.accepted, 20,
+        rt.control.stats.get(ControlCounter::Accepted),
+        20,
         "a fresh day gets a fresh per-PoP budget"
     );
 }

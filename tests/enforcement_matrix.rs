@@ -16,9 +16,9 @@ use peering_repro::toolkit::node::ExperimentNode;
 use peering_repro::vbgp::enforcement::control::ExperimentPolicy;
 use peering_repro::vbgp::enforcement::data::ExperimentDataPolicy;
 use peering_repro::vbgp::{
-    CapabilityKind, CapabilitySet, ControlCommunities, ControlEnforcer, DataEnforcer,
-    ExperimentConfig, ExperimentId, Grant, NeighborConfig, NeighborId, NeighborKind, PopId,
-    VbgpRouter,
+    CapabilityKind, CapabilitySet, ControlCommunities, ControlCounter, ControlEnforcer,
+    DataEnforcer, ExperimentConfig, ExperimentId, Grant, NeighborConfig, NeighborId, NeighborKind,
+    PopId, RouterCounter, VbgpRouter,
 };
 
 const PLATFORM_ASN: u32 = 47065;
@@ -149,7 +149,7 @@ fn run_matrix_row(
         "announcement must be blocked without the capability"
     );
     let router = without.sim.node::<VbgpRouter>(without.router).unwrap();
-    assert!(router.stats.updates_blocked >= 1);
+    assert!(router.stats.get(RouterCounter::UpdatesBlocked) >= 1);
 
     // With the capability: exported, and safely transformed.
     let mut with = rig(CapabilitySet::with(&[grant]));
@@ -459,13 +459,11 @@ fn rate_limit_enforced_through_the_session() {
     let router = r.sim.node::<VbgpRouter>(r.router).unwrap();
     let rate_limited = router
         .control
-        .stats
         .rejected
-        .get(&peering_repro::vbgp::Rejection::RateLimited)
-        .copied()
-        .unwrap_or(0);
+        .get(peering_repro::vbgp::Rejection::RateLimited);
     assert_eq!(
-        router.control.stats.accepted, 144,
+        router.control.stats.get(ControlCounter::Accepted),
+        144,
         "exactly the daily budget passes"
     );
     assert_eq!(rate_limited, 200 - 144);

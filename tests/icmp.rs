@@ -7,8 +7,8 @@
 //! TTL-expiring packet flood cannot be amplified into an ICMP flood.
 //! Informational ICMP (echo requests) still elicits time-exceeded:
 //! traceroute-over-ICMP depends on it. The vBGP router's behaviors are
-//! observable: suppressions land in `RouterStats`, the metrics registry,
-//! and the event journal.
+//! observable: suppressions land in the router's counters (which are the
+//! metrics registry's cells) and the event journal.
 
 use std::net::Ipv4Addr;
 
@@ -20,7 +20,7 @@ use peering_repro::platform::platform::Peering;
 use peering_repro::platform::topology::{paper_intent, TopologyParams};
 use peering_repro::toolkit::client::AnnounceOptions;
 use peering_repro::toolkit::node::ExperimentNode;
-use peering_repro::vbgp::VbgpRouter;
+use peering_repro::vbgp::{RouterCounter, VbgpRouter};
 
 /// Platform with one experiment attached at the first PoP, its prefix
 /// announced (so replies can route back), and a destination address
@@ -159,9 +159,9 @@ fn no_icmp_error_is_generated_for_an_icmp_error() {
     );
 
     let stats = &rig.p.sim.node::<VbgpRouter>(rig.router).unwrap().stats;
-    assert_eq!(stats.icmp_suppressed_error, 1);
-    assert_eq!(stats.icmp_rate_limited, 0);
-    assert!(stats.icmp_sent >= 1);
+    assert_eq!(stats.get(RouterCounter::IcmpSuppressedError), 1);
+    assert_eq!(stats.get(RouterCounter::IcmpRateLimited), 0);
+    assert!(stats.get(RouterCounter::IcmpSent) >= 1);
 
     // The suppression is observable: registry counter + journal event.
     let snap = rig.p.obs_snapshot();
@@ -217,7 +217,8 @@ fn no_icmp_error_is_generated_for_an_icmp_error_at_a_synthetic_as() {
 
     // Neither expired at the vBGP router.
     let stats = &rig.p.sim.node::<VbgpRouter>(rig.router).unwrap().stats;
-    assert_eq!((stats.icmp_sent, stats.icmp_suppressed_error), (0, 0));
+    assert_eq!(stats.get(RouterCounter::IcmpSent), 0);
+    assert_eq!(stats.get(RouterCounter::IcmpSuppressedError), 0);
 }
 
 #[test]
@@ -243,12 +244,12 @@ fn icmp_errors_are_rate_limited_per_router() {
     let replies = time_exceeded_count(&rig);
     let stats = &rig.p.sim.node::<VbgpRouter>(rig.router).unwrap().stats;
     assert_eq!(
-        replies as u64 + stats.icmp_rate_limited,
+        replies as u64 + stats.get(RouterCounter::IcmpRateLimited),
         FLOOD as u64,
         "every expiry is either answered or counted as rate-limited"
     );
     assert!(
-        stats.icmp_rate_limited > 0,
+        stats.get(RouterCounter::IcmpRateLimited) > 0,
         "a {FLOOD}-packet burst must trip the rate limit"
     );
     assert!(

@@ -979,13 +979,13 @@ mod obs_props {
             let obs = Obs::new();
             let n = g.range(2, 10) as u32;
             for i in 0..n {
-                obs.counter_dim("mux.egress_pkts", "nbr", i)
+                obs.counter(&format!("mux.egress_pkts{{nbr={i}}}"))
                     .add(g.below(50) + 1);
             }
             let before = obs.snapshot();
             let bump: Vec<u32> = (0..n).filter(|_| g.bool()).collect();
             for &i in &bump {
-                obs.counter_dim("mux.egress_pkts", "nbr", i)
+                obs.counter(&format!("mux.egress_pkts{{nbr={i}}}"))
                     .add(1 + g.below(9));
             }
             let diff = obs.snapshot().diff(&before);

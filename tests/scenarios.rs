@@ -14,6 +14,8 @@
 //! chaos harness (a leak under link flaps converges to the same modeled
 //! steady state once the plan heals).
 
+use peering_repro::bgp::speaker::PeerCounter;
+use peering_repro::platform::internet::InternetAs;
 use peering_scenarios::{
     reconcile, run_leak, run_poison, run_te, FilterMode, LeakParams, PoisonParams, ScenarioNet,
     ScenarioParams, TeParams, LEN_CAPS, MID_ASN0, POISON_ORDER,
@@ -106,6 +108,49 @@ fn reactive_peerlock_contains_the_leak() {
             "seed {seed}: containment took {secs}s (route refresh should be fast)"
         );
     }
+}
+
+/// A registry snapshot shows every layer's current counters without a
+/// publishing sweep first, including those of the synthetic transits.
+#[test]
+fn registry_snapshot_is_current_without_a_publish_step() {
+    let mut net = ScenarioNet::build(ScenarioParams::new(1007));
+    net.announce(0, 0, &AnnounceOptions::default());
+    net.run_secs(20);
+    net.trigger_leak();
+    net.run_secs(20);
+    let live = net.platform.obs().snapshot();
+    let published = net.platform.obs_snapshot();
+    assert!(
+        live == published,
+        "snapshot is stale: {} entries, {} after publishing",
+        live.len(),
+        published.len()
+    );
+    let node = net.transits[&2001].0;
+    let speaker = &net
+        .platform
+        .sim
+        .node::<InternetAs>(node)
+        .unwrap()
+        .host
+        .speaker;
+    let counted: u64 = speaker
+        .peer_ids()
+        .into_iter()
+        .map(|p| {
+            speaker
+                .peer_stats(p)
+                .unwrap()
+                .get(PeerCounter::ExportRejected)
+        })
+        .sum();
+    assert!(counted > 0, "AS2001 suppressed no export");
+    assert_eq!(
+        live.counter_family("as2001/bgp.export_rejected{peer="),
+        counted,
+        "AS2001's valley-free suppressions in the platform snapshot"
+    );
 }
 
 // --- family (b): AS-path poisoning --------------------------------------

@@ -11,6 +11,7 @@
 //! undefended ablation arm, and bit-identical replay across simulator
 //! shard counts.
 
+use peering_testkit::oracle::reason_sum_problems;
 use peering_workload::serving::{run_serving, ServingOutcome, ServingSpec};
 use peering_workload::TrafficMix;
 
@@ -76,6 +77,10 @@ fn serving_slo_holds_under_attack() {
     );
     assert_eq!(out.delivered_by_class["spoofed-flood"], 0);
     assert_eq!(out.delivered_by_class["syn-flood"], 0);
+
+    // Per PoP, every packet an enforcement engine evaluated and did not
+    // pass is counted under exactly one reason.
+    assert_eq!(reason_sum_problems(&out.snapshot), Vec::<String>::new());
 
     // Catchment while everything announces: Gao–Rexford makes each
     // transit prefer its direct customer route, so home PoP wins.
