@@ -30,26 +30,24 @@
 
 use std::time::Instant;
 
-use peering_netsim::{ChaosPlan, LinkId, SimDuration, SimRng};
+use peering_netsim::SimDuration;
 use peering_platform::{
     NeighborIntent, NeighborRole, Peering, PlatformIntent, PopIntent, PopKind, Proposal,
 };
+use peering_testkit::harness::{plan_for_seed, HarnessOptions};
 use peering_toolkit::AnnounceOptions;
 
 const RESULTS: &str = "docs/results/BENCH_scale.json";
 const SEED: u64 = 20260806;
 
-/// Decorrelates the chaos plan from the platform-build seed (same idiom
-/// as the testkit harness).
-const PLAN_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
 struct Params {
     pops: usize,
     experiments: usize,
     shard_counts: Vec<usize>,
-    /// Chaos window; the run settles for another 120 s after it closes.
-    window: SimDuration,
-    max_incidents: usize,
+    /// The chaos plan's window and incident cap (drawn as the testkit
+    /// harness draws it); the run settles for another 120 s after the
+    /// window closes.
+    chaos: HarnessOptions,
 }
 
 /// A footprint past the paper's 13 PoPs: even-indexed PoPs are IXP-style
@@ -107,24 +105,6 @@ fn scale_intent(n_pops: usize) -> PlatformIntent {
         pops,
         experiments: Vec::new(),
     }
-}
-
-/// Every link touching a vBGP router (fabric, backbone, tunnels) — the
-/// chaos targets, mirroring the testkit harness.
-fn router_links(p: &Peering) -> Vec<LinkId> {
-    let mut links: Vec<LinkId> = Vec::new();
-    for pop in p.pop_names() {
-        let Some(router) = p.router_node(&pop) else {
-            continue;
-        };
-        for (link, _) in p.sim.links_of(router) {
-            if !links.contains(&link) {
-                links.push(link);
-            }
-        }
-    }
-    links.sort_by_key(|l| l.0);
-    links
 }
 
 /// Where the wall-clock time of the setup phase went, measured on every
@@ -202,13 +182,11 @@ fn run_once(params: &Params, shards: usize) -> RunResult {
 
     // The measured phase: a seeded chaos schedule plus settle time, all
     // BGP sessions live. Identical at every shard count by construction.
-    let targets = router_links(&p);
-    let mut rng = SimRng::new(SEED ^ PLAN_SALT);
-    let plan = ChaosPlan::generate(&mut rng, &targets, params.window, params.max_incidents);
+    let plan = plan_for_seed(SEED, &p, &params.chaos);
     let events_before = p.sim.processed_events;
     let t1 = Instant::now();
     p.sim.schedule_chaos(&plan);
-    p.run_for(plan.end().max(params.window) + SimDuration::from_secs(120));
+    p.run_for(plan.end().max(params.chaos.window) + SimDuration::from_secs(120));
     let run_secs = t1.elapsed().as_secs_f64();
 
     RunResult {
@@ -235,16 +213,22 @@ fn main() {
             pops: 4,
             experiments: 8,
             shard_counts: vec![1, 2],
-            window: SimDuration::from_secs(30),
-            max_incidents: 4,
+            chaos: HarnessOptions {
+                window: SimDuration::from_secs(30),
+                max_incidents: 4,
+                ..HarnessOptions::default()
+            },
         }
     } else {
         Params {
             pops: 16,
             experiments: 64,
             shard_counts: vec![1, 2, 4, 8],
-            window: SimDuration::from_secs(60),
-            max_incidents: 12,
+            chaos: HarnessOptions {
+                window: SimDuration::from_secs(60),
+                max_incidents: 12,
+                ..HarnessOptions::default()
+            },
         }
     };
     let host_cores = std::thread::available_parallelism()

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Gauge, Histogram, Obs};
+use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Histogram, Obs};
 
 use crate::attrs::{AttrStore, PathAttributes};
 use crate::decision::sort_candidates;
@@ -196,6 +196,68 @@ counter_keys! {
         /// ADD-PATH re-announcements that replaced an already-held
         /// (prefix, path-id) entry in the Adj-RIB-In.
         AddpathDups = "bgp.addpath_dups",
+        /// Paths held in this peer's Adj-RIB-In.
+        AdjInPaths = level "bgp.adj_in_paths",
+        /// The session FSM's consecutive failures (its backoff level).
+        BackoffLevel = level "bgp.backoff_level",
+    }
+}
+
+counter_keys! {
+    /// The speaker's own counters and levels.
+    enum SpeakerCounter {
+        /// Adj-RIB-Out replays on session establishment.
+        ResyncReplays = "bgp.resync_replays",
+        /// Distinct attribute sets in the intern store.
+        InternedAttrs = level "bgp.interned_attrs",
+        /// Paths held across every Adj-RIB-In.
+        AdjInPathsTotal = level "bgp.adj_in_paths_total",
+    }
+}
+
+counter_keys! {
+    /// Session FSM state changes, published as
+    /// `bgp.fsm_transition{edge=From->To}`: every change
+    /// [`SessionFsm::handle`] can make.
+    enum FsmEdge {
+        IdleConnect = "Idle->Connect",
+        IdleActive = "Idle->Active",
+        ConnectActive = "Connect->Active",
+        ConnectOpenSent = "Connect->OpenSent",
+        ConnectIdle = "Connect->Idle",
+        ActiveConnect = "Active->Connect",
+        ActiveOpenSent = "Active->OpenSent",
+        ActiveOpenConfirm = "Active->OpenConfirm",
+        ActiveIdle = "Active->Idle",
+        OpenSentOpenConfirm = "OpenSent->OpenConfirm",
+        OpenSentIdle = "OpenSent->Idle",
+        OpenConfirmEstablished = "OpenConfirm->Established",
+        OpenConfirmIdle = "OpenConfirm->Idle",
+        EstablishedIdle = "Established->Idle",
+    }
+}
+
+impl FsmEdge {
+    /// The key of the change `from -> to`.
+    fn between(from: FsmState, to: FsmState) -> Self {
+        use FsmState as S;
+        match (from, to) {
+            (S::Idle, S::Connect) => FsmEdge::IdleConnect,
+            (S::Idle, S::Active) => FsmEdge::IdleActive,
+            (S::Connect, S::Active) => FsmEdge::ConnectActive,
+            (S::Connect, S::OpenSent) => FsmEdge::ConnectOpenSent,
+            (S::Connect, S::Idle) => FsmEdge::ConnectIdle,
+            (S::Active, S::Connect) => FsmEdge::ActiveConnect,
+            (S::Active, S::OpenSent) => FsmEdge::ActiveOpenSent,
+            (S::Active, S::OpenConfirm) => FsmEdge::ActiveOpenConfirm,
+            (S::Active, S::Idle) => FsmEdge::ActiveIdle,
+            (S::OpenSent, S::OpenConfirm) => FsmEdge::OpenSentOpenConfirm,
+            (S::OpenSent, S::Idle) => FsmEdge::OpenSentIdle,
+            (S::OpenConfirm, S::Established) => FsmEdge::OpenConfirmEstablished,
+            (S::OpenConfirm, S::Idle) => FsmEdge::OpenConfirmIdle,
+            (S::Established, S::Idle) => FsmEdge::EstablishedIdle,
+            _ => unreachable!("the FSM never changes {from:?} -> {to:?}"),
+        }
     }
 }
 
@@ -234,10 +296,6 @@ struct Peer {
     next_export_id: PathId,
     pending: PendingAdverts,
     counters: Counters<PeerCounter>,
-    /// `bgp.adj_in_paths{peer}`: paths held in `adj_in`.
-    adj_in_paths: Gauge,
-    /// `bgp.backoff_level{peer}`: the FSM's consecutive failures.
-    backoff_level: Gauge,
 }
 
 /// Structural events produced by the speaker.
@@ -295,14 +353,13 @@ pub struct Speaker {
     /// but suppresses the wire replay — exactly the resync bug the oracle
     /// exists to catch. Never set outside tests.
     fault_skip_session_up_replay: bool,
-    /// Observability handle: FSM transition matrix, resync replays and the
-    /// coalescing flush-size histogram land here.
+    /// Observability handle: the registry every metric below and each
+    /// peer's block is published in, and the journal.
     obs: Obs,
+    stats: Counters<SpeakerCounter>,
+    transitions: Counters<FsmEdge>,
+    /// NLRI entries put on the wire by one flush.
     h_flush: Histogram,
-    /// Distinct attribute sets in `attr_store`.
-    interned_attrs: Gauge,
-    /// Paths held across every Adj-RIB-In.
-    adj_in_paths_total: Gauge,
     /// Journal every export-policy suppression (off by default: at a
     /// mid-tier AS the suppression is the steady state, so only nodes
     /// whose enforcement is under observation opt in).
@@ -384,9 +441,9 @@ impl Speaker {
             attr_store: AttrStore::new(),
             gc_watermark: 1024,
             fault_skip_session_up_replay: false,
-            h_flush: obs.histogram("bgp.flush_nlri", FLUSH_NLRI_BOUNDS),
-            interned_attrs: obs.gauge("bgp.interned_attrs"),
-            adj_in_paths_total: obs.gauge("bgp.adj_in_paths_total"),
+            stats: Counters::new(&obs),
+            transitions: Counters::family(&obs, "bgp.fsm_transition", "edge"),
+            h_flush: Histogram::new(&obs, "bgp.flush_nlri", FLUSH_NLRI_BOUNDS),
             obs,
             journal_export_rejects: false,
             scratch_ids: Vec::new(),
@@ -395,24 +452,16 @@ impl Speaker {
     }
 
     /// Adopt a shared observability handle (replacing the speaker's
-    /// private default registry).
+    /// private default registry): every metric moves to it, values
+    /// included.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.h_flush = obs.histogram("bgp.flush_nlri", FLUSH_NLRI_BOUNDS);
-        self.interned_attrs = obs.gauge("bgp.interned_attrs");
-        self.interned_attrs.set(self.attr_store.len() as i64);
-        self.adj_in_paths_total = obs.gauge("bgp.adj_in_paths_total");
-        for (id, peer) in &mut self.peers {
+        self.stats.set_obs(&obs);
+        self.transitions.set_obs(&obs);
+        self.h_flush.set_obs(&obs);
+        for peer in self.peers.values_mut() {
             peer.counters.set_obs(&obs);
-            peer.adj_in_paths = obs.gauge_dim("bgp.adj_in_paths", "peer", id.0);
-            peer.backoff_level = obs.gauge_dim("bgp.backoff_level", "peer", id.0);
-            peer.backoff_level
-                .set(peer.fsm.consecutive_failures() as i64);
         }
         self.obs = obs;
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        for id in ids {
-            self.note_adj_in(id);
-        }
     }
 
     /// The speaker's observability handle.
@@ -472,8 +521,6 @@ impl Speaker {
             next_export_id: 1,
             pending: PendingAdverts::default(),
             counters: Counters::labelled(&self.obs, "peer", id.0),
-            adj_in_paths: self.obs.gauge_dim("bgp.adj_in_paths", "peer", id.0),
-            backoff_level: self.obs.gauge_dim("bgp.backoff_level", "peer", id.0),
         };
         self.peers.insert(id, peer);
     }
@@ -557,7 +604,8 @@ impl Speaker {
             self.export_prefix_to(id, prefix);
         }
         self.flush_peer(id, &mut out);
-        self.interned_attrs.set(self.attr_store.len() as i64);
+        let attrs = self.attr_store.len() as u64;
+        self.stats.set(SpeakerCounter::InternedAttrs, attrs);
         out
     }
 
@@ -722,15 +770,11 @@ impl Speaker {
         let actions = peer.fsm.handle(event);
         let state_after = peer.fsm.state();
         let failures = peer.fsm.consecutive_failures();
-        peer.backoff_level.set(failures as i64);
+        peer.counters
+            .set(PeerCounter::BackoffLevel, failures as u64);
         if state_after != state_before {
-            self.obs
-                .counter(&format!(
-                    "bgp.fsm_transition{{edge={}->{}}}",
-                    state_before.name(),
-                    state_after.name()
-                ))
-                .inc();
+            self.transitions
+                .inc(FsmEdge::between(state_before, state_after));
             self.obs.record(ObsEvent::SessionTransition {
                 peer: id.0,
                 from: state_before.name(),
@@ -867,7 +911,7 @@ impl Speaker {
         } else {
             // The initial table must hit the wire before the End-of-RIB marker.
             self.flush_peer(id, out);
-            self.obs.counter("bgp.resync_replays").inc();
+            self.stats.inc(SpeakerCounter::ResyncReplays);
             self.obs
                 .record(ObsEvent::ResyncReplay { peer: id.0, routes });
         }
@@ -1333,18 +1377,21 @@ impl Speaker {
         for id in ids {
             self.flush_peer(id, out);
         }
-        self.interned_attrs.set(self.attr_store.len() as i64);
+        let attrs = self.attr_store.len() as u64;
+        self.stats.set(SpeakerCounter::InternedAttrs, attrs);
     }
 
     /// Set `bgp.adj_in_paths{peer=id}` and the total after `id`'s
     /// Adj-RIB-In changed.
     fn note_adj_in(&mut self, id: PeerId) {
-        let Some(peer) = self.peers.get(&id) else {
+        let Some(peer) = self.peers.get_mut(&id) else {
             return;
         };
-        let paths = peer.adj_in.path_count as i64;
-        self.adj_in_paths_total.add(paths - peer.adj_in_paths.get());
-        peer.adj_in_paths.set(paths);
+        let paths = peer.adj_in.path_count as u64;
+        let before = peer.counters.get(PeerCounter::AdjInPaths);
+        peer.counters.set(PeerCounter::AdjInPaths, paths);
+        let total = self.stats.get(SpeakerCounter::AdjInPathsTotal) - before + paths;
+        self.stats.set(SpeakerCounter::AdjInPathsTotal, total);
     }
 
     /// Number of routes held across all Adj-RIBs-In (Fig. 6a's x-axis).
@@ -2045,6 +2092,53 @@ mod tests {
             .any(|e| matches!(e, SpeakerEvent::RouteWithdrawn(_, _, _))));
         assert!(h.speakers[1].loc_rib().best(&p).is_none());
         assert_eq!(h.speakers[1].stale_path_count(PeerId(0)), 0);
+    }
+
+    /// A speaker moved to a new registry takes every metric with it,
+    /// values included: counters, levels, the FSM transition family and
+    /// the flush histogram.
+    #[test]
+    fn set_obs_keeps_every_value() {
+        let mut h = pair(false);
+        for (idx, p) in [
+            (0, "184.164.224.0/24"),
+            (0, "184.164.225.0/24"),
+            (1, "10.1.0.0/16"),
+        ] {
+            h.originate(
+                idx,
+                prefix(p),
+                PathAttributes::originated(addr(idx as u32 + 1)),
+            );
+        }
+        let out = h.speakers[0].on_transport_down(PeerId(0));
+        h.process(0, out);
+        let out = h.speakers[1].on_transport_down(PeerId(0));
+        h.process(1, out);
+        h.transports_up.clear();
+        h.run();
+        h.start(1, 0);
+        h.start(0, 0);
+        for s in &mut h.speakers {
+            let before = s.obs().snapshot().to_text();
+            for line in [
+                "bgp.fsm_transition{edge=OpenConfirm->Established} 2",
+                "bgp.fsm_transition{edge=Established->Idle} 1",
+                "bgp.resync_replays 2",
+            ] {
+                assert!(
+                    before.lines().any(|l| l == line),
+                    "no `{line}` in\n{before}"
+                );
+            }
+            assert!(!before.contains("bgp.flush_nlri_count 0"), "{before}");
+            let moved = Obs::new();
+            s.set_obs(moved.clone());
+            let after = moved.snapshot().to_text();
+            for line in before.lines().filter(|l| !l.ends_with(" 0")) {
+                assert!(after.lines().any(|l| l == line), "lost `{line}`:\n{after}");
+            }
+        }
     }
 
     #[test]

@@ -354,6 +354,8 @@ counter_keys! {
         Evaluated = "control.evaluated",
         /// Entries accepted.
         Accepted = "control.accepted",
+        /// 1 while the engine fails closed, else 0.
+        FailClosed = level "control.fail_closed",
     }
 }
 
@@ -369,7 +371,7 @@ pub struct ControlEnforcer {
     /// overload semantics (§4.7) are an observable platform state, not a
     /// silent flag.
     fail_closed: bool,
-    /// Journal handle (fail-closed transitions) + gauge.
+    /// Journal handle (fail-closed transitions).
     obs: Obs,
     /// Pipeline counters.
     pub stats: Counters<ControlCounter>,
@@ -401,15 +403,12 @@ impl ControlEnforcer {
         }
     }
 
-    /// Attach a shared observability handle, move the counters into its
-    /// registry and publish the current fail-closed state as a gauge.
+    /// Attach a shared observability handle and move the counters into
+    /// its registry, values included.
     pub fn set_obs(&mut self, obs: Obs) {
         self.stats.set_obs(&obs);
         self.rejected.set_obs(&obs);
         self.obs = obs;
-        self.obs
-            .gauge("control.fail_closed")
-            .set(self.fail_closed as i64);
     }
 
     /// Whether the engine is currently failing closed.
@@ -423,14 +422,14 @@ impl ControlEnforcer {
     }
 
     /// Enter or leave fail-closed mode. Transitions are journaled and
-    /// mirrored into the `control.fail_closed` gauge so the oracle and
-    /// tests can see overload come and go (§4.7); a no-op set is silent.
+    /// set the `control.fail_closed` level so the oracle and tests can
+    /// see overload come and go (§4.7); a no-op set is silent.
     pub fn set_fail_closed(&mut self, on: bool) {
         if self.fail_closed == on {
             return;
         }
         self.fail_closed = on;
-        self.obs.gauge("control.fail_closed").set(on as i64);
+        self.stats.set(ControlCounter::FailClosed, on as u64);
         self.obs.record(EventKind::FailClosed {
             pop: self.pop.0,
             entered: on,
@@ -894,11 +893,12 @@ mod tests {
         e.set_obs(obs.clone());
         e.set_fail_closed(true);
         assert!(e.fail_closed());
+        assert_eq!(obs.snapshot().gauge("control.fail_closed"), Some(1));
         let (out, rej) = check(&mut e, &announce("184.164.224.0/24", &[61574]));
         assert!(out.announce.is_empty());
         assert_eq!(rej[0].1, Rejection::FailClosed);
         // Redundant sets are silent; real transitions are journaled both
-        // ways and mirrored into the gauge.
+        // ways and set the level.
         e.set_fail_closed(true);
         e.set_fail_closed(false);
         let events: Vec<EventKind> = obs.events().iter().map(|ev| ev.kind).collect();
@@ -915,7 +915,6 @@ mod tests {
                 },
             ]
         );
-        e.set_obs(obs.clone());
         assert_eq!(obs.snapshot().gauge("control.fail_closed"), Some(0));
     }
 

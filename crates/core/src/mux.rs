@@ -37,7 +37,7 @@ use peering_bgp::flatfib::FlatFib;
 use peering_bgp::trie::PrefixTrie;
 use peering_bgp::types::Prefix;
 use peering_netsim::{MacAddr, PortId};
-use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Gauge, Obs, DELIVERY_TABLE};
+use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Obs, DELIVERY_TABLE};
 
 use crate::fasthash::{hash_u32, FastHashMap};
 use crate::ids::{ExperimentId, NeighborId};
@@ -152,17 +152,21 @@ counter_keys! {
         FibPatchRounds = "mux.fib_patch_rounds",
         /// Individual prefixes patched across all patch rounds.
         FibPrefixesPatched = "mux.fib_prefixes_patched",
+        /// Prefixes in the experiment delivery table.
+        DeliveryRoutes = level "mux.delivery_routes",
     }
 }
 
 counter_keys! {
-    /// Per-neighbor packet counters, published as `name{nbr=id}`.
+    /// Per-neighbor counters, published as `name{nbr=id}`.
     pub enum NeighborCounter {
         /// Packets forwarded out via this neighbor's table.
         EgressPkts = "mux.egress_pkts",
         /// Packets delivered to an experiment that ingressed via this
         /// neighbor.
         IngressPkts = "mux.ingress_pkts",
+        /// Prefixes in this neighbor's table.
+        TableRoutes = level "mux.table_routes",
     }
 }
 
@@ -252,43 +256,35 @@ struct Table<T> {
     trie: PrefixTrie<u32>,
     fib: Option<FlatFib>,
     cache: Option<Box<FlowCache<T>>>,
-    /// The trie's prefix count (`mux.table_routes{nbr}` or
-    /// `mux.delivery_routes`).
-    routes: Gauge,
 }
 
 impl<T: FibAnswer> Table<T> {
-    fn new(routes: Gauge) -> Self {
+    fn new() -> Self {
         Table {
             trie: PrefixTrie::new(),
             fib: None,
             cache: None,
-            routes,
         }
     }
 
-    /// Publish the prefix count through `routes` from now on.
-    fn set_routes_gauge(&mut self, routes: Gauge) {
-        routes.set(self.trie.len() as i64);
-        self.routes = routes;
-    }
-
-    /// Set `prefix` in the trie and mark it dirty in the compiled FIB.
-    fn insert(&mut self, prefix: Prefix, value: u32) {
+    /// Set `prefix` in the trie and mark it dirty in the compiled FIB;
+    /// returns the table's prefix count.
+    fn insert(&mut self, prefix: Prefix, value: u32) -> u64 {
         self.trie.insert(prefix, value);
-        self.routes.set(self.trie.len() as i64);
         if let Some(fib) = &mut self.fib {
             fib.mark_dirty(&prefix);
         }
+        self.trie.len() as u64
     }
 
-    /// Remove `prefix` from the trie and mark it dirty in the compiled FIB.
-    fn remove(&mut self, prefix: &Prefix) {
+    /// Remove `prefix` from the trie and mark it dirty in the compiled
+    /// FIB; returns the table's prefix count.
+    fn remove(&mut self, prefix: &Prefix) -> u64 {
         self.trie.remove(prefix);
-        self.routes.set(self.trie.len() as i64);
         if let Some(fib) = &mut self.fib {
             fib.mark_dirty(prefix);
         }
+        self.trie.len() as u64
     }
 
     /// Bring the compiled FIB up to date with the trie, compiling it on
@@ -344,7 +340,7 @@ struct NeighborEntry {
     table: Table<bool>,
     /// The local-pool MAC index (for classifier cleanup on removal).
     vnh_idx: u32,
-    pkts: Counters<NeighborCounter>,
+    counters: Counters<NeighborCounter>,
 }
 
 struct ExperimentEntry {
@@ -376,7 +372,7 @@ pub struct VbgpMux {
     /// Counters.
     pub stats: Counters<MuxCounter>,
     /// Observability handle: journal events, and the registry the
-    /// counters and table gauges are published in.
+    /// counters are published in.
     obs: Obs,
 }
 
@@ -399,7 +395,7 @@ impl VbgpMux {
             experiments: Vec::new(),
             free_experiment_slots: Vec::new(),
             experiment_slot: FastHashMap::default(),
-            delivery: Table::new(obs.gauge("mux.delivery_routes")),
+            delivery: Table::new(),
             delivery_sets: Vec::new(),
             free_delivery_sets: Vec::new(),
             owned_ips: FastHashMap::default(),
@@ -410,30 +406,25 @@ impl VbgpMux {
     }
 
     /// Attach a shared observability handle (typically already scoped to
-    /// this PoP) and move the counters and table gauges into its
-    /// registry. Until called, they live in a private default store.
+    /// this PoP) and move the counters into its registry, values
+    /// included. Until called, they live in a private default store.
     pub fn set_obs(&mut self, obs: Obs) {
         self.stats.set_obs(&obs);
         for entry in self.neighbors.iter_mut().flatten() {
-            entry.pkts.set_obs(&obs);
-            entry
-                .table
-                .set_routes_gauge(obs.gauge_dim("mux.table_routes", "nbr", entry.id.0));
+            entry.counters.set_obs(&obs);
         }
-        self.delivery
-            .set_routes_gauge(obs.gauge("mux.delivery_routes"));
         self.obs = obs;
     }
 
-    /// Store a fresh table entry for neighbor `id`, its counters and
-    /// route gauge published in this mux's registry; returns its slot.
+    /// Store a fresh table entry for neighbor `id`, its counters
+    /// published in this mux's registry; returns its slot.
     fn insert_neighbor_entry(&mut self, id: NeighborId, fwd: NeighborFwd) -> u32 {
         let entry = NeighborEntry {
             id,
             fwd,
-            table: Table::new(self.obs.gauge_dim("mux.table_routes", "nbr", id.0)),
+            table: Table::new(),
             vnh_idx: 0,
-            pkts: Counters::labelled(&self.obs, "nbr", id.0),
+            counters: Counters::labelled(&self.obs, "nbr", id.0),
         };
         let slot = match self.free_neighbor_slots.pop() {
             Some(s) => {
@@ -611,7 +602,10 @@ impl VbgpMux {
         };
         match entry.table.trie.get_mut(&prefix) {
             Some(count) => *count += 1, // presence unchanged: FIB stays clean
-            None => entry.table.insert(prefix, 1),
+            None => {
+                let routes = entry.table.insert(prefix, 1);
+                entry.counters.set(NeighborCounter::TableRoutes, routes);
+            }
         }
     }
 
@@ -626,7 +620,8 @@ impl VbgpMux {
         if let Some(count) = entry.table.trie.get_mut(&prefix) {
             *count -= 1;
             if *count == 0 {
-                entry.table.remove(&prefix);
+                let routes = entry.table.remove(&prefix);
+                entry.counters.set(NeighborCounter::TableRoutes, routes);
             }
         }
     }
@@ -698,7 +693,8 @@ impl VbgpMux {
                 self.delivery_sets.len() as u32 - 1
             }
         };
-        self.delivery.insert(prefix, idx);
+        let routes = self.delivery.insert(prefix, idx);
+        self.stats.set(MuxCounter::DeliveryRoutes, routes);
     }
 
     /// One backing route for a delivery entry was withdrawn. The prefix
@@ -720,7 +716,8 @@ impl VbgpMux {
         if set.entries.is_empty() {
             self.delivery_sets[idx as usize] = None;
             self.free_delivery_sets.push(idx);
-            self.delivery.remove(&prefix);
+            let routes = self.delivery.remove(&prefix);
+            self.stats.set(MuxCounter::DeliveryRoutes, routes);
         }
     }
 
@@ -856,7 +853,7 @@ impl VbgpMux {
         for &ip in dst_ips {
             if reader.lookup(ip, &mut self.stats) {
                 Self::count_egress(&mut self.stats, entry.fwd, egress);
-                entry.pkts.inc(NeighborCounter::EgressPkts);
+                entry.counters.inc(NeighborCounter::EgressPkts);
                 out.push(Some(egress));
             } else {
                 self.stats.inc(MuxCounter::NoRoute);
@@ -924,7 +921,7 @@ impl VbgpMux {
         let delivered = out.iter().flatten().count() as u64;
         if delivered > 0 {
             if let Some(entry) = from_neighbor.and_then(|n| self.neighbor_mut(n)) {
-                entry.pkts.add(NeighborCounter::IngressPkts, delivered);
+                entry.counters.add(NeighborCounter::IngressPkts, delivered);
             }
         }
     }

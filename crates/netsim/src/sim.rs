@@ -56,7 +56,7 @@ use std::any::Any;
 use std::cell::UnsafeCell;
 use std::sync::{mpsc, Mutex, MutexGuard};
 
-use peering_obs::{Counter, DispatchKey, EventKind as ObsEvent, Obs, MAX_LANES};
+use peering_obs::{counter_keys, Counters, DispatchKey, EventKind as ObsEvent, Obs, MAX_LANES};
 
 use crate::chaos::{ChaosChange, ChaosPlan};
 use crate::event::{
@@ -285,41 +285,33 @@ impl Topo {
     }
 }
 
-/// The simulator's own metric handles (cloneable, atomics-backed).
-#[derive(Clone)]
-struct SimCounters {
-    link_drops: Counter,
-    corrupted: Counter,
-    duplicated: Counter,
-    reordered: Counter,
-    chaos_steps: Counter,
-}
-
-impl SimCounters {
-    fn register(obs: &Obs) -> Self {
-        SimCounters {
-            link_drops: obs.counter("netsim.link_drops"),
-            corrupted: obs.counter("netsim.frames_corrupted"),
-            duplicated: obs.counter("netsim.frames_duplicated"),
-            reordered: obs.counter("netsim.frames_reordered"),
-            chaos_steps: obs.counter("netsim.chaos_steps"),
-        }
+counter_keys! {
+    /// The simulator's fault and chaos counters.
+    enum SimCounter {
+        LinkDrops = "netsim.link_drops",
+        Corrupted = "netsim.frames_corrupted",
+        Duplicated = "netsim.frames_duplicated",
+        Reordered = "netsim.frames_reordered",
+        ChaosSteps = "netsim.chaos_steps",
     }
 }
 
-/// Per-dispatch tallies, merged into the simulator after each event (or
-/// each parallel window — the sums are commutative, so merge order cannot
+/// Per-dispatch tallies, folded into the simulator after each event (or
+/// each parallel window — the sums are commutative, so fold order cannot
 /// affect the result).
 #[derive(Default)]
 struct LocalStats {
     unrouted: u64,
     processed: u64,
+    link_drops: u64,
+    corrupted: u64,
+    duplicated: u64,
+    reordered: u64,
 }
 
 /// Everything an event dispatch needs besides the queue it pops from.
 struct DispatchEnv<'a> {
     topo: &'a Topo,
-    counters: &'a SimCounters,
     out: &'a mut Vec<Event>,
     stats: &'a mut LocalStats,
 }
@@ -389,7 +381,7 @@ fn apply_actions(
                     is_data_plane,
                 );
                 if matches!(outcome, TxOutcome::Dropped) {
-                    env.counters.link_drops.inc();
+                    env.stats.link_drops += 1;
                 }
                 if let TxOutcome::Deliver(at) = outcome {
                     let (dst_node, dst_port) = state.ends[1 - end];
@@ -401,7 +393,7 @@ fn apply_actions(
                         let idx = rng.below(payload.len() as u64) as usize;
                         payload[idx] ^= 1 << rng.below(8);
                         frame.payload = payload.into();
-                        env.counters.corrupted.inc();
+                        env.stats.corrupted += 1;
                     }
                     // Reorder/duplicate rolls are only drawn when the
                     // link configures them, so runs without these faults
@@ -416,7 +408,7 @@ fn apply_actions(
                         {
                             let extra = rng.below(faults.reorder_window.as_nanos().max(1));
                             at += SimDuration::from_nanos(extra);
-                            env.counters.reordered.inc();
+                            env.stats.reordered += 1;
                         }
                         duplicate = dup_roll < faults.duplicate_pct;
                     }
@@ -432,7 +424,7 @@ fn apply_actions(
                         push_joined(env.out, event);
                     };
                     if duplicate {
-                        env.counters.duplicated.inc();
+                        env.stats.duplicated += 1;
                         deliver(frame.clone());
                     }
                     deliver(frame);
@@ -569,7 +561,6 @@ struct WindowJob {
     gvt: SimTime,
     end: SimTime,
     topo: *const Topo,
-    counters: *const SimCounters,
     obs: *const Obs,
     node_shard: *const u32,
     node_shard_len: usize,
@@ -695,7 +686,6 @@ unsafe fn run_shard_window(
 ) -> (LocalStats, SimTime) {
     out.clear();
     let topo = &*job.topo;
-    let counters = &*job.counters;
     let obs = &*job.obs;
     let node_shard = std::slice::from_raw_parts(job.node_shard, job.node_shard_len);
     let queue = &mut *job.queues.add(shard);
@@ -708,7 +698,6 @@ unsafe fn run_shard_window(
         {
             let mut env = DispatchEnv {
                 topo,
-                counters,
                 out: &mut *out,
                 stats: &mut stats,
             };
@@ -774,14 +763,14 @@ pub struct Simulator {
     /// drivers; always empty between uses.
     scratch_out: Vec<Event>,
     obs: Obs,
-    counters: SimCounters,
+    counters: Counters<SimCounter>,
 }
 
 impl Simulator {
     /// Create a simulator with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
         let obs = Obs::new();
-        let counters = SimCounters::register(&obs);
+        let counters = Counters::new(&obs);
         Simulator {
             time: SimTime::ZERO,
             shards: 1,
@@ -809,17 +798,9 @@ impl Simulator {
         }
     }
 
-    /// Adopt a shared observability handle (the platform installs one
-    /// registry for the whole topology); the simulator's own counters and
-    /// chaos events move to it, and the journal clock tracks `now()`.
-    pub fn set_obs(&mut self, obs: Obs) {
-        let counters = SimCounters::register(&obs);
-        obs.set_now_nanos(self.time.as_nanos());
-        self.obs = obs;
-        self.counters = counters;
-    }
-
-    /// The simulator's observability handle.
+    /// The simulator's observability handle: the registry its counters
+    /// are published in and the journal its chaos events go to, whose
+    /// clock tracks `now()`. A platform adopts it for the whole topology.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -1143,7 +1124,6 @@ impl Simulator {
         {
             let mut env = DispatchEnv {
                 topo: &self.topo,
-                counters: &self.counters,
                 out: &mut out,
                 stats: &mut stats,
             };
@@ -1156,9 +1136,20 @@ impl Simulator {
                 &mut self.ext_seq,
             );
         }
-        self.unrouted_frames += stats.unrouted;
+        self.fold(stats);
         self.route_events(&mut out);
         self.scratch_out = out;
+    }
+
+    /// Add one dispatch's (or one window's) tallies to the simulator's.
+    fn fold(&mut self, stats: LocalStats) {
+        self.unrouted_frames += stats.unrouted;
+        self.processed_events += stats.processed;
+        let c = &mut self.counters;
+        c.add(SimCounter::LinkDrops, stats.link_drops);
+        c.add(SimCounter::Corrupted, stats.corrupted);
+        c.add(SimCounter::Duplicated, stats.duplicated);
+        c.add(SimCounter::Reordered, stats.reordered);
     }
 
     /// The key of the next event in the global order, if any.
@@ -1213,15 +1204,13 @@ impl Simulator {
         {
             let mut env = DispatchEnv {
                 topo: &self.topo,
-                counters: &self.counters,
                 out: &mut out,
                 stats: &mut stats,
             };
             process_node_event(&mut env, &self.obs, ev, &mut self.queues[i]);
         }
         peering_obs::clear_dispatch_key();
-        self.unrouted_frames += stats.unrouted;
-        self.processed_events += stats.processed;
+        self.fold(stats);
         self.route_events(&mut out);
         self.scratch_out = out;
         true
@@ -1267,7 +1256,7 @@ impl Simulator {
                 }
             };
             drop(state);
-            self.counters.chaos_steps.inc();
+            self.counters.inc(SimCounter::ChaosSteps);
             self.obs.record(ObsEvent::ChaosInjection {
                 link: step.link.0,
                 change,
@@ -1429,7 +1418,6 @@ impl Simulator {
             let mut active = 0usize;
             let queues_ptr = self.queues.as_mut_ptr();
             let topo: *const Topo = &self.topo;
-            let counters: *const SimCounters = &self.counters;
             let obs: *const Obs = &self.obs;
             let node_shard = self.node_shard.as_ptr();
             let node_shard_len = self.node_shard.len();
@@ -1445,7 +1433,6 @@ impl Simulator {
                     gvt,
                     end,
                     topo,
-                    counters,
                     obs,
                     node_shard,
                     node_shard_len,
@@ -1462,14 +1449,11 @@ impl Simulator {
             // Barrier: block until every dispatched worker reports.
             let mut poison: Option<(usize, String)> = None;
             for _ in 0..active {
-                let done = pool
-                    .done_rx
-                    .recv()
-                    .expect("shard worker died without reporting");
+                let done = self.pool.as_ref().expect("pool built above").done_rx.recv();
+                let done = done.expect("shard worker died without reporting");
                 match done.result {
                     Ok((stats, last)) => {
-                        self.unrouted_frames += stats.unrouted;
-                        self.processed_events += stats.processed;
+                        self.fold(stats);
                         if last > self.time {
                             self.time = last;
                         }
@@ -1479,6 +1463,7 @@ impl Simulator {
             }
             // Drain the SPSC lanes into the canonical per-shard queues.
             // Push order cannot matter: queues order by EventKey.
+            let pool = self.pool.as_ref().expect("pool built above");
             let mut saw_cross = false;
             for src in 0..shard_count {
                 for dst in 0..shard_count {

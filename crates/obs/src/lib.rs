@@ -1,16 +1,16 @@
 //! Platform-wide observability: a metrics registry and a structured
 //! event journal, both deterministic and allocation-free on hot paths.
 //!
-//! The registry keeps every metric by its full name. A component keeps
-//! its own counters in an owned [`Counters`] block indexed by an enum: it
-//! is the block's only writer, and the registry reads the same cells when
-//! a snapshot is taken, so a snapshot always shows current values. Cells
-//! several writers share ([`Counter`]) and levels ([`Gauge`],
-//! [`Histogram`]) are clone-able handles onto atomic cells. Either way
-//! instrumented code bumps an integer — no lock, no lookup, no allocation
-//! per event. Label dimensions (per-neighbor, per-peer, per-reason) are
-//! encoded into the metric name at registration time, so a hot loop never
-//! formats a string.
+//! Every metric is a cell its owner holds. A component keeps its counters
+//! and levels in an owned [`Counters`] block indexed by an enum, and each
+//! distribution in an owned [`Histogram`]; it is their only writer. The
+//! registry keeps every published cell by its full name and reads the
+//! same cells when a snapshot is taken, so a snapshot always shows current
+//! values, and a component that adopts a new registry republishes its
+//! cells there, values included. Instrumented code bumps an integer — no
+//! lock, no lookup, no allocation per event. Label dimensions (per-neighbor,
+//! per-peer, per-reason) are encoded into the metric name when the block
+//! is built, so a hot loop never formats a string.
 //!
 //! The journal is a bounded store of typed [`Event`]s stamped from a clock
 //! the simulator advances. Runs are seeded, and when the simulator shards
@@ -29,9 +29,8 @@ mod journal;
 mod registry;
 mod snapshot;
 
-pub use counters::{CounterKey, Counters};
+pub use counters::{CounterKey, Counters, Histogram};
 pub use journal::{DispatchKey, Event, EventKind, DELIVERY_TABLE, JOURNAL_CAPACITY, MAX_LANES};
-pub use registry::{Counter, Gauge, Histogram};
 pub use snapshot::{Snapshot, SnapshotValue};
 
 use std::cell::Cell;
@@ -79,8 +78,9 @@ pub fn clear_dispatch_key() {
 /// deterministic clock, cheaply cloned into every instrumented component.
 ///
 /// Cloning shares the same storage; [`Obs::scoped`] returns a handle that
-/// prefixes every metric it registers (e.g. `pop0/`), which is how one
-/// platform-wide registry hosts many routers without name collisions.
+/// prefixes every metric published through it (e.g. `pop0/`), which is
+/// how one platform-wide registry hosts many routers without name
+/// collisions.
 #[derive(Clone)]
 pub struct Obs {
     prefix: String,
@@ -108,9 +108,9 @@ impl Obs {
         }
     }
 
-    /// A handle onto the same storage that registers every metric under
+    /// A handle onto the same storage that publishes every metric under
     /// `scope` + `/`. Scopes nest: `obs.scoped("pop0").scoped("mux")`
-    /// registers under `pop0/mux/`.
+    /// publishes under `pop0/mux/`.
     pub fn scoped(&self, scope: &str) -> Obs {
         let mut child = self.clone();
         child.prefix = format!("{}{scope}/", self.prefix);
@@ -131,40 +131,16 @@ impl Obs {
         self.clocks[thread_lane()].store(nanos, Ordering::Relaxed);
     }
 
-    // --- metric registration ---------------------------------------------
+    // --- metric publication ---------------------------------------------
 
-    /// The registry, locked (registration and snapshots are cold paths).
+    /// The registry, locked (publication and snapshots are cold paths).
     fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
         self.registry.lock().expect("obs registry poisoned")
     }
 
-    /// A monotonic counter handle. Idempotent: the same name always
-    /// resolves to the same underlying cell.
-    ///
-    /// # Panics
-    /// Panics if `name` was already registered as a different kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registry().counter(&format!("{}{name}", self.prefix))
-    }
-
-    /// A gauge handle (a settable signed level).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry().gauge(&format!("{}{name}", self.prefix))
-    }
-
-    /// A gauge carrying one label dimension, e.g.
-    /// `gauge_dim("mux.table_routes", "nbr", 3)` registers
-    /// `mux.table_routes{nbr=3}`. The formatting happens once, here.
-    pub fn gauge_dim(&self, name: &str, dim: &str, idx: u32) -> Gauge {
-        self.gauge(&format!("{name}{{{dim}={idx}}}"))
-    }
-
-    /// A fixed-bucket histogram handle. `bounds` are inclusive upper
-    /// bucket bounds; one overflow bucket is added past the last bound.
-    /// Re-registering must use identical bounds.
-    pub fn histogram(&self, name: &str, bounds: &'static [u64]) -> Histogram {
-        self.registry()
-            .histogram(&format!("{}{name}", self.prefix), bounds)
+    /// `name` under this handle's scope.
+    fn full_name(&self, name: &str) -> String {
+        format!("{}{name}", self.prefix)
     }
 
     // --- journal ----------------------------------------------------------
@@ -232,7 +208,7 @@ impl Obs {
 
     // --- snapshot ---------------------------------------------------------
 
-    /// A stable, name-sorted snapshot of every registered metric.
+    /// A stable, name-sorted snapshot of every published metric.
     pub fn snapshot(&self) -> Snapshot {
         self.registry().snapshot()
     }
@@ -242,33 +218,41 @@ impl Obs {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_handles_share_storage() {
-        let obs = Obs::new();
-        let a = obs.counter("x.count");
-        let b = obs.counter("x.count");
-        a.add(3);
-        b.inc();
-        assert_eq!(obs.snapshot().counter("x.count"), Some(4));
+    counter_keys! {
+        enum Key {
+            A = "k.a",
+            B = "k.b",
+            Depth = level "k.depth",
+        }
+    }
+
+    counter_keys! {
+        enum Clash {
+            A = level "k.a",
+        }
     }
 
     #[test]
     fn scoped_handles_prefix_names() {
         let obs = Obs::new();
         let pop = obs.scoped("pop0");
-        pop.counter("router.drops").add(2);
-        assert_eq!(obs.snapshot().counter("pop0/router.drops"), Some(2));
+        Counters::<Key>::new(&pop).add(Key::A, 2);
+        assert_eq!(obs.snapshot().counter("pop0/k.a"), Some(2));
         assert!(obs.same_store(&pop));
     }
 
     #[test]
     fn snapshot_is_sorted_and_stable_across_registration_order() {
         let a = Obs::new();
-        a.counter("b").inc();
-        a.gauge("a").set(7);
+        let mut a1 = Counters::<Key>::labelled(&a, "i", 1);
+        let mut a0 = Counters::<Key>::labelled(&a, "i", 0);
         let b = Obs::new();
-        b.gauge("a").set(7);
-        b.counter("b").inc();
+        let mut b0 = Counters::<Key>::labelled(&b, "i", 0);
+        let mut b1 = Counters::<Key>::labelled(&b, "i", 1);
+        for (zero, one) in [(&mut a0, &mut a1), (&mut b0, &mut b1)] {
+            zero.inc(Key::B);
+            one.set(Key::Depth, 7);
+        }
         assert_eq!(a.snapshot().to_text(), b.snapshot().to_text());
         let snap = a.snapshot();
         let names: Vec<&str> = snap.names().collect();
@@ -278,31 +262,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered as a different kind")]
-    fn kind_mismatch_panics() {
-        let obs = Obs::new();
-        obs.counter("x");
-        obs.gauge("x");
-    }
-
-    counter_keys! {
-        enum Key {
-            A = "k.a",
-            B = "k.b",
-        }
-    }
-
-    #[test]
     fn owned_blocks_read_live_and_move_with_their_values() {
         let first = Obs::new();
         let mut c = Counters::<Key>::labelled(&first.scoped("pop0"), "nbr", 2);
         c.add(Key::B, 3);
+        c.set(Key::Depth, 9);
         assert_eq!(first.snapshot().counter("pop0/k.b{nbr=2}"), Some(3));
         assert_eq!(first.snapshot().counter("pop0/k.a{nbr=2}"), Some(0));
+        assert_eq!(first.snapshot().gauge("pop0/k.depth{nbr=2}"), Some(9));
         let second = Obs::new();
         c.set_obs(&second);
         c.inc(Key::B);
+        c.set(Key::Depth, 4);
         assert_eq!(second.snapshot().counter("k.b{nbr=2}"), Some(4));
+        assert_eq!(second.snapshot().gauge("k.depth{nbr=2}"), Some(4));
         let reasons = Counters::<Key>::family(&second, "drops", "reason");
         assert_eq!(second.snapshot().counter("drops{reason=k.a}"), Some(0));
         assert_eq!(reasons.total(), 0);
@@ -310,10 +283,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "registered as a different kind")]
-    fn owned_block_over_a_shared_counter_panics() {
+    fn a_level_over_a_counter_panics() {
         let obs = Obs::new();
-        obs.counter("k.a");
         Counters::<Key>::new(&obs);
+        Counters::<Clash>::new(&obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as a different kind")]
+    fn a_histogram_over_a_counter_panics() {
+        let obs = Obs::new();
+        Counters::<Key>::new(&obs);
+        Histogram::new(&obs, "k.a", &[1]);
     }
 
     #[test]
@@ -335,25 +316,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_observe() {
+    fn histogram_buckets_observe_and_move_with_their_values() {
         let obs = Obs::new();
-        let h = obs.histogram("sizes", &[1, 8, 64]);
+        let mut h = Histogram::new(&obs, "sizes", &[1, 8, 64]);
         for v in [0, 1, 5, 9, 100] {
             h.observe(v);
         }
-        let snap = obs.snapshot();
-        let Some(SnapshotValue::Histogram {
-            buckets,
-            count,
-            sum,
-            ..
-        }) = snap.get("sizes")
-        else {
-            panic!("missing histogram");
-        };
-        assert_eq!(buckets, &[2, 1, 1, 1]);
-        assert_eq!(*count, 5);
-        assert_eq!(*sum, 115);
+        let moved = Obs::new();
+        h.set_obs(&moved);
+        for snap in [obs.snapshot(), moved.snapshot()] {
+            let Some(SnapshotValue::Histogram {
+                buckets,
+                count,
+                sum,
+                ..
+            }) = snap.get("sizes")
+            else {
+                panic!("missing histogram");
+            };
+            assert_eq!(buckets, &[2, 1, 1, 1]);
+            assert_eq!(*count, 5);
+            assert_eq!(*sum, 115);
+        }
     }
 
     #[test]

@@ -121,10 +121,6 @@ pub struct Peering {
     neighbor_nodes: BTreeMap<NeighborId, NodeId>,
     /// Route-server member nodes per RS neighbor id.
     rs_member_nodes: BTreeMap<NeighborId, Vec<NodeId>>,
-    /// Platform-wide observability store: one registry + journal shared by
-    /// the simulator clock, every vBGP router (scoped per PoP) and their
-    /// muxes, enforcement engines and routing engines.
-    obs: Obs,
 }
 
 fn router_port_mac(pop: u32, port: u16) -> MacAddr {
@@ -153,8 +149,7 @@ impl Peering {
     pub fn build(intent: PlatformIntent, seed: u64) -> Self {
         let t_build = std::time::Instant::now();
         let mut sim = Simulator::new(seed);
-        let obs = Obs::new();
-        sim.set_obs(obs.clone());
+        let obs = sim.obs().clone();
         let platform_asn = Asn(intent.platform_asn);
         let cc = ControlCommunities::new(intent.platform_asn as u16);
 
@@ -517,13 +512,14 @@ impl Peering {
             next_exp: 1,
             neighbor_nodes,
             rs_member_nodes,
-            obs,
         }
     }
 
-    /// The platform-wide observability handle (registry + journal).
+    /// The platform-wide observability handle: the simulator's registry
+    /// and journal, shared by every vBGP router (scoped per PoP) and their
+    /// muxes, enforcement engines and routing engines.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        self.sim.obs()
     }
 
     /// Shard the simulator for parallel execution: each PoP's nodes
@@ -566,7 +562,7 @@ impl Peering {
     /// Snapshot the full metrics registry (stable, name-sorted; identical
     /// seeds yield identical snapshots). The same as `obs().snapshot()`.
     pub fn obs_snapshot(&mut self) -> Snapshot {
-        self.obs.snapshot()
+        self.obs().snapshot()
     }
 
     /// The platform ASN.
@@ -645,25 +641,9 @@ impl Peering {
         pop: Option<&str>,
         program: Option<peering_vbgp::enforcement::pprog::PacketProgram>,
     ) -> Result<(), PeeringError> {
-        let routers: Vec<NodeId> = match pop {
-            Some(name) => vec![self
-                .router_node(name)
-                .ok_or_else(|| PeeringError::Rejected(format!("unknown PoP {name}")))?],
-            None => self.pops.iter().map(|p| p.router).collect(),
-        };
-        let mut result = Ok(());
-        for r in routers {
-            let program = program.clone();
-            let installed = self.sim.with_node_ctx::<VbgpRouter, _>(r, |router, _| {
-                router.data.install_packet_program(exp, program)
-            });
-            if let Err(e) = installed {
-                result = Err(PeeringError::Rejected(format!(
-                    "invalid packet program: {e}"
-                )));
-            }
-        }
-        result
+        self.install_where_attached(exp, pop, "packet", |router| {
+            router.data.install_packet_program(exp, program.clone())
+        })
     }
 
     /// Configure an experiment's *ingress* serving policy — strict
@@ -680,22 +660,56 @@ impl Peering {
         program: Option<peering_vbgp::enforcement::pprog::PacketProgram>,
         flood: Option<FloodPolicy>,
     ) -> Result<(), PeeringError> {
+        self.install_where_attached(exp, pop, "ingress", |router| {
+            router.data.set_ingress_guards(exp, urpf, flood);
+            router.data.install_ingress_program(exp, program.clone())
+        })
+    }
+
+    /// Run `install` on the router of the named PoP, or of every PoP where
+    /// `exp` is attached, and report an invalid `kind` program from any.
+    /// A named PoP where `exp` is not attached is rejected.
+    fn install_where_attached<E: std::fmt::Display>(
+        &mut self,
+        exp: ExperimentId,
+        pop: Option<&str>,
+        kind: &str,
+        install: impl Fn(&mut VbgpRouter) -> Result<(), E>,
+    ) -> Result<(), PeeringError> {
+        let attached = |p: &PopHandle| {
+            let router = self.sim.node::<VbgpRouter>(p.router);
+            router.is_some_and(|r| r.data.has_experiment(exp))
+        };
         let routers: Vec<NodeId> = match pop {
-            Some(name) => vec![self
-                .router_node(name)
-                .ok_or_else(|| PeeringError::Rejected(format!("unknown PoP {name}")))?],
-            None => self.pops.iter().map(|p| p.router).collect(),
+            Some(name) => {
+                let handle = self
+                    .pops
+                    .iter()
+                    .find(|p| p.name == name)
+                    .ok_or_else(|| PeeringError::Rejected(format!("unknown PoP {name}")))?;
+                if !attached(handle) {
+                    return Err(PeeringError::Rejected(format!(
+                        "experiment {} is not attached at {name}",
+                        exp.0
+                    )));
+                }
+                vec![handle.router]
+            }
+            None => self
+                .pops
+                .iter()
+                .filter(|p| attached(p))
+                .map(|p| p.router)
+                .collect(),
         };
         let mut result = Ok(());
         for r in routers {
-            let program = program.clone();
-            let installed = self.sim.with_node_ctx::<VbgpRouter, _>(r, |router, _| {
-                router.data.set_ingress_guards(exp, urpf, flood);
-                router.data.install_ingress_program(exp, program)
-            });
-            if let Err(e) = installed {
+            if let Err(e) = self
+                .sim
+                .with_node_ctx::<VbgpRouter, _>(r, |router, _| install(router))
+            {
                 result = Err(PeeringError::Rejected(format!(
-                    "invalid ingress program: {e}"
+                    "invalid {kind} program: {e}"
                 )));
             }
         }

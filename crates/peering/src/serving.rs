@@ -14,13 +14,13 @@
 //!   prefix — the PoP whose transit appears immediately before the
 //!   platform ASN is where that client population ingresses.
 //! - **Observed catchment** ([`AnycastServing::observed_catchment`]):
-//!   delivered-packet counters per tunnel port on the experiment node,
-//!   folded to PoP indices. Predicted and observed must agree.
+//!   delivered-packet counters per PoP attachment on the experiment
+//!   node, published live as `serving/catchment{pop=i}`. Predicted and
+//!   observed must agree.
 //! - **Churn shift**: withdraw the anycast route at one PoP
 //!   ([`AnycastServing::withdraw_at`]) and the orphaned clients re-home
-//!   to surviving PoPs; [`AnycastServing::publish_catchment`] mirrors
-//!   the per-PoP delivered counters into peering-obs gauges so the
-//!   shift is visible in snapshots.
+//!   to surviving PoPs, visible in the observed catchment and in
+//!   snapshots.
 //!
 //! The harness takes **plain data** — prefixes to originate, fully
 //! formed [`IpPacket`]s to inject — so it stays independent of any
@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use peering_bgp::types::Prefix;
-use peering_netsim::{IpPacket, NodeId, PortId, SimDuration};
+use peering_netsim::{IpPacket, NodeId, SimDuration};
 use peering_toolkit::client::AnnounceOptions;
 use peering_toolkit::node::ExperimentNode;
 use peering_vbgp::enforcement::data::FloodPolicy;
@@ -93,8 +93,6 @@ pub struct AnycastServing {
     pub anycast: Prefix,
     /// Transit node at each PoP index.
     transits: Vec<NodeId>,
-    /// Experiment-side tunnel port → PoP index (catchment join key).
-    port_to_pop: BTreeMap<PortId, usize>,
     /// PoPs where the anycast prefix is currently announced.
     announced: Vec<bool>,
 }
@@ -146,12 +144,16 @@ impl AnycastServing {
                 .expect("bgp up");
         }
         // Serving runs take hundreds of thousands of packets: count them,
-        // don't keep them. The class tag rides at SERVING_TAG_OFFSET.
+        // don't keep them. The class tag rides at SERVING_TAG_OFFSET. The
+        // experiment is attached at every PoP in order, so attachment k is
+        // PoP k and its count is published as `serving/catchment{pop=k}`.
+        let obs = platform.obs().scoped("serving");
         platform
             .sim
             .with_node_ctx::<ExperimentNode, _>(exp.node, |n, _| {
                 n.set_record_received(false);
                 n.set_tag_offset(Some(SERVING_TAG_OFFSET));
+                n.set_delivery_obs(obs);
             });
         platform.run_for(SimDuration::from_secs(15));
 
@@ -161,12 +163,6 @@ impl AnycastServing {
                     .neighbor_node(NeighborId((i + 1) as u32))
                     .expect("transit node")
             })
-            .collect();
-        let port_to_pop: BTreeMap<PortId, usize> = platform
-            .pop_names()
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (exp.toolkit.local_port(name).expect("attachment port"), i))
             .collect();
         let anycast = exp.lease.v4[0];
 
@@ -179,7 +175,6 @@ impl AnycastServing {
             exp,
             anycast,
             transits,
-            port_to_pop,
             announced: vec![false; params.pops],
             params,
         }
@@ -315,47 +310,26 @@ impl AnycastServing {
     }
 
     /// Catchment observed on the wire: delivered-packet counts per PoP
-    /// attachment on the experiment node.
+    /// on the experiment node, for every PoP that delivered any.
     pub fn observed_catchment(&self) -> BTreeMap<usize, u64> {
-        let n = self
-            .platform
-            .sim
-            .node::<ExperimentNode>(self.exp.node)
-            .expect("experiment node");
-        let mut out = BTreeMap::new();
-        for (&port, &pop) in &self.port_to_pop {
-            if let Some(&count) = n.received_by_port.get(&port) {
-                out.insert(pop, count);
-            }
-        }
-        out
+        self.experiment_node()
+            .delivered_by_attachment()
+            .enumerate()
+            .filter(|&(_, count)| count > 0)
+            .collect()
     }
 
     /// Delivered-packet counts per flow-class tag byte (the payload byte
     /// at [`SERVING_TAG_OFFSET`]).
     pub fn delivered_by_tag(&self) -> BTreeMap<u8, u64> {
-        let n = self
-            .platform
-            .sim
-            .node::<ExperimentNode>(self.exp.node)
-            .expect("experiment node");
-        let mut out: BTreeMap<u8, u64> = BTreeMap::new();
-        for (&tag, &count) in &n.received_by_tag {
-            out.insert(tag, count);
-        }
-        out
+        self.experiment_node().delivered_by_tag().collect()
     }
 
-    /// Mirror the observed per-PoP catchment into peering-obs gauges
-    /// (`serving/catchment{pop=i}`) so churn-driven shifts show up in
-    /// obs snapshots alongside the router counters.
-    pub fn publish_catchment(&mut self) {
-        let observed = self.observed_catchment();
-        let obs = self.platform.obs().scoped("serving");
-        for pop in 0..self.params.pops {
-            let v = observed.get(&pop).copied().unwrap_or(0);
-            obs.gauge_dim("catchment", "pop", pop as u32).set(v as i64);
-        }
+    fn experiment_node(&self) -> &ExperimentNode {
+        self.platform
+            .sim
+            .node::<ExperimentNode>(self.exp.node)
+            .expect("experiment node")
     }
 
     /// Advance the simulation.

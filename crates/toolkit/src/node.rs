@@ -7,7 +7,6 @@
 //! can instead pick any received route (or raw next hop) per packet, which
 //! is the Espresso-style fine-grained control the paper motivates.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use peering_bgp::attrs::{AsPath, PathAttributes};
@@ -17,12 +16,21 @@ use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig};
 use peering_bgp::types::{Asn, Community, Prefix, RouterId};
 use peering_netsim::host::traceroute_hops;
 use peering_netsim::{Bytes, Ctx, EtherFrame, IpHost, IpPacket, IpProto, MacAddr, Node, PortId};
+use peering_obs::{counter_keys, Counters, Obs};
 use peering_vbgp::transport::{BgpHost, Endpoint, HostEvent};
 
 /// Re-export for convenience in examples.
 pub use peering_netsim::ip::IPV4_HEADER_LEN;
 /// What [`ExperimentNode::received`] holds.
 pub use peering_netsim::ReceivedPacket;
+
+counter_keys! {
+    /// Packets delivered on one PoP attachment, published as
+    /// `catchment{pop=k}` for the k-th attachment.
+    enum Delivered {
+        Packets = "catchment",
+    }
+}
 
 /// A standard experiment router attached to one or more PoPs.
 pub struct ExperimentNode {
@@ -36,16 +44,14 @@ pub struct ExperimentNode {
     /// millions of packets switch to counters via
     /// [`ExperimentNode::set_record_received`].
     pub received: Vec<ReceivedPacket>,
-    /// Total packets delivered (counted even when recording is off).
-    pub received_count: u64,
-    /// Packets delivered per tunnel port (the per-PoP catchment
-    /// observable: each tunnel port is one PoP attachment).
-    pub received_by_port: HashMap<PortId, u64>,
-    /// Packets delivered per payload tag byte, when a tag offset is set
-    /// via [`ExperimentNode::set_tag_offset`]. Serving experiments stamp
-    /// a flow-class tag into each packet's payload so per-class delivery
-    /// can be counted without recording packets.
-    pub received_by_tag: HashMap<u8, u64>,
+    /// Each PoP attachment's tunnel port and the packets delivered on it
+    /// (the per-PoP catchment observable), in attachment order.
+    attachments: Vec<(PortId, Counters<Delivered>)>,
+    /// The registry the attachment counters are published in.
+    obs: Obs,
+    /// Packets delivered per payload tag byte, indexed by tag, while a
+    /// tag offset is set (see [`ExperimentNode::set_tag_offset`]).
+    by_tag: [u64; 256],
     record_received: bool,
     tag_offset: Option<usize>,
     /// Structural BGP events observed (session up/down, routes learned…).
@@ -60,9 +66,9 @@ impl ExperimentNode {
             ip: IpHost::new(),
             asn,
             received: Vec::new(),
-            received_count: 0,
-            received_by_port: HashMap::new(),
-            received_by_tag: HashMap::new(),
+            attachments: Vec::new(),
+            obs: Obs::new(),
+            by_tag: [0; 256],
             record_received: true,
             tag_offset: None,
             events: Vec::new(),
@@ -70,18 +76,45 @@ impl ExperimentNode {
     }
 
     /// Keep (or stop keeping) every delivered packet in
-    /// [`ExperimentNode::received`]. The per-port counters always run;
-    /// serving experiments turn recording off so a million-packet run
-    /// doesn't hold a million packets.
+    /// [`ExperimentNode::received`]. The per-attachment counters always
+    /// run; serving experiments turn recording off so a million-packet
+    /// run doesn't hold a million packets.
     pub fn set_record_received(&mut self, record: bool) {
         self.record_received = record;
     }
 
     /// Count delivered packets by the payload byte at `offset` (`None`
     /// disables tag counting). Packets whose payload is shorter than
-    /// `offset + 1` are not tagged.
+    /// `offset + 1` are not tagged. Serving experiments stamp a
+    /// flow-class tag into each packet's payload so per-class delivery
+    /// can be counted without recording packets.
     pub fn set_tag_offset(&mut self, offset: Option<usize>) {
         self.tag_offset = offset;
+    }
+
+    /// Publish the per-attachment delivery counters in `obs`, values
+    /// included: the k-th attachment's as `catchment{pop=k}`. Until
+    /// called they live in a private registry.
+    pub fn set_delivery_obs(&mut self, obs: Obs) {
+        for (_, delivered) in &mut self.attachments {
+            delivered.set_obs(&obs);
+        }
+        self.obs = obs;
+    }
+
+    /// Packets delivered on each attachment, in attachment order.
+    pub fn delivered_by_attachment(&self) -> impl Iterator<Item = u64> + '_ {
+        self.attachments
+            .iter()
+            .map(|(_, delivered)| delivered.get(Delivered::Packets))
+    }
+
+    /// Packets delivered per payload tag byte (see
+    /// [`ExperimentNode::set_tag_offset`]), for every tag seen.
+    pub fn delivered_by_tag(&self) -> impl Iterator<Item = (u8, u64)> + '_ {
+        (0..=u8::MAX)
+            .zip(self.by_tag)
+            .filter(|&(_, count)| count > 0)
     }
 
     /// The experiment's ASN.
@@ -103,6 +136,11 @@ impl ExperimentNode {
         platform_asn: Asn,
     ) -> PeerId {
         self.ip.add_port(port, local_mac, local_addr);
+        if !self.attachments.iter().any(|(p, _)| *p == port) {
+            let k = self.attachments.len() as u32;
+            let delivered = Counters::labelled(&self.obs, "pop", k);
+            self.attachments.push((port, delivered));
+        }
         let cfg = PeerConfig::ebgp(platform_asn, remote_addr.into(), local_addr.into())
             .with_all_paths()
             .with_next_hop_unchanged();
@@ -284,11 +322,12 @@ impl Node for ExperimentNode {
         let Some(received) = self.ip.on_frame(ctx, port, &frame) else {
             return;
         };
-        self.received_count += 1;
-        *self.received_by_port.entry(port).or_insert(0) += 1;
+        if let Some((_, delivered)) = self.attachments.iter_mut().find(|(p, _)| *p == port) {
+            delivered.inc(Delivered::Packets);
+        }
         if let Some(off) = self.tag_offset {
             if let Some(&tag) = received.packet.payload.get(off) {
-                *self.received_by_tag.entry(tag).or_insert(0) += 1;
+                self.by_tag[tag as usize] += 1;
             }
         }
         if self.record_received {

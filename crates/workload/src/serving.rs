@@ -375,7 +375,6 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
     net.run_secs(5); // drain in-flight packets
 
     let observed_catchment = net.observed_catchment();
-    net.publish_catchment();
 
     // --- churn phase -----------------------------------------------------
     let (predicted_after_churn, observed_after_churn, churn_sent) = if spec.churn {
@@ -407,7 +406,6 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
             }
         }
         net.run_secs(10);
-        net.publish_catchment();
         let after_total = net.observed_catchment();
         let delta: BTreeMap<usize, u64> = after_total
             .iter()

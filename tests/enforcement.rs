@@ -30,7 +30,7 @@ use peering_repro::netsim::{
 };
 use peering_repro::obs::{EventKind, Obs};
 use peering_repro::platform::experiment::Proposal;
-use peering_repro::platform::platform::Peering;
+use peering_repro::platform::platform::{Peering, PeeringError};
 use peering_repro::platform::topology::{paper_intent, TopologyParams};
 use peering_repro::toolkit::client::AnnounceOptions;
 use peering_repro::toolkit::node::ExperimentNode;
@@ -465,6 +465,90 @@ fn installed_program_blocks_and_transforms_on_the_wire() {
         rt.data.install_packet_program(EXP, None).unwrap();
     });
     assert_eq!(send_one(&mut r, "192.168.0.5"), 3);
+}
+
+/// A router moved to a new registry takes every layer's metrics with it,
+/// values included: the sessions it brought up under its private
+/// registries, its flushes and the packets it forwarded.
+#[test]
+fn router_set_obs_keeps_every_value() {
+    let mut r = rig();
+    assert_eq!(send_one(&mut r, "192.168.0.1"), 1);
+    let first = Obs::new();
+    r.sim
+        .with_node_ctx::<VbgpRouter, _>(r.router, |rt, _| rt.set_obs(first.clone()));
+    let before = first.snapshot().to_text();
+    for line in [
+        "bgp.fsm_transition{edge=OpenConfirm->Established} 2",
+        "bgp.resync_replays 2",
+        "mux.egress_pkts{nbr=1} 1",
+        "mux.table_routes{nbr=1} 1",
+    ] {
+        assert!(
+            before.lines().any(|l| l == line),
+            "no `{line}` in\n{before}"
+        );
+    }
+    assert!(!before.contains("bgp.flush_nlri_count 0"), "{before}");
+    let second = Obs::new();
+    r.sim
+        .with_node_ctx::<VbgpRouter, _>(r.router, |rt, _| rt.set_obs(second.clone()));
+    let after = second.snapshot().to_text();
+    for line in before.lines().filter(|l| !l.ends_with(" 0")) {
+        assert!(after.lines().any(|l| l == line), "lost `{line}`:\n{after}");
+    }
+}
+
+/// With no PoP named, program and ingress-policy installs reach only the
+/// PoPs where the experiment is attached: elsewhere nothing is journaled
+/// and the program generation (which every other experiment's verdict
+/// cache there is keyed on) stays put. Naming a PoP where the experiment
+/// is not attached is refused.
+#[test]
+fn platform_installs_reach_only_attached_pops() {
+    let mut p = Peering::build(paper_intent(&TopologyParams::tiny()), 5);
+    let pops = p.pop_names();
+    assert!(pops.len() >= 2);
+    let mut proposal = Proposal::basic("one-pop");
+    proposal.pops = vec![pops[0].clone()];
+    let exp = p.submit(proposal).expect("proposal accepted").id;
+    let generations = |p: &Peering| -> Vec<u64> {
+        pops.iter()
+            .map(|pop| {
+                let router = p.router_node(pop).unwrap();
+                p.sim
+                    .node::<VbgpRouter>(router)
+                    .unwrap()
+                    .data
+                    .prog_generation()
+            })
+            .collect()
+    };
+    let installs = |p: &Peering| {
+        p.obs()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::ProgramInstall { .. }))
+            .count()
+    };
+    let before = generations(&p);
+    let deny = PacketProgram::new(vec![Insn::Block]);
+    p.install_packet_program(exp, None, Some(deny.clone()))
+        .unwrap();
+    p.install_ingress_policy(exp, None, true, Some(deny.clone()), None)
+        .unwrap();
+    assert_eq!(installs(&p), 2, "one egress and one ingress install");
+    let mut expected = before.clone();
+    expected[0] += 2;
+    assert_eq!(generations(&p), expected);
+    for pop in &pops[1..] {
+        let refused = p.install_packet_program(exp, Some(pop), Some(deny.clone()));
+        assert!(matches!(refused, Err(PeeringError::Rejected(_))), "{pop}");
+        let refused = p.install_ingress_policy(exp, Some(pop), true, None, None);
+        assert!(matches!(refused, Err(PeeringError::Rejected(_))), "{pop}");
+    }
+    assert_eq!(generations(&p), expected);
+    assert_eq!(installs(&p), 2);
 }
 
 // ---------------------------------------------------------------------------

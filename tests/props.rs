@@ -938,7 +938,17 @@ mod fsm_props {
 
 mod obs_props {
     use super::*;
-    use peering_repro::obs::{EventKind, Obs};
+    use peering_repro::obs::{counter_keys, CounterKey, Counters, EventKind, Obs};
+    use peering_repro::vbgp::NeighborCounter;
+
+    counter_keys! {
+        enum Layer {
+            L0 = "layer0.metric",
+            L1 = "layer1.metric",
+            L2 = "layer2.metric",
+            L3 = "layer3.metric",
+        }
+    }
 
     /// `Registry::snapshot()` renders a stable, name-sorted view:
     /// registration order never changes the output, rendering is
@@ -947,17 +957,24 @@ mod obs_props {
     #[test]
     fn snapshot_ordering_is_stable() {
         check("snapshot_ordering_is_stable", 64, |g| {
-            let names: Vec<String> = (0..g.range(1, 24))
-                .map(|i| format!("layer{}.metric{i}", g.below(4)))
+            let series: Vec<(Layer, u32, u64)> = (0..g.range(1, 24) as u32)
+                .map(|i| (Layer::ALL[g.below(4) as usize], i, g.below(1_000_000)))
                 .collect();
-            let values: Vec<u64> = names.iter().map(|_| g.below(1_000_000)).collect();
             let forward = Obs::new();
             let reversed = Obs::new();
-            for (n, v) in names.iter().zip(&values) {
-                forward.counter(n).add(*v);
-            }
-            for (n, v) in names.iter().zip(&values).rev() {
-                reversed.counter(n).add(*v);
+            let mut blocks: Vec<_> = series
+                .iter()
+                .map(|&(_, i, _)| Counters::<Layer>::labelled(&forward, "i", i))
+                .collect();
+            let mut later: Vec<_> = series
+                .iter()
+                .rev()
+                .map(|&(_, i, _)| Counters::<Layer>::labelled(&reversed, "i", i))
+                .collect();
+            later.reverse();
+            for (&(key, _, v), (f, r)) in series.iter().zip(blocks.iter_mut().zip(&mut later)) {
+                f.add(key, v);
+                r.add(key, v);
             }
             let text = forward.snapshot().to_text();
             assert_eq!(text, reversed.snapshot().to_text());
@@ -978,15 +995,16 @@ mod obs_props {
         check("snapshot_diff_reports_exactly_the_changes", 64, |g| {
             let obs = Obs::new();
             let n = g.range(2, 10) as u32;
-            for i in 0..n {
-                obs.counter(&format!("mux.egress_pkts{{nbr={i}}}"))
-                    .add(g.below(50) + 1);
+            let mut blocks: Vec<_> = (0..n)
+                .map(|i| Counters::<NeighborCounter>::labelled(&obs, "nbr", i))
+                .collect();
+            for block in &mut blocks {
+                block.add(NeighborCounter::EgressPkts, g.below(50) + 1);
             }
             let before = obs.snapshot();
             let bump: Vec<u32> = (0..n).filter(|_| g.bool()).collect();
             for &i in &bump {
-                obs.counter(&format!("mux.egress_pkts{{nbr={i}}}"))
-                    .add(1 + g.below(9));
+                blocks[i as usize].add(NeighborCounter::EgressPkts, 1 + g.below(9));
             }
             let diff = obs.snapshot().diff(&before);
             assert_eq!(diff.len(), bump.len(), "diff lines: {diff:?}");

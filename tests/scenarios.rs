@@ -153,6 +153,47 @@ fn registry_snapshot_is_current_without_a_publish_step() {
     );
 }
 
+/// A speaker moved to the platform registry keeps what it counted before
+/// the move: `ScenarioNet::build` brings transit sessions up before it
+/// publishes the transits there, yet every session that reached
+/// Established shows as one `OpenConfirm->Established` transition and one
+/// Adj-RIB-Out replay.
+#[test]
+fn moved_speakers_keep_their_transition_and_replay_counts() {
+    let mut net = ScenarioNet::build(ScenarioParams::new(1007));
+    net.announce(0, 0, &AnnounceOptions::default());
+    net.run_secs(20);
+    net.trigger_leak();
+    net.run_secs(20);
+    let snapshot = net.platform.obs_snapshot();
+    for asn in 2000..=2002u32 {
+        let node = net.transits[&asn].0;
+        let speaker = &net
+            .platform
+            .sim
+            .node::<InternetAs>(node)
+            .unwrap()
+            .host
+            .speaker;
+        let established = speaker
+            .peer_ids()
+            .into_iter()
+            .filter(|&p| speaker.is_established(p))
+            .count() as u64;
+        assert!(established > 0, "AS{asn} holds no session");
+        for metric in [
+            "bgp.fsm_transition{edge=OpenConfirm->Established}",
+            "bgp.resync_replays",
+        ] {
+            assert_eq!(
+                snapshot.counter(&format!("as{asn}/{metric}")),
+                Some(established),
+                "AS{asn}'s {metric} against its {established} Established sessions"
+            );
+        }
+    }
+}
+
 // --- family (b): AS-path poisoning --------------------------------------
 
 #[test]

@@ -11,6 +11,10 @@
 //! undefended ablation arm, and bit-identical replay across simulator
 //! shard counts.
 
+use std::net::Ipv4Addr;
+
+use peering_repro::netsim::{Bytes, IpPacket, IpProto};
+use peering_repro::platform::serving::{AnycastServing, ServingParams};
 use peering_testkit::oracle::reason_sum_problems;
 use peering_workload::serving::{run_serving, ServingOutcome, ServingSpec};
 use peering_workload::TrafficMix;
@@ -126,6 +130,40 @@ fn churn_shifts_the_catchment_off_the_withdrawn_pop() {
         observed.values().sum::<u64>() > 0,
         "no burst packets delivered after the withdrawal"
     );
+}
+
+/// The observed catchment is live in the platform snapshot: with no
+/// publish step, `serving/catchment{pop=i}` reads what the experiment
+/// node counted for PoP `i`.
+#[test]
+fn catchment_is_live_in_the_platform_snapshot() {
+    let mut net = AnycastServing::build(ServingParams::new(SEED, POPS));
+    net.announce_all();
+    net.run_secs(20);
+    for pop in 0..POPS {
+        for host in 0..=pop as u8 {
+            let src = Ipv4Addr::new(20, 0, pop as u8, host);
+            let pkt = IpPacket::new(
+                src,
+                net.anycast_addr(1),
+                IpProto::Udp,
+                Bytes::from(vec![0; 8]),
+            );
+            assert!(net.inject(pop, pkt), "transit {pop} has no anycast route");
+        }
+    }
+    net.run_secs(2);
+    let observed = net.observed_catchment();
+    let snapshot = net.platform.obs_snapshot();
+    assert_eq!(observed.len(), POPS, "every PoP catches its own clients");
+    for pop in 0..POPS {
+        assert_eq!(observed[&pop], pop as u64 + 1, "PoP {pop}'s catchment");
+        assert_eq!(
+            snapshot.counter(&format!("serving/catchment{{pop={pop}}}")),
+            Some(observed[&pop]),
+            "PoP {pop}'s catchment in the snapshot"
+        );
+    }
 }
 
 #[test]

@@ -465,7 +465,6 @@ fn egress_schedule(shards: usize) -> ([u64; 5], u64, u64) {
     use peering_repro::bgp::types::{prefix, Asn, RouterId};
     use peering_repro::bgp::PeerId;
     use peering_repro::netsim::LinkConfig;
-    use peering_repro::obs::Obs;
     use peering_repro::vbgp::enforcement::data::{DropReason, ExperimentDataPolicy};
     use peering_repro::vbgp::enforcement::pprog::{Field, Insn, PacketProgram};
     use peering_repro::vbgp::{
@@ -476,8 +475,7 @@ fn egress_schedule(shards: usize) -> ([u64; 5], u64, u64) {
     const ASN: u16 = 47065;
     let mac = MacAddr::from_id;
     let mut sim = Simulator::new(0xe9e5);
-    let obs = Obs::new();
-    sim.set_obs(obs.clone());
+    let obs = sim.obs().clone();
     let router = |pop: u32, ports: &[u32]| {
         let control = ControlEnforcer::standalone(PopId(pop), ControlCommunities::new(ASN));
         let mut r = VbgpRouter::new(
