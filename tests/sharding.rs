@@ -92,8 +92,12 @@ fn sharded_chaos_runs_replay_bit_identically() {
 /// constants, and say in the change why the schedule moved.
 const PINNED_SERVING: (u64, u64) = (0xde69_6877_c70f_c70d, 23_392);
 
-/// `(seed, journal digest)` of two default chaos schedules.
-const PINNED_CHAOS: [(u64, u64); 2] = [(555, 0xe262_669f_1374_c509), (7, 0xbf1b_64ea_31ec_d08f)];
+/// `(seed, journal digest, sessions dropped)` of two default chaos
+/// schedules.
+const PINNED_CHAOS: [(u64, u64, usize); 2] = [
+    (555, 0xe262_669f_1374_c509, 3),
+    (7, 0xbf1b_64ea_31ec_d08f, 10),
+];
 
 /// `(FNV-1a digest, line count)` of the metrics snapshot text, zero-valued
 /// lines dropped, for the serving run and chaos seed 555. It pins every
@@ -129,12 +133,17 @@ fn event_schedule_matches_pinned_digests() {
         PINNED_SERVING.1
     );
     let mut snapshots = vec![("serving", serving.snapshot.to_text())];
-    for (seed, pinned) in PINNED_CHAOS {
+    for (seed, pinned, pinned_drops) in PINNED_CHAOS {
         let outcome = run(seed, 1);
         let digest = outcome.journal_digest;
         assert!(
             digest == pinned,
             "chaos seed {seed}: schedule moved: digest {digest:#018x} (pinned {pinned:#018x})"
+        );
+        let drops = outcome.sessions_dropped;
+        assert!(
+            drops == pinned_drops,
+            "chaos seed {seed}: {drops} sessions dropped (pinned {pinned_drops})"
         );
         if seed == 555 {
             snapshots.push(("chaos seed 555", outcome.snapshot.to_text()));
