@@ -558,6 +558,12 @@ impl Speaker {
         self.peers.get(&id).map(|p| &p.counters)
     }
 
+    /// Sessions dropped from Established over the speaker's lifetime, as
+    /// `bgp.fsm_transition{edge=Established->Idle}` counts them.
+    pub fn sessions_dropped(&self) -> u64 {
+        self.transitions.get(FsmEdge::EstablishedIdle)
+    }
+
     /// The negotiated codec context for a session.
     pub fn codec_ctx(&self, id: PeerId) -> SessionCodecCtx {
         self.peers

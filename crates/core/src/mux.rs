@@ -19,9 +19,10 @@
 //!
 //! Per-neighbor tables and the delivery table are [`PrefixTrie`]s — the
 //! mutable source of truth the control plane edits. Forwarding never walks
-//! them: each table lazily compiles a [`FlatFib`] (DIR-24-8 for IPv4,
-//! stride-8 for IPv6) and fronts it with a small direct-mapped flow cache
-//! keyed on the destination address and the FIB's generation counter.
+//! them: each table lazily compiles a [`FlatFib`] (DIR-24-8 over the
+//! table's IPv4 prefixes, the only family the data plane forwards) and
+//! fronts it with a small direct-mapped flow cache keyed on the
+//! destination address and the FIB's generation counter.
 //! Route install/remove marks the FIB dirty; the next lookup re-syncs it,
 //! which bumps the generation and thereby invalidates the flow cache
 //! without touching it. Every lookup is a batch call; a single packet is a
@@ -31,7 +32,7 @@
 //! compact ids handed out at `add_*` time; the classifier decodes the
 //! destination MAC's tag bits straight into those slots.
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 
 use peering_bgp::flatfib::FlatFib;
 use peering_bgp::trie::PrefixTrie;
@@ -231,19 +232,19 @@ impl<T: Copy + Default> FlowCache<T> {
 /// What a flow cache remembers per destination, read off the compiled FIB
 /// on a miss.
 trait FibAnswer: Copy + Default {
-    fn from_fib(fib: &FlatFib, ip: IpAddr) -> Self;
+    fn from_fib(fib: &FlatFib, ip: Ipv4Addr) -> Self;
 }
 
 /// A neighbor table's answer: whether any route covers the address.
 impl FibAnswer for bool {
-    fn from_fib(fib: &FlatFib, ip: IpAddr) -> Self {
+    fn from_fib(fib: &FlatFib, ip: Ipv4Addr) -> Self {
         fib.covers(ip)
     }
 }
 
 /// The delivery table's answer: the covering prefix's delivery-set index.
 impl FibAnswer for Option<u32> {
-    fn from_fib(fib: &FlatFib, ip: IpAddr) -> Self {
+    fn from_fib(fib: &FlatFib, ip: Ipv4Addr) -> Self {
         fib.lookup(ip).map(|(_, idx)| idx)
     }
 }
@@ -325,7 +326,7 @@ impl<T: FibAnswer> Reader<'_, T> {
             return hit;
         }
         stats.inc(MuxCounter::FlowCacheMisses);
-        let answer = T::from_fib(self.fib, ip.into());
+        let answer = T::from_fib(self.fib, ip);
         self.cache.put(key, self.generation, answer);
         answer
     }
@@ -968,10 +969,11 @@ impl VbgpMux {
     }
 
     /// Force-compile every FIB and cross-check it against its source trie:
-    /// for each stored prefix, the compiled structure and the trie must
-    /// agree on the longest match at the prefix's first and last covered
-    /// addresses. Returns one line per divergence; used by the convergence
-    /// oracle after chaos quiesces.
+    /// for each stored IPv4 prefix, the compiled structure and the trie
+    /// must agree on the longest match at the prefix's first and last
+    /// covered addresses, and every delivery prefix must point at a live
+    /// delivery set. Returns one line per divergence; used by the
+    /// convergence oracle after chaos quiesces.
     pub fn verify_fast_path(&mut self) -> Vec<String> {
         let mut problems = Vec::new();
         for entry in self.neighbors.iter_mut().flatten() {
@@ -979,8 +981,8 @@ impl VbgpMux {
             table.sync(entry.id.0, &mut self.stats, &self.obs);
             let fib = table.fib.as_ref().expect("synced above");
             for (prefix, _) in table.trie.iter() {
-                for addr in probe_addrs(&prefix) {
-                    let want = table.trie.lookup(addr).map(|(p, _)| p);
+                for addr in probe_addrs(&prefix).into_iter().flatten() {
+                    let want = table.trie.lookup(addr.into()).map(|(p, _)| p);
                     let got = fib.lookup(addr).map(|(p, _)| p);
                     if want != got {
                         problems.push(format!(
@@ -995,8 +997,8 @@ impl VbgpMux {
         table.sync(DELIVERY_TABLE, &mut self.stats, &self.obs);
         let fib = table.fib.as_ref().expect("synced above");
         for (prefix, idx) in table.trie.iter() {
-            for addr in probe_addrs(&prefix) {
-                let want = table.trie.lookup(addr).map(|(p, v)| (p, *v));
+            for addr in probe_addrs(&prefix).into_iter().flatten() {
+                let want = table.trie.lookup(addr.into()).map(|(p, v)| (p, *v));
                 let got = fib.lookup(addr);
                 if want != got {
                     problems.push(format!(
@@ -1012,34 +1014,15 @@ impl VbgpMux {
     }
 }
 
-/// The first and last host addresses a prefix covers (LPM probe points).
-fn probe_addrs(prefix: &Prefix) -> [std::net::IpAddr; 2] {
-    match prefix {
-        Prefix::V4 { addr, len } => {
-            let base = u32::from(*addr);
-            let mask = if *len == 0 {
-                0
-            } else {
-                u32::MAX << (32 - *len as u32)
-            };
-            [
-                std::net::IpAddr::V4(Ipv4Addr::from(base)),
-                std::net::IpAddr::V4(Ipv4Addr::from(base | !mask)),
-            ]
-        }
-        Prefix::V6 { addr, len } => {
-            let base = u128::from(*addr);
-            let mask = if *len == 0 {
-                0
-            } else {
-                u128::MAX << (128 - *len as u32)
-            };
-            [
-                std::net::IpAddr::V6(std::net::Ipv6Addr::from(base)),
-                std::net::IpAddr::V6(std::net::Ipv6Addr::from(base | !mask)),
-            ]
-        }
-    }
+/// The first and last addresses an IPv4 prefix covers (LPM probe
+/// points); `None` for IPv6, which the FIB does not compile.
+fn probe_addrs(prefix: &Prefix) -> Option<[Ipv4Addr; 2]> {
+    let Prefix::V4 { addr, len } = *prefix else {
+        return None;
+    };
+    let mask = u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0);
+    let base = u32::from(addr);
+    Some([Ipv4Addr::from(base), Ipv4Addr::from(base | !mask)])
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use peering_netsim::{
     ReceivedPacket,
 };
 use peering_obs::Obs;
-use peering_vbgp::transport::{BgpHost, Endpoint, HostEvent};
+use peering_vbgp::transport::{BgpHost, Endpoint};
 
 /// What the remote on a session is to us.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +49,10 @@ impl Relationship {
 }
 
 /// A synthetic Internet AS.
+///
+/// Its BGP state is read from `host.speaker`: the sessions, the RIBs and
+/// the speaker's counters (session drops included, as
+/// [`Speaker::sessions_dropped`]). The node keeps no log of BGP events.
 pub struct InternetAs {
     /// BGP machinery.
     pub host: BgpHost,
@@ -69,8 +73,6 @@ pub struct InternetAs {
     pub no_route: u64,
     /// Packets dropped: TTL expired.
     pub ttl_expired: u64,
-    /// BGP events observed.
-    pub events: Vec<HostEvent>,
 }
 
 impl InternetAs {
@@ -89,7 +91,6 @@ impl InternetAs {
             forwarded: 0,
             no_route: 0,
             ttl_expired: 0,
-            events: Vec::new(),
         }
     }
 
@@ -135,8 +136,7 @@ impl InternetAs {
         for (peer, rel) in refresh {
             let policy = self.export_policy(rel);
             let out = self.host.speaker.set_export_policy(peer, policy);
-            let events = self.host.apply(ctx, out);
-            self.events.extend(events);
+            self.host.apply(ctx, out);
         }
     }
 
@@ -160,8 +160,7 @@ impl InternetAs {
             .speaker
             .set_import_policy(session, Policy::new(rules, Verdict::Reject));
         let out = self.host.speaker.request_route_refresh(session, 1);
-        let events = self.host.apply(ctx, out);
-        self.events.extend(events);
+        self.host.apply(ctx, out);
     }
 
     /// Turn this AS into a route leaker: export the FULL table (peer- and
@@ -181,8 +180,7 @@ impl InternetAs {
                 .host
                 .speaker
                 .set_export_policy(peer, Policy::accept_all());
-            let events = self.host.apply(ctx, out);
-            self.events.extend(events);
+            self.host.apply(ctx, out);
         }
     }
 
@@ -318,8 +316,7 @@ impl InternetAs {
     /// Start every session and announce originated prefixes.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) {
         for session in self.host.speaker.peer_ids() {
-            let events = self.host.start(ctx, session);
-            self.events.extend(events);
+            self.host.start(ctx, session);
         }
         // The lowest port's address is the next hop; export rewrites it per
         // session (next-hop-self).
@@ -331,8 +328,7 @@ impl InternetAs {
                 attrs.communities = communities.clone();
             }
             let out = self.host.speaker.originate(prefix, attrs);
-            let events = self.host.apply(ctx, out);
-            self.events.extend(events);
+            self.host.apply(ctx, out);
         }
     }
 
@@ -346,8 +342,7 @@ impl InternetAs {
         let nh = self.ip.first_addr().unwrap_or(Ipv4Addr::UNSPECIFIED);
         let attrs = PathAttributes::originated(nh.into());
         let out = self.host.speaker.originate(prefix, attrs);
-        let events = self.host.apply(ctx, out);
-        self.events.extend(events);
+        self.host.apply(ctx, out);
     }
 
     /// Send a probe packet toward `dst` along the best route (vantage-point
@@ -458,8 +453,7 @@ fn echo_reply(pkt: &IpPacket) -> Option<IpPacket> {
 
 impl Node for InternetAs {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EtherFrame) {
-        if let Some(events) = self.host.on_frame(ctx, port, &frame) {
-            self.events.extend(events);
+        if self.host.on_frame(ctx, port, &frame).is_some() {
             return;
         }
         let Some(mut received) = self.ip.on_frame(ctx, port, &frame) else {
@@ -488,8 +482,7 @@ impl Node for InternetAs {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if BgpHost::owns_timer(token) {
-            let events = self.host.on_timer(ctx, token);
-            self.events.extend(events);
+            self.host.on_timer(ctx, token);
         }
     }
 

@@ -390,8 +390,7 @@ impl ScenarioNet {
             net.platform
                 .sim
                 .with_node_ctx::<InternetAs, _>(node, |n, ctx| {
-                    let events = n.host.start(ctx, session);
-                    n.events.extend(events);
+                    n.host.start(ctx, session);
                 });
         }
         let scenario_nodes: Vec<NodeId> = net.ases.values().map(|i| i.node).collect();

@@ -12,7 +12,7 @@ use peering_obs::Snapshot;
 use peering_platform::topology::paper_intent;
 use peering_platform::{InternetAs, Peering, Proposal, TopologyParams};
 use peering_toolkit::{AnnounceOptions, ExperimentNode};
-use peering_vbgp::{HostEvent, VbgpRouter};
+use peering_vbgp::VbgpRouter;
 
 use crate::oracle::check_convergence;
 
@@ -72,9 +72,10 @@ pub struct ChaosOutcome {
     pub plan: ChaosPlan,
     /// Oracle violations after quiescence (empty = converged).
     pub problems: Vec<String>,
-    /// Session-down events observed by neighbor and experiment nodes over
-    /// the whole run. Tells a test whether the chaos actually bit (an
-    /// all-converged sweep where nothing ever dropped proves nothing).
+    /// Sessions the neighbor and experiment nodes' speakers dropped from
+    /// Established over the whole run. Tells a test whether the chaos
+    /// actually bit (an all-converged sweep where nothing ever dropped
+    /// proves nothing).
     pub sessions_dropped: usize,
     /// Metrics registry snapshot after quiescence.
     pub snapshot: Snapshot,
@@ -200,19 +201,16 @@ fn run_scheduled(
 }
 
 fn count_session_drops(p: &Peering) -> usize {
-    let is_drop = |e: &HostEvent| matches!(e, HostEvent::SessionDown(_, _));
     p.sim
         .node_ids()
         .into_iter()
-        .map(|id| {
-            if let Some(n) = p.sim.node::<InternetAs>(id) {
-                n.events.iter().filter(|e| is_drop(e)).count()
-            } else if let Some(e) = p.sim.node::<ExperimentNode>(id) {
-                e.events.iter().filter(|ev| is_drop(ev)).count()
-            } else {
-                0
-            }
+        .filter_map(|id| {
+            p.sim
+                .node::<InternetAs>(id)
+                .map(|n| &n.host)
+                .or_else(|| p.sim.node::<ExperimentNode>(id).map(|e| &e.host))
         })
+        .map(|host| host.speaker.sessions_dropped() as usize)
         .sum()
 }
 

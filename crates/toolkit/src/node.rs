@@ -17,7 +17,7 @@ use peering_bgp::types::{Asn, Community, Prefix, RouterId};
 use peering_netsim::host::traceroute_hops;
 use peering_netsim::{Bytes, Ctx, EtherFrame, IpHost, IpPacket, IpProto, MacAddr, Node, PortId};
 use peering_obs::{counter_keys, Counters, Obs};
-use peering_vbgp::transport::{BgpHost, Endpoint, HostEvent};
+use peering_vbgp::transport::{BgpHost, Endpoint};
 
 /// Re-export for convenience in examples.
 pub use peering_netsim::ip::IPV4_HEADER_LEN;
@@ -33,6 +33,10 @@ counter_keys! {
 }
 
 /// A standard experiment router attached to one or more PoPs.
+///
+/// Its BGP state is read from `host.speaker`: the sessions, the routes
+/// each PoP offers and the speaker's counters (session drops included, as
+/// [`Speaker::sessions_dropped`]). The node keeps no log of BGP events.
 pub struct ExperimentNode {
     /// The BGP machinery (sessions over tunnel ports).
     pub host: BgpHost,
@@ -54,8 +58,6 @@ pub struct ExperimentNode {
     by_tag: [u64; 256],
     record_received: bool,
     tag_offset: Option<usize>,
-    /// Structural BGP events observed (session up/down, routes learned…).
-    pub events: Vec<HostEvent>,
 }
 
 impl ExperimentNode {
@@ -71,7 +73,6 @@ impl ExperimentNode {
             by_tag: [0; 256],
             record_received: true,
             tag_offset: None,
-            events: Vec::new(),
         }
     }
 
@@ -159,14 +160,12 @@ impl ExperimentNode {
 
     /// Start the session toward a PoP.
     pub fn start_session(&mut self, ctx: &mut Ctx<'_>, session: PeerId) {
-        let events = self.host.start(ctx, session);
-        self.events.extend(events);
+        self.host.start(ctx, session);
     }
 
     /// Stop the session toward a PoP.
     pub fn stop_session(&mut self, ctx: &mut Ctx<'_>, session: PeerId) {
-        let events = self.host.stop(ctx, session);
-        self.events.extend(events);
+        self.host.stop(ctx, session);
     }
 
     /// Build the attribute set for an announcement originated here.
@@ -315,8 +314,7 @@ impl ExperimentNode {
 
 impl Node for ExperimentNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EtherFrame) {
-        if let Some(events) = self.host.on_frame(ctx, port, &frame) {
-            self.events.extend(events);
+        if self.host.on_frame(ctx, port, &frame).is_some() {
             return;
         }
         let Some(received) = self.ip.on_frame(ctx, port, &frame) else {
@@ -337,8 +335,7 @@ impl Node for ExperimentNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if BgpHost::owns_timer(token) {
-            let events = self.host.on_timer(ctx, token);
-            self.events.extend(events);
+            self.host.on_timer(ctx, token);
         }
     }
 
