@@ -25,6 +25,7 @@
 
 use crate::trie::PrefixTrie;
 use crate::types::{Afi, Prefix};
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Above this many dirty prefixes a sync abandons per-prefix patching
@@ -67,6 +68,12 @@ pub struct FlatFib {
     free_chunks: Vec<u32>,
     /// Matched `(prefix, value)` pairs; base/chunk slots store index+1.
     entries: Vec<(Prefix, u32)>,
+    /// Each compiled prefix's entry code (index+1). A patch rewrites a
+    /// prefix's entry in place, so the entry list stays as long as the
+    /// prefix set however long churn runs between rebuilds.
+    codes: HashMap<Prefix, u32>,
+    /// Entry codes of prefixes that left the trie, free for reuse.
+    free_codes: Vec<u32>,
     /// Dirty prefixes accumulated since the last sync. `None` means
     /// "too many — full rebuild" (the overflow state of the churn counter).
     dirty: Option<Vec<Prefix>>,
@@ -103,6 +110,8 @@ impl FlatFib {
             chunks: Vec::new(),
             free_chunks: Vec::new(),
             entries: Vec::new(),
+            codes: HashMap::new(),
+            free_codes: Vec::new(),
             dirty: Some(Vec::new()),
             generation: 0,
             built: false,
@@ -171,6 +180,13 @@ impl FlatFib {
             Some(dirty) if self.built => {
                 for p in &dirty {
                     self.patch(trie, p);
+                }
+                // A patch recomputed every slot a removed prefix covered,
+                // so nothing refers to its entry any more.
+                for p in dirty.iter().filter(|p| trie.get(p).is_none()) {
+                    if let Some(code) = self.codes.remove(p) {
+                        self.free_codes.push(code);
+                    }
                 }
                 self.patch_rounds += 1;
                 self.patched_prefixes += dirty.len() as u64;
@@ -248,6 +264,8 @@ impl FlatFib {
         self.chunks.clear();
         self.free_chunks.clear();
         self.entries.clear();
+        self.codes.clear();
+        self.free_codes.clear();
 
         // Ascending length order: each insertion overwrites only the slots
         // it covers more specifically, so when a /16 is processed before
@@ -264,10 +282,25 @@ impl FlatFib {
         }
     }
 
-    /// Allocate an entry slot, returning its index+1 code.
+    /// `p`'s entry code, holding value `v`: its existing entry, rewritten
+    /// in place, or a new one.
     fn intern(&mut self, p: Prefix, v: u32) -> u32 {
-        self.entries.push((p, v));
-        self.entries.len() as u32
+        if let Some(&code) = self.codes.get(&p) {
+            self.entries[(code - 1) as usize].1 = v;
+            return code;
+        }
+        let code = match self.free_codes.pop() {
+            Some(code) => {
+                self.entries[(code - 1) as usize] = (p, v);
+                code
+            }
+            None => {
+                self.entries.push((p, v));
+                self.entries.len() as u32
+            }
+        };
+        self.codes.insert(p, code);
+        code
     }
 
     /// Write entry code `e` for prefix `p` over the slots it covers,
@@ -362,10 +395,7 @@ impl FlatFib {
             addr: slot_addr,
             len: 24,
         };
-        // Best route at /24 or shorter covering this slot. Patches always
-        // intern a fresh entry rather than searching the list for an equal
-        // one (a linear scan would be wasteful at DFZ scale); rebuilds
-        // clear the list, bounding the garbage.
+        // Best route at /24 or shorter covering this slot.
         let fill = trie
             .lookup_at_most(IpAddr::V4(slot_addr), 24)
             .map_or(0, |(p, v)| self.intern(p, *v));
@@ -413,9 +443,11 @@ impl FlatFib {
 
     /// Approximate heap size of the compiled structures, for stats.
     pub fn memory_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(Prefix, u32)>();
         self.base.len() * 4
             + self.chunks.len() * 256 * 4
-            + self.entries.len() * std::mem::size_of::<(Prefix, u32)>()
+            + self.entries.len() * entry
+            + self.codes.capacity() * entry
     }
 }
 
@@ -528,6 +560,28 @@ mod tests {
         f.sync(&t);
         assert_agree(&t, &f, "192.0.2.1");
         assert_agree(&t, &f, "10.1.1.1");
+    }
+
+    #[test]
+    fn flapping_patches_reuse_their_entries() {
+        // Patches rewrite a prefix's entry in place: 100k flaps of one /24,
+        // each synced on its own, leave the compiled table its size.
+        let (mut t, mut f) = built(&[("10.0.0.0/8", 1)]);
+        let bytes = f.memory_bytes();
+        let p = prefix("10.1.2.0/24");
+        for i in 0..100_000u32 {
+            if i % 2 == 0 {
+                t.insert(p, 2);
+            } else {
+                t.remove(&p);
+            }
+            f.mark_dirty(&p);
+            assert!(f.sync(&t));
+        }
+        assert_eq!(f.sync_totals().0, 1, "every flap was a patch");
+        let grown = f.memory_bytes() - bytes;
+        assert!(grown < 1024, "100k flaps grew the FIB by {grown} B");
+        assert_agree(&t, &f, "10.1.2.1");
     }
 
     #[test]
