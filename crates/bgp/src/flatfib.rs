@@ -18,10 +18,10 @@
 //! until [`FlatFib::sync`] is called with the authoritative trie (typically
 //! right before a batch of lookups). A sync with few dirty prefixes
 //! patches only the covered base-table slots; above
-//! [`CHURN_REBUILD_THRESHOLD`] it rebuilds from scratch, which is cheaper
-//! than many scattered patches. Every sync that changed anything bumps
-//! [`FlatFib::generation`], which downstream flow caches compare to
-//! invalidate themselves.
+//! [`CHURN_REBUILD_THRESHOLD`], or when a dirty prefix is shorter than /8,
+//! it rebuilds from scratch, which is cheaper than many scattered patches.
+//! Every sync that changed anything bumps [`FlatFib::generation`], which
+//! downstream flow caches compare to invalidate themselves.
 
 use crate::trie::PrefixTrie;
 use crate::types::{Afi, Prefix};
@@ -33,6 +33,10 @@ use std::net::{IpAddr, Ipv4Addr};
 /// convergence) touch thousands of prefixes and a linear rebuild is cheaper
 /// than that many scattered subtree recomputations.
 pub const CHURN_REBUILD_THRESHOLD: usize = 64;
+
+/// A dirty prefix shorter than this forces a rebuild: it covers more than
+/// 2^16 base slots, each of which a patch would recompute from the trie.
+const MIN_PATCH_LEN: u8 = 8;
 
 /// Base-table slot encoding for the DIR-24-8 table.
 ///
@@ -176,8 +180,10 @@ impl FlatFib {
         if !self.is_dirty() {
             return false;
         }
+        // Decided before any patching, so a sync is either a patch round or
+        // a rebuild, and is counted as what it was.
         match self.dirty.replace(Vec::new()) {
-            Some(dirty) if self.built => {
+            Some(dirty) if self.built && dirty.iter().all(|p| p.len() >= MIN_PATCH_LEN) => {
                 for p in &dirty {
                     self.patch(trie, p);
                 }
@@ -375,14 +381,7 @@ impl FlatFib {
         };
         // A /25–/32 lives in the one slot its /24 names.
         let lo = u32::from(addr) >> 8;
-        let slots = 1 << 24u8.saturating_sub(len);
-        // A /0 or very short prefix covers the whole table — treat as a
-        // rebuild rather than iterating 16M slots one trie lookup each.
-        if slots > 1 << 16 {
-            self.rebuild(trie);
-            return;
-        }
-        for slot in lo..lo + slots {
+        for slot in lo..lo + (1 << 24u8.saturating_sub(len)) {
             self.recompute_slot(trie, slot);
         }
     }
@@ -555,9 +554,12 @@ mod tests {
     #[test]
     fn default_route_patch_is_a_rebuild() {
         let (mut t, mut f) = built(&[("10.0.0.0/8", 1)]);
+        let (rebuilds, ..) = f.sync_totals();
         t.insert(prefix("0.0.0.0/0"), 9);
         f.mark_dirty(&prefix("0.0.0.0/0"));
         f.sync(&t);
+        assert_eq!(f.last_sync(), Some((true, 0)), "counted as a rebuild");
+        assert_eq!(f.sync_totals().0, rebuilds + 1);
         assert_agree(&t, &f, "192.0.2.1");
         assert_agree(&t, &f, "10.1.1.1");
     }
