@@ -3,14 +3,14 @@
 //! full-Internet scale.
 //!
 //! Builds a [`VbgpMux`] with one local neighbor, installs N synthetic IPv4
-//! prefixes (/16–/28, so the DIR-24-8 overflow chunks are exercised), then
-//! measures lookups per second in four rows:
+//! prefixes (/16–/28, so every level of the compiled FIB's stride-8 trie
+//! is exercised), then measures lookups per second in four rows:
 //!
 //! - `baseline-trie`: [`PrefixTrie::lookup`] over the same prefixes — every
 //!   packet walks the binary trie (the pre-optimization data plane).
 //! - `fastpath-fib`: `egress_via_neighbor_batch` in runs of one,
 //!   cache-hostile probe stream (256k distinct destinations — the flow
-//!   cache almost never hits, so this isolates the DIR-24-8 lookup itself).
+//!   cache almost never hits, so this isolates the compiled FIB's lookup).
 //! - `fastpath-cached`: the same, flow-heavy probe stream (2k distinct
 //!   destinations — the direct-mapped flow cache absorbs most lookups).
 //! - `fastpath-batch`: `egress_via_neighbor_batch` in runs of 64,
@@ -29,6 +29,9 @@
 //! `--check` (the CI smoke mode) re-measures on whatever table size was
 //! given and fails if the runs-of-one lookup throughput regressed
 //! more than 5x below the committed number.
+//!
+//! It also prints the compiled FIB's bytes per unique prefix (the
+//! `fib_bytes_per_prefix` field of the results file).
 
 use std::net::Ipv4Addr;
 
@@ -161,6 +164,9 @@ fn main() {
         "flow cache hits: {}",
         mux.stats.get(MuxCounter::FlowCacheHits)
     );
+    let fib_bytes = mux.fib_bytes();
+    let fib_bytes_per_prefix = fib_bytes as f64 / table_entries as f64;
+    println!("compiled FIB: {fib_bytes} B, {fib_bytes_per_prefix:.1} B/prefix");
 
     // Show what the run did to the data plane (cache hit/miss split, FIB
     // patches vs rebuilds).
@@ -195,13 +201,13 @@ fn main() {
     if write {
         let json = format!(
             r#"{{
-  "generated": "2026-08-06",
+  "generated": "2026-10-19",
   "commands": {{
     "regenerate": "cargo run --release -p peering-bench --bin dataplane_pps -- {n_prefixes} --write",
     "ci_smoke": "cargo run --release -p peering-bench --bin dataplane_pps -- 20000 --check"
   }},
   "dataplane_pps": {{
-    "description": "lookups/sec on one neighbor table; baseline times PrefixTrie::lookup over the same prefixes, optimized rows call egress_via_neighbor_batch (runs of one, or runs of 64 for the batch row), which consults the compiled DIR-24-8 FIB with a direct-mapped flow cache in front; the batch row amortizes table selection over its runs",
+    "description": "lookups/sec on one neighbor table; baseline times PrefixTrie::lookup over the same prefixes, optimized rows call egress_via_neighbor_batch (runs of one, or runs of 64 for the batch row), which consults the compiled FIB (a stride-8 multibit trie) with a direct-mapped flow cache in front; the batch row amortizes table selection over its runs",
     "prefix_installs": {n_prefixes},
     "unique_prefixes": {table_entries},
     "prefix_lengths": "/16-/28",
@@ -210,6 +216,8 @@ fn main() {
     "optimized_fib_pps": {fib_pps:.0},
     "optimized_cached_pps": {cached_pps:.0},
     "optimized_batch64_pps": {batch_pps:.0},
+    "fib_bytes": {fib_bytes},
+    "fib_bytes_per_prefix": {fib_bytes_per_prefix:.1},
     "fib_speedup": {fib_speedup:.2},
     "cached_speedup": {cached_speedup:.2},
     "batch_speedup": {batch_speedup:.2},

@@ -141,8 +141,8 @@ pub fn synth_prefix(i: u64) -> Prefix {
 }
 
 /// Deterministically synthesize the `i`-th data-plane FIB prefix: like
-/// [`synth_prefix`] but spanning /16–/28, so a compiled DIR-24-8 FIB also
-/// exercises its longer-than-/24 overflow chunks, not just the base table.
+/// [`synth_prefix`] but spanning /16–/28, so a compiled FIB also exercises
+/// the chunks that hold longer-than-/24 prefixes.
 pub fn synth_fib_prefix(i: u64) -> Prefix {
     let len = 16 + (i % 13) as u8; // 16..=28
     let base = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16) as u32;

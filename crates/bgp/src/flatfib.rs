@@ -3,11 +3,14 @@
 //! [`PrefixTrie`] stays the mutable source of truth (it is what
 //! `install_route`/`remove_route` edit), but walking one `Box` node per bit
 //! is ~32 dependent loads per packet. A [`FlatFib`] is compiled *from* a
-//! trie and answers longest-prefix match in one or two array indexes, with
-//! the classic DIR-24-8 layout: a 2^24-entry base table indexed by the top
-//! 24 address bits, plus 256-entry overflow chunks for slots covered by a
-//! /25–/32. Routes of length ≤ 24 resolve with a single load; longer ones
-//! with two.
+//! trie into a leaf-pushed multibit trie of stride 8: one pool of 256-slot
+//! chunks, of which chunk 0 is the root, indexed by the address's top
+//! byte, and each next byte indexes a chunk one level down. A slot holds
+//! the entry of the longest prefix covering it, or a chunk when a longer
+//! prefix splits it, so a chunk exists only where a longer prefix needs one
+//! and the table grows with its prefixes, not with the address space. A
+//! lookup stops at the first leaf: a /8 resolves in one load, a /24 in
+//! three, a /32 in four.
 //!
 //! Only IPv4 is compiled, because the simulated data plane forwards only
 //! IPv4 packets. IPv6 prefixes stay in the trie, where the control plane
@@ -17,7 +20,9 @@
 //! [`FlatFib::mark_dirty`] with the changed prefix; nothing is recompiled
 //! until [`FlatFib::sync`] is called with the authoritative trie (typically
 //! right before a batch of lookups). A sync with few dirty prefixes
-//! patches only the covered base-table slots; above
+//! recomputes only the slots they cover, at the level that holds them (a
+//! /8 slot, /16 slots, or /24 slots for anything longer), then folds every
+//! chunk left holding one leaf back into its parent slot; above
 //! [`CHURN_REBUILD_THRESHOLD`], or when a dirty prefix is shorter than /8,
 //! it rebuilds from scratch, which is cheaper than many scattered patches.
 //! Every sync that changed anything bumps [`FlatFib::generation`], which
@@ -25,7 +30,7 @@
 
 use crate::trie::PrefixTrie;
 use crate::types::{Afi, Prefix};
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Above this many dirty prefixes a sync abandons per-prefix patching
@@ -35,29 +40,38 @@ use std::net::{IpAddr, Ipv4Addr};
 pub const CHURN_REBUILD_THRESHOLD: usize = 64;
 
 /// A dirty prefix shorter than this forces a rebuild: it covers more than
-/// 2^16 base slots, each of which a patch would recompute from the trie.
+/// one root slot, and the root is the whole table.
 const MIN_PATCH_LEN: u8 = 8;
 
-/// Base-table slot encoding for the DIR-24-8 table.
+/// Slot encoding.
 ///
-/// * `0` — empty, no route covers this /24.
-/// * MSB set — low 31 bits index an overflow chunk (some /25–/32 lives
-///   under this slot).
+/// * `0` — empty, no route covers the slot.
+/// * MSB set — low 31 bits index the chunk one level down (a longer prefix
+///   lives under this slot).
 /// * otherwise — `entry index + 1` into [`FlatFib::entries`].
 const CHUNK_FLAG: u32 = 1 << 31;
 
-#[derive(Clone)]
-struct Chunk {
-    /// Fully resolved entry-index+1 (0 = none) per low-byte value.
-    slots: Box<[u32; 256]>,
+/// One trie node: a slot per value of the address byte its level reads.
+type Chunk = [u32; 256];
+
+/// The address byte a level-`level` chunk is indexed by (the root is
+/// level 0 and reads the top byte).
+#[inline]
+fn byte(a: u32, level: usize) -> usize {
+    (a >> (24 - 8 * level)) as u8 as usize
 }
 
-impl Default for Chunk {
-    fn default() -> Self {
-        Chunk {
-            slots: Box::new([0; 256]),
-        }
+/// Drop from `free` the ids that end a list of `len` items numbered from
+/// `first`, returning how many items the list keeps.
+fn shrink(free: &mut BinaryHeap<u32>, mut len: usize, first: u32) -> usize {
+    while free
+        .peek()
+        .is_some_and(|&id| (id - first) as usize + 1 == len)
+    {
+        free.pop();
+        len -= 1;
     }
+    len
 }
 
 /// A compiled, immutable-between-syncs longest-prefix-match table.
@@ -66,18 +80,20 @@ impl Default for Chunk {
 /// prefix plus the `u32` value stored in the source trie (the trie must
 /// hold `u32` values — in the mux these are next-hop/delivery codes).
 pub struct FlatFib {
-    /// DIR-24-8 base table, indexed by `addr >> 8`.
-    base: Vec<u32>,
+    /// The trie's nodes. Chunk 0 is the root, indexed by `addr >> 24`.
     chunks: Vec<Chunk>,
-    free_chunks: Vec<u32>,
-    /// Matched `(prefix, value)` pairs; base/chunk slots store index+1.
+    /// Chunks a patch released inside the pool, free for reuse. Both free
+    /// lists hand out their highest id first, so the ends of the pool and
+    /// the entry list free up.
+    free_chunks: BinaryHeap<u32>,
+    /// Matched `(prefix, value)` pairs; chunk slots store index+1.
     entries: Vec<(Prefix, u32)>,
     /// Each compiled prefix's entry code (index+1). A patch rewrites a
     /// prefix's entry in place, so the entry list stays as long as the
     /// prefix set however long churn runs between rebuilds.
     codes: HashMap<Prefix, u32>,
     /// Entry codes of prefixes that left the trie, free for reuse.
-    free_codes: Vec<u32>,
+    free_codes: BinaryHeap<u32>,
     /// Dirty prefixes accumulated since the last sync. `None` means
     /// "too many — full rebuild" (the overflow state of the churn counter).
     dirty: Option<Vec<Prefix>>,
@@ -105,17 +121,14 @@ impl Default for FlatFib {
 }
 
 impl FlatFib {
-    /// An empty, unbuilt FIB. The 16M-entry base table is allocated zeroed
-    /// up front: the zero page is shared until written, so sparsely
-    /// populated tables stay physically small.
+    /// An empty, unbuilt FIB: an empty root chunk and nothing else.
     pub fn new() -> Self {
         FlatFib {
-            base: vec![0; 1 << 24],
-            chunks: Vec::new(),
-            free_chunks: Vec::new(),
+            chunks: vec![[0; 256]],
+            free_chunks: BinaryHeap::new(),
             entries: Vec::new(),
             codes: HashMap::new(),
-            free_codes: Vec::new(),
+            free_codes: BinaryHeap::new(),
             dirty: Some(Vec::new()),
             generation: 0,
             built: false,
@@ -194,6 +207,12 @@ impl FlatFib {
                         self.free_codes.push(code);
                     }
                 }
+                // Hand back the chunks and entries freed at the end of their
+                // lists, so churn that comes and goes leaves the FIB its size.
+                let kept = shrink(&mut self.free_chunks, self.chunks.len(), 0);
+                self.chunks.truncate(kept);
+                let kept = shrink(&mut self.free_codes, self.entries.len(), 1);
+                self.entries.truncate(kept);
                 self.patch_rounds += 1;
                 self.patched_prefixes += dirty.len() as u64;
                 self.last_sync = Some((false, dirty.len() as u64));
@@ -222,69 +241,70 @@ impl FlatFib {
 
     /// Does any route cover `addr`? Cheaper than [`lookup`](Self::lookup)
     /// on the hot path: slot codes are compared against zero without ever
-    /// dereferencing the entry table, so a /24-or-shorter hit is a single
-    /// array load. Same build requirement as `lookup`.
+    /// dereferencing the entry table. Same build requirement as `lookup`.
     #[inline]
     pub fn covers(&self, addr: Ipv4Addr) -> bool {
         self.code(addr) != 0
     }
 
-    /// The entry code (index+1, 0 = no route) that `addr` resolves to.
+    /// The entry code (index+1, 0 = no route) that `addr` resolves to:
+    /// the first leaf on its path down from the root.
     #[inline]
     fn code(&self, addr: Ipv4Addr) -> u32 {
         let a = u32::from(addr);
-        let slot = self.base[(a >> 8) as usize];
-        if slot & CHUNK_FLAG != 0 {
-            self.chunks[(slot & !CHUNK_FLAG) as usize].slots[(a & 0xff) as usize]
-        } else {
-            slot
+        let mut slot = self.chunks[0][byte(a, 0)];
+        for level in 1..4 {
+            if slot & CHUNK_FLAG == 0 {
+                break;
+            }
+            slot = self.chunks[(slot & !CHUNK_FLAG) as usize][byte(a, level)];
         }
+        slot
     }
 
-    /// Hint the CPU to pull `addr`'s base-table slot toward the cache. The
-    /// batched forwarding path issues these for a whole run of frames
-    /// before resolving any of them, overlapping the DRAM latency that
-    /// otherwise dominates random-destination lookups.
+    /// Hint the CPU to pull `addr`'s level-2 slot toward the cache, walking
+    /// the root and level-1 chunks, which are few and stay cached, to find
+    /// it. The batched forwarding path issues these for a whole run of
+    /// frames before resolving any of them, overlapping the memory latency
+    /// that otherwise dominates random-destination lookups.
     #[inline]
     pub fn prefetch_v4(&self, addr: Ipv4Addr) {
-        let idx = (u32::from(addr) >> 8) as usize;
+        let a = u32::from(addr);
+        let mut slot = &self.chunks[0][byte(a, 0)];
+        for level in 1..3 {
+            if *slot & CHUNK_FLAG == 0 {
+                return;
+            }
+            slot = &self.chunks[(*slot & !CHUNK_FLAG) as usize][byte(a, level)];
+        }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch has no memory effects and `idx` is in bounds
-        // (the base table always holds 2^24 slots).
+        // SAFETY: prefetch has no memory effects and `slot` is a live
+        // reference into the pool.
         unsafe {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.base.as_ptr().add(idx).cast::<i8>(), _MM_HINT_T0);
+            _mm_prefetch((slot as *const u32).cast::<i8>(), _MM_HINT_T0);
         }
         #[cfg(not(target_arch = "x86_64"))]
         // No stable prefetch intrinsic elsewhere: an early plain read has
         // the same warming effect (black_box keeps it from being elided).
-        std::hint::black_box(self.base[idx]);
+        std::hint::black_box(*slot);
     }
 
     /// Full rebuild from the trie's IPv4 prefixes.
     fn rebuild(&mut self, trie: &PrefixTrie<u32>) {
-        // Reallocate rather than zero in place: a fresh `vec![0; …]` is a
-        // calloc whose pages stay uncommitted until written, so sparse
-        // tables never touch most of the 64 MB base array.
-        self.base = vec![0; 1 << 24];
         self.chunks.clear();
+        self.chunks.push([0; 256]);
         self.free_chunks.clear();
         self.entries.clear();
         self.codes.clear();
         self.free_codes.clear();
-
-        // Ascending length order: each insertion overwrites only the slots
-        // it covers more specifically, so when a /16 is processed before
-        // the /24 inside it, the /24 wins exactly where it should.
-        let mut v4: Vec<(Prefix, u32)> = trie
-            .iter()
-            .filter(|(p, _)| p.afi() == Afi::Ipv4)
-            .map(|(p, v)| (p, *v))
-            .collect();
-        v4.sort_by_key(|(p, _)| p.len());
-        for (p, v) in v4 {
-            let e = self.intern(p, v);
-            self.paint_v4(p, e);
+        let all = Prefix::V4 {
+            addr: Ipv4Addr::UNSPECIFIED,
+            len: 0,
+        };
+        for (p, v) in trie.iter_under(&all) {
+            let e = self.intern(p, *v);
+            self.paint(p, e);
         }
     }
 
@@ -309,142 +329,126 @@ impl FlatFib {
         code
     }
 
-    /// Write entry code `e` for prefix `p` over the slots it covers,
-    /// respecting already-painted more-specific routes (callers paint in
-    /// ascending length order, so "respecting" means plain overwrite for
-    /// base slots but per-slot length comparison inside chunks).
-    fn paint_v4(&mut self, p: Prefix, e: u32) {
+    /// Write entry code `e` over the slots prefix `p` covers, at the level
+    /// that holds it: /0–/8 in the root, /9–/16 one level down, and so on.
+    /// Callers paint in trie pre-order, every prefix before the prefixes it
+    /// covers, so no slot inside the range holds a longer prefix or a chunk
+    /// yet and a plain overwrite is right.
+    fn paint(&mut self, p: Prefix, e: u32) {
         let Prefix::V4 { addr, len } = p else {
-            unreachable!("paint_v4 called with v6 prefix");
+            unreachable!("only IPv4 prefixes are compiled");
         };
         let a = u32::from(addr);
-        if len <= 24 {
-            let lo = (a >> 8) as usize;
-            let hi = if len == 0 {
-                1usize << 24
+        let level = usize::from(len.saturating_sub(1) / 8);
+        let ci = self.descend(a, level)[level];
+        let lo = byte(a, level);
+        let n = 1 << (8 * (level + 1) - usize::from(len));
+        self.chunks[ci][lo..lo + n].fill(e);
+    }
+
+    /// The chunks on `a`'s path from the root down to `level`, creating
+    /// each missing one by copying its parent slot's value into all 256 of
+    /// its slots.
+    fn descend(&mut self, a: u32, level: usize) -> [usize; 4] {
+        let mut path = [0; 4];
+        for l in 0..level {
+            let (ci, i) = (path[l], byte(a, l));
+            let slot = self.chunks[ci][i];
+            path[l + 1] = if slot & CHUNK_FLAG != 0 {
+                (slot & !CHUNK_FLAG) as usize
             } else {
-                lo + (1usize << (24 - len as usize))
-            };
-            for slot in lo..hi {
-                if self.base[slot] & CHUNK_FLAG != 0 {
-                    let ci = (self.base[slot] & !CHUNK_FLAG) as usize;
-                    let chunk = &mut self.chunks[ci];
-                    // Entry lens are unknown per chunk slot during a plain
-                    // ascending-order build this branch never runs (chunks
-                    // are created after all ≤/24s), but patching reuses
-                    // paint: fill only less-specific positions.
-                    for s in chunk.slots.iter_mut() {
-                        if *s == 0 || self.entries[(*s - 1) as usize].0.len() <= len {
-                            *s = e;
-                        }
+                let child = match self.free_chunks.pop() {
+                    Some(c) => {
+                        self.chunks[c as usize] = [slot; 256];
+                        c as usize
                     }
-                } else {
-                    self.base[slot] = e;
-                }
-            }
-        } else {
-            let slot = (a >> 8) as usize;
-            let ci = if self.base[slot] & CHUNK_FLAG != 0 {
-                (self.base[slot] & !CHUNK_FLAG) as usize
-            } else {
-                // Spill this /24 slot into a chunk, leaf-pushing the
-                // current ≤/24 best match into every chunk position.
-                let ci = match self.free_chunks.pop() {
-                    Some(i) => i as usize,
                     None => {
-                        self.chunks.push(Chunk::default());
+                        self.chunks.push([slot; 256]);
                         self.chunks.len() - 1
                     }
                 };
-                let fill = self.base[slot];
-                self.chunks[ci].slots.fill(fill);
-                self.base[slot] = CHUNK_FLAG | ci as u32;
-                ci
+                self.chunks[ci][i] = CHUNK_FLAG | child as u32;
+                child
             };
-            let lo = (a & 0xff) as usize;
-            let hi = lo + (1usize << (32 - len as u32));
-            let chunk = &mut self.chunks[ci];
-            for s in &mut chunk.slots[lo..hi] {
-                if *s == 0 || self.entries[(*s - 1) as usize].0.len() <= len {
-                    *s = e;
-                }
-            }
         }
+        path
     }
 
-    /// Recompute every base-table slot covered by `changed` directly from
-    /// the trie. Order-independent and idempotent, so a batch of dirty
-    /// prefixes can be patched in any order.
+    /// Recompute every slot covered by `changed` directly from the trie, at
+    /// the level that holds it: its /8 slot, its /16 slots for a /9–/16,
+    /// and its /24 slots for anything longer (for a /25–/32, the one /24
+    /// that holds it). Then fold the chunks that are left holding one leaf.
+    /// Order-independent and idempotent, so a batch of dirty prefixes can
+    /// be patched in any order.
     fn patch(&mut self, trie: &PrefixTrie<u32>, changed: &Prefix) {
         let Prefix::V4 { addr, len } = *changed else {
             unreachable!("only IPv4 prefixes are marked dirty");
         };
-        // A /25–/32 lives in the one slot its /24 names.
-        let lo = u32::from(addr) >> 8;
-        for slot in lo..lo + (1 << 24u8.saturating_sub(len)) {
-            self.recompute_slot(trie, slot);
+        let a = u32::from(addr);
+        let level = usize::from(len.min(24) - 1) / 8;
+        let slot_len = 8 * (level + 1);
+        let shift = 32 - slot_len;
+        // A prefix longer than its level's slots lies inside one of them.
+        let slots = 1 << slot_len.saturating_sub(usize::from(len));
+        for slot in (a >> shift)..(a >> shift) + slots {
+            self.recompute(trie, slot << shift, level);
+        }
+        self.collapse(a, level);
+    }
+
+    /// Recompute the level-`level` slot that starts at address `a` from the
+    /// trie: the best match of the slot's length or shorter, then the
+    /// longer prefixes under it painted into a fresh subtree.
+    fn recompute(&mut self, trie: &PrefixTrie<u32>, a: u32, level: usize) {
+        let ci = self.descend(a, level)[level];
+        let i = byte(a, level);
+        self.release(self.chunks[ci][i]);
+        let len = 8 * (level as u8 + 1);
+        let addr = Ipv4Addr::from(a);
+        let fill = trie
+            .lookup_at_most(IpAddr::V4(addr), len)
+            .map_or(0, |(p, v)| self.intern(p, *v));
+        self.chunks[ci][i] = fill;
+        for (p, v) in trie.iter_under(&Prefix::V4 { addr, len }) {
+            if p.len() > len {
+                let e = self.intern(p, *v);
+                self.paint(p, e);
+            }
         }
     }
 
-    /// Recompute one /24 base slot (and its chunk, if any /25+ lives there)
-    /// from the trie.
-    fn recompute_slot(&mut self, trie: &PrefixTrie<u32>, slot: u32) {
-        let slot_addr = Ipv4Addr::from(slot << 8);
-        let slot_prefix = Prefix::V4 {
-            addr: slot_addr,
-            len: 24,
-        };
-        // Best route at /24 or shorter covering this slot.
-        let fill = trie
-            .lookup_at_most(IpAddr::V4(slot_addr), 24)
-            .map_or(0, |(p, v)| self.intern(p, *v));
-        // Any /25–/32 under this slot?
-        let mut fine: Vec<(Prefix, u32)> = trie
-            .iter_under(&slot_prefix)
-            .filter(|(p, _)| p.len() > 24)
-            .map(|(p, v)| (p, *v))
-            .collect();
-
-        let old = self.base[slot as usize];
-        if fine.is_empty() {
-            if old & CHUNK_FLAG != 0 {
-                self.free_chunks.push(old & !CHUNK_FLAG);
-            }
-            self.base[slot as usize] = fill;
+    /// Free the chunks under `slot`, if it points at one.
+    fn release(&mut self, slot: u32) {
+        if slot & CHUNK_FLAG == 0 {
             return;
         }
-        let ci = if old & CHUNK_FLAG != 0 {
-            (old & !CHUNK_FLAG) as usize
-        } else {
-            match self.free_chunks.pop() {
-                Some(i) => i as usize,
-                None => {
-                    self.chunks.push(Chunk::default());
-                    self.chunks.len() - 1
-                }
-            }
-        };
-        self.chunks[ci].slots.fill(fill);
-        fine.sort_by_key(|(p, _)| p.len());
-        for (p, v) in fine {
-            let e = self.intern(p, v);
-            let Prefix::V4 { addr, len } = p else {
-                continue;
-            };
-            let lo = (u32::from(addr) & 0xff) as usize;
-            let hi = lo + (1usize << (32 - len as u32));
-            for s in &mut self.chunks[ci].slots[lo..hi] {
-                *s = e;
-            }
+        let ci = (slot & !CHUNK_FLAG) as usize;
+        self.free_chunks.push(ci as u32);
+        for i in 0..256 {
+            self.release(self.chunks[ci][i]);
         }
-        self.base[slot as usize] = CHUNK_FLAG | ci as u32;
     }
 
-    /// Approximate heap size of the compiled structures, for stats.
+    /// Fold each chunk on `a`'s path, from `level` up, that holds one leaf
+    /// in all 256 slots back into its parent slot.
+    fn collapse(&mut self, a: u32, level: usize) {
+        let path = self.descend(a, level);
+        for l in (1..=level).rev() {
+            let chunk = &self.chunks[path[l]];
+            let leaf = chunk[0];
+            if leaf & CHUNK_FLAG != 0 || chunk.iter().any(|&s| s != leaf) {
+                return;
+            }
+            self.chunks[path[l - 1]][byte(a, l - 1)] = leaf;
+            self.free_chunks.push(path[l] as u32);
+        }
+    }
+
+    /// Approximate heap size of the compiled structures, for stats: the
+    /// chunks the pool holds, the entry list and the code map.
     pub fn memory_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(Prefix, u32)>();
-        self.base.len() * 4
-            + self.chunks.len() * 256 * 4
+        self.chunks.len() * std::mem::size_of::<Chunk>()
             + self.entries.len() * entry
             + self.codes.capacity() * entry
     }
@@ -584,6 +588,26 @@ mod tests {
         let grown = f.memory_bytes() - bytes;
         assert!(grown < 1024, "100k flaps grew the FIB by {grown} B");
         assert_agree(&t, &f, "10.1.2.1");
+    }
+
+    #[test]
+    fn serving_cones_compile_into_the_root() {
+        // The 64 /8 client cones a serving uRPF table holds fill 64 root
+        // slots and need no chunk below them.
+        let cones: Vec<(String, u32)> = (20..84u32).map(|a| (format!("{a}.0.0.0/8"), a)).collect();
+        let pairs: Vec<(&str, u32)> = cones.iter().map(|(p, v)| (p.as_str(), *v)).collect();
+        let (t, f) = built(&pairs);
+        let bytes = f.memory_bytes();
+        assert!(bytes < 64 << 10, "64 /8 cones compiled into {bytes} B");
+        for a in [
+            "19.255.255.255",
+            "20.0.0.0",
+            "51.1.2.3",
+            "83.255.255.255",
+            "84.0.0.0",
+        ] {
+            assert_agree(&t, &f, a);
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!
 //! Per-neighbor tables and the delivery table are [`PrefixTrie`]s — the
 //! mutable source of truth the control plane edits. Forwarding never walks
-//! them: each table lazily compiles a [`FlatFib`] (DIR-24-8 over the
-//! table's IPv4 prefixes, the only family the data plane forwards) and
-//! fronts it with a small direct-mapped flow cache keyed on the
-//! destination address and the FIB's generation counter.
+//! them: each table lazily compiles a [`FlatFib`] (a stride-8 multibit
+//! trie over the table's IPv4 prefixes, the only family the data plane
+//! forwards) and fronts it with a small direct-mapped flow cache keyed on
+//! the destination address and the FIB's generation counter.
 //! Route install/remove marks the FIB dirty; the next lookup re-syncs it,
 //! which bumps the generation and thereby invalidates the flow cache
 //! without touching it. Every lookup is a batch call; a single packet is a
@@ -644,6 +644,19 @@ impl VbgpMux {
             .sum()
     }
 
+    /// Bytes the compiled FIBs of every table hold, the delivery table's
+    /// included; a table that has served no lookup has none yet.
+    pub fn fib_bytes(&self) -> usize {
+        self.neighbors
+            .iter()
+            .flatten()
+            .map(|e| e.table.fib.as_ref())
+            .chain([self.delivery.fib.as_ref()])
+            .flatten()
+            .map(FlatFib::memory_bytes)
+            .sum()
+    }
+
     /// An experiment prefix became deliverable down a local tunnel.
     /// Returns the installed entry so the caller can remove exactly it
     /// when the backing route is withdrawn.
@@ -845,11 +858,14 @@ impl VbgpMux {
         // once and reuse it for every frame with a route.
         let egress = Self::resolve_fwd(entry.fwd, &self.resolved);
         let mut reader = entry.table.reader(entry.id.0, &mut self.stats, &self.obs);
-        // Prefetch every frame's base-table slot before resolving any of
-        // them: the random DRAM loads that dominate a cold lookup overlap
-        // instead of serializing per packet.
-        for &ip in dst_ips {
-            reader.fib.prefetch_v4(ip);
+        // Prefetch every frame's level-2 slot before resolving any of them:
+        // the random memory loads that dominate a cold lookup overlap
+        // instead of serializing per packet. A run of one has nothing to
+        // overlap, and the walk to the slot would be paid twice.
+        if dst_ips.len() > 1 {
+            for &ip in dst_ips {
+                reader.fib.prefetch_v4(ip);
+            }
         }
         for &ip in dst_ips {
             if reader.lookup(ip, &mut self.stats) {

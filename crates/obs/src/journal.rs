@@ -10,8 +10,15 @@
 //! merge the lanes in `(dispatch key, lane, intra-dispatch order)` order —
 //! a total order fixed by the simulation itself, not by thread timing — so
 //! the same seed yields a byte-identical journal at 1, 2 or N shards.
+//!
+//! Reads return the last `capacity` records of that merged order, and each
+//! of those is among its own lane's greatest `capacity` records, so a lane
+//! keeps only those. It holds at most twice that many: when it fills, it
+//! keeps its greatest `capacity` by key and forgets the rest. A lane's
+//! pushes are not always in canonical order (a record made outside the
+//! event loop sorts after in-loop records at its timestamp), so it evicts
+//! by key, not by arrival, and reads stay exact at any shard count.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -23,13 +30,6 @@ pub const JOURNAL_CAPACITY: usize = 4096;
 /// Maximum number of journal lanes (one per simulator shard, plus lane 0
 /// for everything recorded outside a worker thread).
 pub const MAX_LANES: usize = 64;
-
-/// Per-lane raw-record bound. This is a memory safety valve, not the
-/// retention policy: [`JOURNAL_CAPACITY`] governs what reads return. It is
-/// sized so no realistic run ever trips it — if one does, eviction happens
-/// per-lane and the merged order is no longer guaranteed shard-count
-/// invariant (visible in [`Journal::dropped`]).
-const LANE_SOFT_CAP: usize = 1 << 20;
 
 /// Sentinel `neighbor` label for FIB/flow-cache events on a table that has
 /// no owning neighbor (the experiment delivery table).
@@ -304,9 +304,10 @@ struct TaggedEvent {
 
 #[derive(Default)]
 struct LaneBuf {
-    records: VecDeque<TaggedEvent>,
+    /// The lane's greatest records by key, in no particular order.
+    records: Vec<TaggedEvent>,
+    /// Records ever pushed to the lane; the next one's `sub`.
     next_sub: u64,
-    evicted: u64,
 }
 
 /// Lane-striped journal. Lane 0 is the main thread / sequential engine;
@@ -330,52 +331,44 @@ impl Journal {
             .expect("journal lane poisoned");
         let sub = buf.next_sub;
         buf.next_sub += 1;
-        if buf.records.len() == LANE_SOFT_CAP {
-            buf.records.pop_front();
-            buf.evicted += 1;
+        buf.records.push(TaggedEvent { tag, sub, event });
+        // Full: keep the greatest `capacity` records, a linear selection
+        // once per `capacity` pushes.
+        if buf.records.len() > 2 * self.capacity {
+            let cut = buf.records.len() - self.capacity;
+            buf.records
+                .select_nth_unstable_by_key(cut - 1, |r| (r.tag, r.sub));
+            buf.records.drain(..cut);
         }
-        buf.records.push_back(TaggedEvent { tag, sub, event });
     }
 
-    /// All records, merged into canonical order (not yet capped).
-    fn merged(&self) -> (Vec<TaggedEvent>, u64) {
-        let mut all: Vec<(TaggedEvent, usize)> = Vec::new();
-        let mut evicted = 0;
-        for (lane, buf) in self.lanes.iter().enumerate() {
-            let buf = buf.lock().expect("journal lane poisoned");
-            evicted += buf.evicted;
-            all.extend(buf.records.iter().map(|r| (*r, lane)));
-        }
-        all.sort_by_key(|(r, lane)| (r.tag, *lane, r.sub));
-        (all.into_iter().map(|(r, _)| r).collect(), evicted)
+    /// Records ever pushed, over every lane.
+    fn pushed(&self) -> u64 {
+        self.lanes
+            .iter()
+            .map(|b| b.lock().expect("journal lane poisoned").next_sub)
+            .sum()
     }
 
     pub fn len(&self) -> usize {
-        let total: usize = self
-            .lanes
-            .iter()
-            .map(|b| b.lock().expect("journal lane poisoned").records.len())
-            .sum();
-        total.min(self.capacity)
+        self.pushed().min(self.capacity as u64) as usize
     }
 
     pub fn dropped(&self) -> u64 {
-        let mut total = 0usize;
-        let mut evicted = 0u64;
-        for buf in &self.lanes {
-            let buf = buf.lock().expect("journal lane poisoned");
-            total += buf.records.len();
-            evicted += buf.evicted;
-        }
-        evicted + total.saturating_sub(self.capacity) as u64
+        self.pushed().saturating_sub(self.capacity as u64)
     }
 
     /// Retained events in canonical order, oldest first: the last
     /// `capacity` records of the merged stream.
     pub fn events(&self) -> Vec<Event> {
-        let (merged, _) = self.merged();
-        let skip = merged.len().saturating_sub(self.capacity);
-        merged[skip..].iter().map(|r| r.event).collect()
+        let mut all: Vec<(TaggedEvent, usize)> = Vec::new();
+        for (lane, buf) in self.lanes.iter().enumerate() {
+            let buf = buf.lock().expect("journal lane poisoned");
+            all.extend(buf.records.iter().map(|r| (*r, lane)));
+        }
+        all.sort_by_key(|(r, lane)| (r.tag, *lane, r.sub));
+        let skip = all.len().saturating_sub(self.capacity);
+        all[skip..].iter().map(|(r, _)| r.event).collect()
     }
 }
 
@@ -436,6 +429,46 @@ mod tests {
             })
             .collect();
         assert_eq!(peers, vec![200, 100]);
+    }
+
+    #[test]
+    fn an_outside_record_outranks_later_in_loop_pushes() {
+        // Lane 0 receives a record made outside the event loop first, then
+        // in-loop records at the same time: canonical order puts the outside
+        // record last, so it is the one a capacity-1 journal returns.
+        let j = Journal::new(1);
+        j.push(0, DispatchKey::outside(10), ev(10, 100));
+        for seq in 0..3 {
+            j.push(0, key(10, 0, 0, seq), ev(10, 200));
+        }
+        assert_eq!(j.events(), vec![ev(10, 100)]);
+        assert_eq!((j.len(), j.dropped()), (1, 3));
+    }
+
+    #[test]
+    fn a_lane_keeps_only_what_reads_can_return() {
+        // 100k pushes into one lane in scrambled key order: the lane holds
+        // at most twice the capacity, and every read equals a reference
+        // computed from all the pushes.
+        let j = Journal::new(16);
+        let mut all = Vec::new();
+        let mut state = 7u64;
+        for sub in 0..100_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let at = (state >> 33) % 5_000;
+            let tag = key(at, (state >> 20) as u32 % 4, 0, sub);
+            let event = ev(at, sub as u32);
+            j.push(3, tag, event);
+            all.push((tag, sub, event));
+            assert!(j.lanes[3].lock().unwrap().records.len() <= 32);
+        }
+        all.sort_by_key(|&(tag, sub, _)| (tag, sub));
+        let want: Vec<Event> = all[all.len() - 16..].iter().map(|r| r.2).collect();
+        assert_eq!(j.events(), want);
+        assert_eq!(j.len(), 16);
+        assert_eq!(j.dropped(), 100_000 - 16);
     }
 
     #[test]

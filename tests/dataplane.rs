@@ -32,12 +32,31 @@ impl Gen {
         z ^ (z >> 31)
     }
 
-    /// A random IPv4 prefix, biased toward short-to-host lengths so both
-    /// the DIR-24-8 base table and the overflow chunks get exercised, with
-    /// addresses drawn from a narrow pool so prefixes nest and collide.
+    /// A random /8–/32 inside 10.0.0.0/12, so the level-1, level-2 and
+    /// level-3 chunks under one root slot get exercised, with addresses
+    /// drawn from a narrow pool so prefixes nest and collide.
     fn v4_prefix(&mut self) -> Prefix {
         let len = 8 + (self.next() % 25) as u8; // 8..=32
         let addr = 0x0a00_0000 | (self.next() as u32 & 0x000f_ffff);
+        let masked = if len == 0 {
+            0
+        } else {
+            addr & (u32::MAX << (32 - u32::from(len)))
+        };
+        Prefix::v4(Ipv4Addr::from(masked), len).unwrap()
+    }
+
+    /// A random /0–/32 inside 8.0.0.0/6 (four root slots), biased toward
+    /// /8 and longer so most syncs patch, with each address byte drawn from
+    /// a few values at both ends of its range so prefixes nest, collide and
+    /// sit on chunk boundaries.
+    fn wide_v4_prefix(&mut self) -> Prefix {
+        let len = if self.next().is_multiple_of(8) {
+            (self.next() % 8) as u8
+        } else {
+            8 + (self.next() % 25) as u8
+        };
+        let addr = 0x0800_0000 | (self.next() as u32 & 0x03c1_c3c3);
         let masked = if len == 0 {
             0
         } else {
@@ -118,6 +137,110 @@ fn flat_fib_matches_trie_under_random_churn() {
             assert_fib_matches(&trie, &fib, Ipv4Addr::UNSPECIFIED, &ctx);
             assert_fib_matches(&trie, &fib, Ipv4Addr::BROADCAST, &ctx);
         }
+    }
+}
+
+/// `addr` and the first and last addresses of each chunk on its path: its
+/// /8, its /16 and its /24.
+fn stride_probes(addr: Ipv4Addr) -> [Ipv4Addr; 6] {
+    let a = u32::from(addr);
+    [
+        a,
+        a & 0xff00_0000,
+        a | 0x00ff_ffff,
+        a & 0xffff_0000,
+        a & 0xffff_ff00,
+        a | 0xff,
+    ]
+    .map(Ipv4Addr::from)
+}
+
+/// The random-churn property over four root slots and every prefix length:
+/// rebuilds for prefixes shorter than /8, patches at the /8, /16 and /24
+/// levels, and chunks folding back across /8 boundaries, probed at random
+/// addresses and at every stride boundary on their paths.
+#[test]
+fn flat_fib_matches_trie_at_every_stride_level() {
+    for seed in 0..4u64 {
+        let mut g = Gen(0x5_7de0 + seed);
+        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        let mut fib = FlatFib::new();
+        let mut live: Vec<Prefix> = Vec::new();
+        for round in 0..200 {
+            let burst = if g.next().is_multiple_of(8) {
+                CHURN_REBUILD_THRESHOLD + 1 + g.next() as usize % 8
+            } else {
+                1 + g.next() as usize % 8
+            };
+            for _ in 0..burst {
+                if !live.is_empty() && g.next().is_multiple_of(2) {
+                    let victim = live.swap_remove(g.next() as usize % live.len());
+                    trie.remove(&victim);
+                    fib.mark_dirty(&victim);
+                } else {
+                    let p = g.wide_v4_prefix();
+                    trie.insert(p, g.next() as u32);
+                    fib.mark_dirty(&p);
+                    if !live.contains(&p) {
+                        live.push(p);
+                    }
+                }
+            }
+            fib.sync(&trie);
+            let ctx = format!("seed {seed} round {round}");
+            for _ in 0..64 {
+                let addr = Ipv4Addr::from(0x0800_0000 | (g.next() as u32 & 0x03ff_ffff));
+                for probe in stride_probes(addr) {
+                    assert_fib_matches(&trie, &fib, probe, &ctx);
+                }
+            }
+            for p in &live {
+                let Prefix::V4 { addr, .. } = *p else {
+                    unreachable!("only IPv4 in this churn");
+                };
+                for probe in stride_probes(addr) {
+                    assert_fib_matches(&trie, &fib, probe, &ctx);
+                }
+            }
+            assert_fib_matches(&trie, &fib, Ipv4Addr::UNSPECIFIED, &ctx);
+            assert_fib_matches(&trie, &fib, Ipv4Addr::BROADCAST, &ctx);
+        }
+    }
+}
+
+/// A prefix that flaps at level 1, 2 or 3 under a /8 is patched in and
+/// out, and every chunk its patches made folds back: the FIB returns to
+/// its size after each flap.
+#[test]
+fn flaps_under_a_slash_8_leave_the_fib_its_size() {
+    for flap in ["10.16.0.0/12", "10.1.16.0/20", "10.1.2.16/28"] {
+        let flap: Prefix = flap.parse().unwrap();
+        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        trie.insert("10.0.0.0/8".parse().unwrap(), 1);
+        trie.insert("11.0.0.0/8".parse().unwrap(), 2);
+        let mut fib = FlatFib::new();
+        fib.sync(&trie);
+        let bytes = fib.memory_bytes();
+        let Prefix::V4 { addr, .. } = flap else {
+            unreachable!("flaps are IPv4");
+        };
+        for i in 0..4u32 {
+            trie.insert(flap, 10 + i);
+            fib.mark_dirty(&flap);
+            fib.sync(&trie);
+            assert!(fib.memory_bytes() > bytes, "{flap} needs chunks");
+            for probe in stride_probes(addr) {
+                assert_fib_matches(&trie, &fib, probe, &format!("{flap} in"));
+            }
+            trie.remove(&flap);
+            fib.mark_dirty(&flap);
+            fib.sync(&trie);
+            assert_eq!(fib.memory_bytes(), bytes, "{flap} flap {i} left chunks");
+            for probe in stride_probes(addr) {
+                assert_fib_matches(&trie, &fib, probe, &format!("{flap} out"));
+            }
+        }
+        assert_eq!(fib.sync_totals().0, 1, "{flap}: every flap was a patch");
     }
 }
 
