@@ -201,7 +201,7 @@ fn main() {
     if write {
         let json = format!(
             r#"{{
-  "generated": "2026-10-19",
+  "generated": "2026-10-20",
   "commands": {{
     "regenerate": "cargo run --release -p peering-bench --bin dataplane_pps -- {n_prefixes} --write",
     "ci_smoke": "cargo run --release -p peering-bench --bin dataplane_pps -- 20000 --check"

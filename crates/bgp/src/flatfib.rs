@@ -30,7 +30,7 @@
 
 use crate::trie::PrefixTrie;
 use crate::types::{Afi, Prefix};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Above this many dirty prefixes a sync abandons per-prefix patching
@@ -61,19 +61,6 @@ fn byte(a: u32, level: usize) -> usize {
     (a >> (24 - 8 * level)) as u8 as usize
 }
 
-/// Drop from `free` the ids that end a list of `len` items numbered from
-/// `first`, returning how many items the list keeps.
-fn shrink(free: &mut BinaryHeap<u32>, mut len: usize, first: u32) -> usize {
-    while free
-        .peek()
-        .is_some_and(|&id| (id - first) as usize + 1 == len)
-    {
-        free.pop();
-        len -= 1;
-    }
-    len
-}
-
 /// A compiled, immutable-between-syncs longest-prefix-match table.
 ///
 /// Values are *entry indexes*: [`FlatFib::lookup`] returns the matched
@@ -82,10 +69,8 @@ fn shrink(free: &mut BinaryHeap<u32>, mut len: usize, first: u32) -> usize {
 pub struct FlatFib {
     /// The trie's nodes. Chunk 0 is the root, indexed by `addr >> 24`.
     chunks: Vec<Chunk>,
-    /// Chunks a patch released inside the pool, free for reuse. Both free
-    /// lists hand out their highest id first, so the ends of the pool and
-    /// the entry list free up.
-    free_chunks: BinaryHeap<u32>,
+    /// Chunks a patch released, free for reuse.
+    free_chunks: Vec<u32>,
     /// Matched `(prefix, value)` pairs; chunk slots store index+1.
     entries: Vec<(Prefix, u32)>,
     /// Each compiled prefix's entry code (index+1). A patch rewrites a
@@ -93,7 +78,7 @@ pub struct FlatFib {
     /// prefix set however long churn runs between rebuilds.
     codes: HashMap<Prefix, u32>,
     /// Entry codes of prefixes that left the trie, free for reuse.
-    free_codes: BinaryHeap<u32>,
+    free_codes: Vec<u32>,
     /// Dirty prefixes accumulated since the last sync. `None` means
     /// "too many — full rebuild" (the overflow state of the churn counter).
     dirty: Option<Vec<Prefix>>,
@@ -125,10 +110,10 @@ impl FlatFib {
     pub fn new() -> Self {
         FlatFib {
             chunks: vec![[0; 256]],
-            free_chunks: BinaryHeap::new(),
+            free_chunks: Vec::new(),
             entries: Vec::new(),
             codes: HashMap::new(),
-            free_codes: BinaryHeap::new(),
+            free_codes: Vec::new(),
             dirty: Some(Vec::new()),
             generation: 0,
             built: false,
@@ -207,12 +192,6 @@ impl FlatFib {
                         self.free_codes.push(code);
                     }
                 }
-                // Hand back the chunks and entries freed at the end of their
-                // lists, so churn that comes and goes leaves the FIB its size.
-                let kept = shrink(&mut self.free_chunks, self.chunks.len(), 0);
-                self.chunks.truncate(kept);
-                let kept = shrink(&mut self.free_codes, self.entries.len(), 1);
-                self.entries.truncate(kept);
                 self.patch_rounds += 1;
                 self.patched_prefixes += dirty.len() as u64;
                 self.last_sync = Some((false, dirty.len() as u64));
@@ -260,34 +239,6 @@ impl FlatFib {
             slot = self.chunks[(slot & !CHUNK_FLAG) as usize][byte(a, level)];
         }
         slot
-    }
-
-    /// Hint the CPU to pull `addr`'s level-2 slot toward the cache, walking
-    /// the root and level-1 chunks, which are few and stay cached, to find
-    /// it. The batched forwarding path issues these for a whole run of
-    /// frames before resolving any of them, overlapping the memory latency
-    /// that otherwise dominates random-destination lookups.
-    #[inline]
-    pub fn prefetch_v4(&self, addr: Ipv4Addr) {
-        let a = u32::from(addr);
-        let mut slot = &self.chunks[0][byte(a, 0)];
-        for level in 1..3 {
-            if *slot & CHUNK_FLAG == 0 {
-                return;
-            }
-            slot = &self.chunks[(*slot & !CHUNK_FLAG) as usize][byte(a, level)];
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch has no memory effects and `slot` is a live
-        // reference into the pool.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch((slot as *const u32).cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        // No stable prefetch intrinsic elsewhere: an early plain read has
-        // the same warming effect (black_box keeps it from being elided).
-        std::hint::black_box(*slot);
     }
 
     /// Full rebuild from the trie's IPv4 prefixes.
@@ -445,11 +396,11 @@ impl FlatFib {
     }
 
     /// Approximate heap size of the compiled structures, for stats: the
-    /// chunks the pool holds, the entry list and the code map.
+    /// live chunks and entries (freed ones wait for reuse) and the code map.
     pub fn memory_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(Prefix, u32)>();
-        self.chunks.len() * std::mem::size_of::<Chunk>()
-            + self.entries.len() * entry
+        (self.chunks.len() - self.free_chunks.len()) * std::mem::size_of::<Chunk>()
+            + (self.entries.len() - self.free_codes.len()) * entry
             + self.codes.capacity() * entry
     }
 }
@@ -588,6 +539,27 @@ mod tests {
         let grown = f.memory_bytes() - bytes;
         assert!(grown < 1024, "100k flaps grew the FIB by {grown} B");
         assert_agree(&t, &f, "10.1.2.1");
+    }
+
+    #[test]
+    fn flapping_patches_reuse_their_chunks() {
+        // `memory_bytes` counts live chunks only, so it cannot see a pool
+        // that grows by the chunks it freed: a /28 flapping under a /8
+        // takes one chunk per level below the root, the same three each time.
+        let (mut t, mut f) = built(&[("10.0.0.0/8", 1)]);
+        let p = prefix("10.1.2.16/28");
+        for i in 0..1_000u32 {
+            if i % 2 == 0 {
+                t.insert(p, 2);
+            } else {
+                t.remove(&p);
+            }
+            f.mark_dirty(&p);
+            assert!(f.sync(&t));
+        }
+        assert_eq!(f.chunks.len(), 4, "the root and three reused chunks");
+        assert_eq!(f.entries.len(), 2, "the /8's entry and the reused /28's");
+        assert_agree(&t, &f, "10.1.2.17");
     }
 
     #[test]

@@ -165,7 +165,8 @@ impl<V> PrefixTrie<V> {
 
     /// Longest-prefix match considering only stored prefixes of length at
     /// most `cap`. Used by the flat-FIB compiler to find the best match
-    /// covering an entire base-table slot rather than a single address.
+    /// covering a whole slot of the compiled FIB (a /8, /16 or /24) rather
+    /// than a single address.
     pub fn lookup_at_most(&self, addr: IpAddr, cap: u8) -> Option<(Prefix, &V)> {
         let (afi, bits, max_len) = match addr {
             IpAddr::V4(a) => (Afi::Ipv4, (u32::from(a) as u128) << 96, 32.min(cap)),

@@ -858,15 +858,6 @@ impl VbgpMux {
         // once and reuse it for every frame with a route.
         let egress = Self::resolve_fwd(entry.fwd, &self.resolved);
         let mut reader = entry.table.reader(entry.id.0, &mut self.stats, &self.obs);
-        // Prefetch every frame's level-2 slot before resolving any of them:
-        // the random memory loads that dominate a cold lookup overlap
-        // instead of serializing per packet. A run of one has nothing to
-        // overlap, and the walk to the slot would be paid twice.
-        if dst_ips.len() > 1 {
-            for &ip in dst_ips {
-                reader.fib.prefetch_v4(ip);
-            }
-        }
         for &ip in dst_ips {
             if reader.lookup(ip, &mut self.stats) {
                 Self::count_egress(&mut self.stats, entry.fwd, egress);
