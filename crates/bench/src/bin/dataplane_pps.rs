@@ -4,17 +4,22 @@
 //!
 //! Builds a [`VbgpMux`] with one local neighbor, installs N synthetic IPv4
 //! prefixes (/16–/28, so every level of the compiled FIB's stride-8 trie
-//! is exercised), then measures lookups per second in four rows:
+//! is exercised), then measures lookups per second in five rows:
 //!
-//! - `baseline-trie`: [`PrefixTrie::lookup`] over the same prefixes — every
+//! - `baseline_trie`: [`PrefixTrie::lookup`] over the same prefixes — every
 //!   packet walks the binary trie (the pre-optimization data plane).
-//! - `fastpath-fib`: `egress_via_neighbor_batch` in runs of one,
+//! - `optimized_fib`: `egress_via_neighbor_batch` in runs of one,
 //!   cache-hostile probe stream (256k distinct destinations — the flow
 //!   cache almost never hits, so this isolates the compiled FIB's lookup).
-//! - `fastpath-cached`: the same, flow-heavy probe stream (2k distinct
+//! - `optimized_cached`: the same, flow-heavy probe stream (2k distinct
 //!   destinations — the direct-mapped flow cache absorbs most lookups).
-//! - `fastpath-batch`: `egress_via_neighbor_batch` in runs of 64,
+//! - `optimized_batch64`: `egress_via_neighbor_batch` in runs of 64,
 //!   cache-hostile stream (amortized table selection + egress resolution).
+//! - `optimized_cached_batch64`: runs of 64 on the flow-heavy stream, where a batched
+//!   lookup pays for whatever it does for frames the flow cache answers.
+//!
+//! Each row is timed over [`RUNS`] passes of its probe stream after one
+//! warm-up pass and records the median, min and max lookups/sec.
 //!
 //! Run with:
 //!
@@ -27,15 +32,17 @@
 //!
 //! `--write` records the rows to `docs/results/BENCH_dataplane.json`;
 //! `--check` (the CI smoke mode) re-measures on whatever table size was
-//! given and fails if the runs-of-one lookup throughput regressed
-//! more than 5x below the committed number.
+//! given and fails if the median runs-of-one lookup throughput regressed
+//! more than 5x below the committed median.
 //!
 //! It also prints the compiled FIB's bytes per unique prefix (the
 //! `fib_bytes_per_prefix` field of the results file).
 
+use std::hint::black_box;
 use std::net::Ipv4Addr;
+use std::time::Instant;
 
-use peering_bench::{bench_args, splitmix, synth_fib_prefix, timing};
+use peering_bench::{bench_args, splitmix, synth_fib_prefix};
 use peering_bgp::trie::PrefixTrie;
 use peering_bgp::types::Prefix;
 use peering_netsim::{MacAddr, PortId};
@@ -45,6 +52,9 @@ use peering_vbgp::{MuxCounter, NeighborId, VbgpMux};
 const RESULTS: &str = "docs/results/BENCH_dataplane.json";
 const OBS_RESULTS: &str = "docs/results/OBS_dataplane.txt";
 const NEIGHBOR: NeighborId = NeighborId(1);
+
+/// Timed passes per row.
+const RUNS: usize = 7;
 
 /// Draw `count` probe addresses covered by installed prefixes, cycling a
 /// pool of `distinct` destinations. A small pool keeps the stream inside
@@ -76,35 +86,42 @@ fn build_mux(prefixes: &[Prefix]) -> VbgpMux {
     mux
 }
 
+/// Lookups/sec over [`RUNS`] timed passes of `pass` (each `lookups`
+/// lookups) after one warm-up pass, as (median, min, max).
+fn rate(lookups: usize, mut pass: impl FnMut() -> usize) -> (f64, f64, f64) {
+    black_box(pass());
+    let mut rates: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(pass());
+            lookups as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    (rates[RUNS / 2], rates[0], rates[RUNS - 1])
+}
+
 /// Lookups/sec for a probe stream walking the binary trie.
-fn measure_trie(trie: &PrefixTrie<()>, probes: &[Ipv4Addr], iters: u32) -> f64 {
-    let per = timing::bench("baseline", iters, || {
+fn measure_trie(trie: &PrefixTrie<()>, probes: &[Ipv4Addr]) -> (f64, f64, f64) {
+    rate(probes.len(), || {
         probes
             .iter()
             .filter(|&&ip| trie.lookup(ip.into()).is_some())
             .count()
-    });
-    probes.len() as f64 / per
+    })
 }
 
 /// Lookups/sec through `egress_via_neighbor_batch` in runs of `batch`.
-fn measure_batch(
-    name: &str,
-    mux: &mut VbgpMux,
-    probes: &[Ipv4Addr],
-    batch: usize,
-    iters: u32,
-) -> f64 {
+fn measure_batch(mux: &mut VbgpMux, probes: &[Ipv4Addr], batch: usize) -> (f64, f64, f64) {
     let mut out = Vec::with_capacity(batch);
-    let per = timing::bench(name, iters, || {
-        let mut hits = 0u64;
+    rate(probes.len(), || {
+        let mut hits = 0;
         for run in probes.chunks(batch) {
             mux.egress_via_neighbor_batch(NEIGHBOR, run, &mut out);
-            hits += out.iter().flatten().count() as u64;
+            hits += out.iter().flatten().count();
         }
         hits
-    });
-    probes.len() as f64 / per
+    })
 }
 
 /// Pull `"key": <number>` out of hand-written JSON (the results files are
@@ -143,23 +160,27 @@ fn main() {
 
     let hostile = probes(&prefixes, 1 << 18, 1 << 18, 0xda7a);
     let flows = probes(&prefixes, 2_048, 1 << 18, 0xf10e);
-    let iters = 5;
 
-    let baseline_pps = measure_trie(&trie, &hostile, iters);
-    let fib_pps = measure_batch("fastpath", &mut mux, &hostile, 1, iters);
-    let cached_pps = measure_batch("fastpath", &mut mux, &flows, 1, iters);
-    let batch_pps = measure_batch("fastpath-batch", &mut mux, &hostile, 64, iters);
-
+    let trie_pps = measure_trie(&trie, &hostile);
+    let mut mux_pps = |probes, batch| measure_batch(&mut mux, probes, batch);
+    // (row and results-file key, probe stream, lookups/sec).
+    let rows = [
+        ("baseline_trie", "256k distinct", trie_pps),
+        ("optimized_fib", "256k distinct", mux_pps(&hostile, 1)),
+        ("optimized_cached", "2k distinct", mux_pps(&flows, 1)),
+        ("optimized_batch64", "256k, x64", mux_pps(&hostile, 64)),
+        ("optimized_cached_batch64", "2k, x64", mux_pps(&flows, 64)),
+    ];
+    let baseline_pps = rows[0].2 .0;
+    let fib_pps = rows[1].2 .0;
     let fib_speedup = fib_pps / baseline_pps;
-    let batch_speedup = batch_pps / baseline_pps;
-    let cached_speedup = cached_pps / baseline_pps;
 
     println!();
-    println!("config           probe stream     lookups/sec      vs baseline");
-    println!("baseline-trie    256k distinct    {baseline_pps:>12.0}    1.00x");
-    println!("fastpath-fib     256k distinct    {fib_pps:>12.0}    {fib_speedup:.2}x");
-    println!("fastpath-cached  2k distinct      {cached_pps:>12.0}    {cached_speedup:.2}x");
-    println!("fastpath-batch   256k dist, x64   {batch_pps:>12.0}    {batch_speedup:.2}x");
+    println!("row                      probes        lookups/sec, median of {RUNS} (min-max)");
+    for (name, stream, (median, min, max)) in rows {
+        let speedup = median / baseline_pps;
+        println!("{name:<24} {stream:<13} {median:>10.0} ({min:.0}-{max:.0})  {speedup:.2}x");
+    }
     println!(
         "flow cache hits: {}",
         mux.stats.get(MuxCounter::FlowCacheHits)
@@ -182,9 +203,10 @@ fn main() {
             .unwrap_or_else(|e| panic!("--check needs {RESULTS}: {e}"));
         let committed_pps = json_number(&committed, "optimized_fib_pps")
             .unwrap_or_else(|| panic!("{RESULTS} has no optimized_fib_pps"));
-        // The smoke table is much smaller than the committed 900k run, so
-        // the measured number should be at or above the committed one; a
-        // >5x shortfall means the fast path itself regressed.
+        // Both are medians. The smoke table is much smaller than the
+        // committed 900k run, so the measured number should be at or
+        // above the committed one; a >5x shortfall means the fast path
+        // itself regressed.
         let floor = committed_pps / 5.0;
         assert!(
             fib_pps >= floor,
@@ -199,6 +221,12 @@ fn main() {
     }
 
     if write {
+        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let rows = rows.map(|(key, _, (median, min, max))| {
+            let speedup = median / baseline_pps;
+            format!("    \"{key}_pps\": {median:.0}, \"{key}_pps_min\": {min:.0}, \"{key}_pps_max\": {max:.0}, \"{key}_speedup\": {speedup:.2},")
+        });
+        let rows = rows.join("\n");
         let json = format!(
             r#"{{
   "generated": "2026-10-20",
@@ -207,20 +235,17 @@ fn main() {
     "ci_smoke": "cargo run --release -p peering-bench --bin dataplane_pps -- 20000 --check"
   }},
   "dataplane_pps": {{
-    "description": "lookups/sec on one neighbor table; baseline times PrefixTrie::lookup over the same prefixes, optimized rows call egress_via_neighbor_batch (runs of one, or runs of 64 for the batch row), which consults the compiled FIB (a stride-8 multibit trie) with a direct-mapped flow cache in front; the batch row amortizes table selection over its runs",
+    "description": "lookups/sec on one neighbor table; baseline times PrefixTrie::lookup over the same prefixes, optimized rows call egress_via_neighbor_batch (runs of one, or runs of 64 for the batch rows), which consults the compiled FIB (a stride-8 multibit trie) with a direct-mapped flow cache in front; the batch rows amortize table selection over their runs",
     "prefix_installs": {n_prefixes},
     "unique_prefixes": {table_entries},
     "prefix_lengths": "/16-/28",
-    "probe_stream": "256k destinations drawn from installed prefixes (cache-hostile); cached row uses 2k destinations",
-    "baseline_trie_pps": {baseline_pps:.0},
-    "optimized_fib_pps": {fib_pps:.0},
-    "optimized_cached_pps": {cached_pps:.0},
-    "optimized_batch64_pps": {batch_pps:.0},
+    "probe_stream": "256k destinations drawn from installed prefixes (cache-hostile); cached rows use 2k destinations",
+    "runs": {RUNS},
+    "host_cores": {host_cores},
+    "statistic": "each *_pps is the median of the runs, *_pps_min and *_pps_max bound them, and *_speedup is the median over the baseline's",
+{rows}
     "fib_bytes": {fib_bytes},
     "fib_bytes_per_prefix": {fib_bytes_per_prefix:.1},
-    "fib_speedup": {fib_speedup:.2},
-    "cached_speedup": {cached_speedup:.2},
-    "batch_speedup": {batch_speedup:.2},
     "acceptance_bar": "optimized >= 5x baseline at ~900k IPv4 prefixes",
     "paper_context": {{
       "claim": "the PEERING mux multiplexes the full Internet routing table per neighbor on commodity hardware; forwarding must not walk a per-packet trie at line rate",

@@ -12,7 +12,8 @@
 //! withdraws. An undefended ablation of the same schedule shows the
 //! enforcement path is what does the work, and a re-run at higher shard
 //! counts cross-checks the determinism contract on the full serving
-//! workload.
+//! workload. The full run repeats each arm three times and records the
+//! median, min and max of its pps; the counts come from the first run.
 //!
 //! Run with:
 //!
@@ -37,6 +38,21 @@ struct Params {
 
 fn spec(params: &Params) -> ServingSpec {
     ServingSpec::new(SEED, params.pops, params.flows, TrafficMix::under_attack())
+}
+
+/// Run an arm `runs` times and print its first outcome: that outcome,
+/// and the median, min and max of `packets_per_sec` over all runs as a
+/// JSON object.
+fn run_arm(label: &str, spec: &ServingSpec, runs: usize) -> (ServingOutcome, String) {
+    let first = run_serving(spec);
+    print_outcome(label, &first);
+    let mut pps = vec![first.packets_per_sec()];
+    pps.extend((1..runs).map(|_| run_serving(spec).packets_per_sec()));
+    pps.sort_by(f64::total_cmp);
+    let (median, min, max) = (pps[runs / 2], pps[0], pps[runs - 1]);
+    println!("  pkts/s over {runs} run(s): median {median:.0}, min {min:.0}, max {max:.0}");
+    let json = format!(r#"{{ "median": {median:.0}, "min": {min:.0}, "max": {max:.0} }}"#);
+    (first, json)
 }
 
 fn print_outcome(label: &str, out: &ServingOutcome) {
@@ -85,14 +101,15 @@ fn main() {
             shard_checks: vec![2, 8],
         }
     };
+    let runs = if smoke { 1 } else { 3 };
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "serving_bench: {} PoPs, {} flows, shard cross-checks {:?}",
-        params.pops, params.flows, params.shard_checks
+        "serving_bench: {} PoPs, {} flows, shard cross-checks {:?}, {} runs per arm, {host_cores} host cores",
+        params.pops, params.flows, params.shard_checks, runs
     );
 
     // The headline arm: full defenses, churn phase included.
-    let defended = run_serving(&spec(&params));
-    print_outcome("defended", &defended);
+    let (defended, defended_pps) = run_arm("defended", &spec(&params), runs);
     if let (Some(pred), Some(obs)) = (
         &defended.predicted_after_churn,
         &defended.observed_after_churn,
@@ -108,8 +125,8 @@ fn main() {
 
     // The ablation arm: same schedule, no defenses — the attack share
     // sails through, showing the enforcement path does the work.
-    let undefended = run_serving(&spec(&params).undefended().without_churn());
-    print_outcome("undefended (ablation)", &undefended);
+    let undefended_spec = spec(&params).undefended().without_churn();
+    let (undefended, undefended_pps) = run_arm("undefended (ablation)", &undefended_spec, runs);
 
     // Determinism cross-check on the full serving workload.
     for &shards in &params.shard_checks {
@@ -203,7 +220,7 @@ fn main() {
             .unwrap_or_else(|| "null".to_string());
         let json = format!(
             r#"{{
-  "generated": "2026-10-19",
+  "generated": "2026-10-20",
   "commands": {{
     "regenerate": "cargo run --release -p peering-bench --bin serving_bench -- --write",
     "ci_smoke": "cargo run --release -p peering-bench --bin serving_bench -- --smoke --check"
@@ -213,7 +230,9 @@ fn main() {
     "pops": {pops},
     "flows": {flows},
     "seed": {SEED},
-    "platform_pps": {pps:.0},
+    "runs": {runs},
+    "host_cores": {host_cores},
+    "platform_pps": {pps},
     "packets_injected": {injected},
     "packets_refused": {refused},
     "legit_delivery": {legit:.4},
@@ -236,6 +255,7 @@ fn main() {
       ]
     }},
     "ablation": {{
+      "platform_pps": {und_pps},
       "undefended_attack_block": {und_block:.4},
       "undefended_legit_delivery": {und_legit:.4},
       "interpretation": "with no ingress policy installed the same schedule delivers its attack share like client traffic — the SLO above is earned by the enforcement pipeline, not by the topology"
@@ -250,7 +270,7 @@ fn main() {
 "#,
             pops = params.pops,
             flows = params.flows,
-            pps = defended.packets_per_sec(),
+            pps = defended_pps,
             injected = defended.injected,
             refused = defended.refused,
             legit = defended.legit_delivery,
@@ -260,6 +280,7 @@ fn main() {
             blocked = blocked_rows.join(",\n"),
             catchment = catchment_rows.join(",\n"),
             churn = churn_rows.join(",\n"),
+            und_pps = undefended_pps,
             und_block = undefended.attack_block,
             und_legit = undefended.legit_delivery,
             shard_checks = params.shard_checks,

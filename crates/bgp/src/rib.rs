@@ -212,6 +212,7 @@ pub struct LocRib {
     entries: PrefixTrie<Vec<Route>>,
     /// Total candidate paths held.
     pub path_count: usize,
+    generation: u64,
 }
 
 impl LocRib {
@@ -228,6 +229,7 @@ impl LocRib {
         prefix: Prefix,
         sorted: Vec<Route>,
     ) -> (Option<Route>, Option<Route>) {
+        self.generation += 1;
         let old_best = self.entries.get(&prefix).and_then(|v| v.first()).cloned();
         if let Some(old) = self.entries.get(&prefix) {
             self.path_count -= old.len();
@@ -240,6 +242,12 @@ impl LocRib {
             self.entries.insert(prefix, sorted);
         }
         (old_best, new_best)
+    }
+
+    /// A count of the changes made to this Loc-RIB: an answer derived from
+    /// it stands while this is unchanged.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Best route for a prefix.
@@ -395,6 +403,7 @@ mod tests {
     #[test]
     fn loc_rib_best_and_lookup() {
         let mut rib = LocRib::new();
+        assert_eq!(rib.generation(), 0);
         let best = route("10.0.0.0/8", 1, 1);
         let backup = route("10.0.0.0/8", 2, 2);
         let (old, new) =
@@ -412,6 +421,7 @@ mod tests {
         assert!(new.is_none());
         assert_eq!(rib.path_count, 0);
         assert!(rib.lookup("10.1.2.3".parse().unwrap()).is_none());
+        assert_eq!(rib.generation(), 2, "every change counts");
     }
 
     #[test]

@@ -24,10 +24,10 @@ use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
 
 use peering_bgp::types::Prefix;
+use peering_netsim::fasthash::FxHasher;
 use peering_netsim::{SimDuration, SimTime};
 use peering_obs::{counter_keys, CounterKey, Counters, EventKind, Obs};
 
-use crate::fasthash::FxHasher;
 use crate::ids::{ExperimentId, NeighborId, PopId};
 
 use super::control::RateLedger;

@@ -36,7 +36,6 @@
 pub mod capability;
 pub mod communities;
 pub mod enforcement;
-pub mod fasthash;
 pub mod ids;
 pub mod mux;
 pub mod policies;
@@ -48,7 +47,6 @@ pub use capability::{CapabilityKind, CapabilitySet, Grant};
 pub use communities::ControlCommunities;
 pub use enforcement::control::{ControlCounter, ControlEnforcer, ExperimentPolicy, Rejection};
 pub use enforcement::data::{DataCounter, DataEnforcer, DataVerdict, DropReason};
-pub use fasthash::{FastHashMap, FxHasher};
 pub use ids::{ExperimentId, NeighborId, PopId};
 pub use mux::{Delivery, Egress, MuxCounter, MuxTarget, NeighborCounter, VbgpMux};
 pub use router::{

@@ -37,10 +37,10 @@ use std::net::Ipv4Addr;
 use peering_bgp::flatfib::FlatFib;
 use peering_bgp::trie::PrefixTrie;
 use peering_bgp::types::Prefix;
+use peering_netsim::fasthash::{hash_u32, FastHashMap};
 use peering_netsim::{MacAddr, PortId};
 use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Obs, DELIVERY_TABLE};
 
-use crate::fasthash::{hash_u32, FastHashMap};
 use crate::ids::{ExperimentId, NeighborId};
 use crate::vnh::{self, Vnh, VnhAllocator};
 

@@ -25,6 +25,7 @@ use peering_bgp::rib::{PeerId, Route};
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerConfig};
 use peering_bgp::types::{Asn, PathId, Prefix, RouterId};
 use peering_netsim::arp::{ArpOp, ArpPacket};
+use peering_netsim::fasthash::FastHashMap;
 use peering_netsim::{
     Bytes, Ctx, EtherFrame, EtherType, IcmpPacket, IpPacket, IpProto, MacAddr, Node, PortId,
     SimDuration,
@@ -36,7 +37,6 @@ use crate::communities::ControlCommunities;
 use crate::enforcement::control::{ControlEnforcer, ExperimentPolicy, RateLedger};
 use crate::enforcement::data::{DataEnforcer, DataVerdict, ExperimentDataPolicy, TokenBucket};
 use crate::enforcement::pprog::{PacketView, Rewrite};
-use crate::fasthash::FastHashMap;
 use crate::ids::{ExperimentId, NeighborId, PopId};
 use crate::mux::{Delivery, Egress, MuxTarget, VbgpMux};
 use crate::policies;

@@ -22,6 +22,7 @@ use peering_bgp::message::{CodecError, Message, UpdateMsg};
 use peering_bgp::rib::{PeerId, Route};
 use peering_bgp::speaker::{PeerConfig, Speaker, SpeakerEvent, SpeakerOutput};
 use peering_bgp::types::{PathId, Prefix};
+use peering_netsim::fasthash::FastHashMap;
 use peering_netsim::{Ctx, EtherFrame, EtherType, MacAddr, PortId, SimDuration};
 use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Obs};
 
@@ -68,8 +69,8 @@ pub enum HostEvent {
 pub struct BgpHost {
     /// The BGP engine.
     pub speaker: Speaker,
-    endpoints: HashMap<PeerId, Endpoint>,
-    by_addr: HashMap<(PortId, MacAddr), PeerId>,
+    endpoints: FastHashMap<PeerId, Endpoint>,
+    by_addr: FastHashMap<(PortId, MacAddr), PeerId>,
     timer_gen: HashMap<(PeerId, u8), u64>,
     interposed: HashSet<PeerId>,
     rx_buf: HashMap<PeerId, Vec<u8>>,
@@ -82,10 +83,24 @@ pub struct BgpHost {
     /// resynchronizes through the FSM instead.
     tx_seq: HashMap<PeerId, u32>,
     rx_seq: HashMap<PeerId, u32>,
+    /// Remembered [`BgpHost::next_hop`] answers, one slot per destination
+    /// low byte; empty until first use.
+    next_hops: Vec<NextHopSlot>,
     /// Counters.
     pub stats: Counters<TransportCounter>,
     obs: Obs,
 }
+
+/// One remembered next-hop answer: the destination, the Loc-RIB
+/// generation it was computed at, and the answer.
+type NextHopSlot = (Ipv4Addr, u64, Option<(PortId, Ipv4Addr)>);
+
+/// Slots in the next-hop table: one per destination low byte, so the 256
+/// hosts of one /24 never evict each other.
+const NEXT_HOP_SLOTS: usize = 256;
+
+/// An empty slot: no Loc-RIB reaches this generation.
+const NO_NEXT_HOP: NextHopSlot = (Ipv4Addr::UNSPECIFIED, u64::MAX, None);
 
 counter_keys! {
     /// Transport counters.
@@ -144,14 +159,15 @@ impl BgpHost {
         let obs = Obs::new();
         BgpHost {
             speaker,
-            endpoints: HashMap::new(),
-            by_addr: HashMap::new(),
+            endpoints: FastHashMap::default(),
+            by_addr: FastHashMap::default(),
             timer_gen: HashMap::new(),
             interposed: HashSet::new(),
             rx_buf: HashMap::new(),
             transport_up: HashSet::new(),
             tx_seq: HashMap::new(),
             rx_seq: HashMap::new(),
+            next_hops: Vec::new(),
             stats: Counters::new(&obs),
             obs,
         }
@@ -174,6 +190,7 @@ impl BgpHost {
         interposed: bool,
     ) {
         self.speaker.add_peer(id, cfg);
+        self.next_hops.clear();
         self.by_addr
             .insert((endpoint.port, endpoint.remote_mac), id);
         self.endpoints.insert(id, endpoint);
@@ -185,6 +202,7 @@ impl BgpHost {
     /// Remove a session entirely.
     pub fn remove_session(&mut self, ctx: &mut Ctx<'_>, id: PeerId) -> Vec<HostEvent> {
         let mut events = Vec::new();
+        self.next_hops.clear();
         if let Some(ep) = self.endpoints.remove(&id) {
             self.by_addr.remove(&(ep.port, ep.remote_mac));
             self.send_op(ctx, &ep, OP_FIN, &[]);
@@ -213,6 +231,31 @@ impl BgpHost {
         };
         let ep = self.endpoints.get(&route.source.peer()?)?;
         Some((ep.port, next_hop))
+    }
+
+    /// [`BgpHost::egress`] of the Loc-RIB's best route for `dst`.
+    ///
+    /// Answers are remembered per destination in a table indexed by its
+    /// low byte, and one stands while the Loc-RIB's generation is the one
+    /// it was computed at, so a host forwarding to a stable set of
+    /// destinations walks the Loc-RIB only when it changes.
+    pub fn next_hop(&mut self, dst: Ipv4Addr) -> Option<(PortId, Ipv4Addr)> {
+        let generation = self.speaker.loc_rib().generation();
+        if self.next_hops.is_empty() {
+            self.next_hops.resize(NEXT_HOP_SLOTS, NO_NEXT_HOP);
+        }
+        let i = usize::from(dst.octets()[3]);
+        let (at, seen, answer) = self.next_hops[i];
+        if at == dst && seen == generation {
+            return answer;
+        }
+        let answer = self
+            .speaker
+            .loc_rib()
+            .lookup(dst.into())
+            .and_then(|route| self.egress(route));
+        self.next_hops[i] = (dst, generation, answer);
+        answer
     }
 
     /// Start a session (active or passive per its config).
@@ -763,6 +806,196 @@ mod tests {
             .host
             .speaker
             .is_established(PeerId(0)));
+    }
+
+    /// `b` (AS 200) learning from `a1` (AS 100, b's port 0, next hop
+    /// 10.0.0.1) and `a2` (AS 300, b's port 1, next hop 10.0.1.1), both
+    /// sessions established.
+    fn fan_in() -> (Simulator, [peering_netsim::NodeId; 3]) {
+        let mut sim = Simulator::new(12);
+        let addr = |s: &str| -> IpAddr { s.parse().unwrap() };
+        let mut b = BgpHost::new(mk_speaker(200, 2));
+        let mut nodes = Vec::new();
+        for (i, asn) in [(0u8, 100u32), (1, 300)] {
+            let (theirs, ours) = (addr(&format!("10.0.{i}.1")), addr(&format!("10.0.{i}.2")));
+            let (their_mac, our_mac) = (MacAddr::from_id(10 + u32::from(i)), MacAddr::from_id(2));
+            let mut a = BgpHost::new(mk_speaker(asn, 10 + u32::from(i)));
+            let cfg = PeerConfig::ebgp(Asn(200), ours, theirs);
+            let ep = Endpoint {
+                port: PortId(0),
+                local_mac: their_mac,
+                remote_mac: our_mac,
+            };
+            a.add_session(PeerId(0), cfg, ep, false);
+            let cfg = PeerConfig::ebgp(Asn(asn), theirs, ours).with_passive();
+            let ep = Endpoint {
+                port: PortId(u16::from(i)),
+                local_mac: our_mac,
+                remote_mac: their_mac,
+            };
+            b.add_session(PeerId(u32::from(i)), cfg, ep, false);
+            nodes.push(sim.add_node(Box::new(SpeakerNode {
+                host: a,
+                events: Vec::new(),
+            })));
+        }
+        let b = sim.add_node(Box::new(SpeakerNode {
+            host: b,
+            events: Vec::new(),
+        }));
+        for (i, &a) in nodes.iter().enumerate() {
+            sim.connect(a, PortId(0), b, PortId(i as u16), LinkConfig::default());
+        }
+        sim.with_node_ctx::<SpeakerNode, _>(b, |node, ctx| {
+            node.host.start(ctx, PeerId(0));
+            node.host.start(ctx, PeerId(1));
+        });
+        for &a in &nodes {
+            sim.with_node_ctx::<SpeakerNode, _>(a, |node, ctx| {
+                node.host.start(ctx, PeerId(0));
+            });
+        }
+        sim.run_for(SimDuration::from_secs(2));
+        (sim, [nodes[0], nodes[1], b])
+    }
+
+    /// Announce (or withdraw) `p` at `node` and let it propagate.
+    fn originate(sim: &mut Simulator, node: peering_netsim::NodeId, p: &str, announce: bool) {
+        sim.with_node_ctx::<SpeakerNode, _>(node, |node, ctx| {
+            let out = if announce {
+                let attrs = PathAttributes::originated("10.9.9.9".parse().unwrap());
+                node.host.speaker.originate(prefix(p), attrs)
+            } else {
+                node.host.speaker.withdraw_origin(prefix(p))
+            };
+            node.host.apply(ctx, out);
+        });
+        sim.run_for(SimDuration::from_millis(50));
+    }
+
+    /// An egress port and next hop, if there is a route.
+    type Hop = Option<(PortId, Ipv4Addr)>;
+
+    /// `next_hop` at `node`, and what an uncached Loc-RIB walk answers.
+    fn next_hop_and_walk(
+        sim: &mut Simulator,
+        node: peering_netsim::NodeId,
+        dst: &str,
+    ) -> (Hop, Hop) {
+        let dst: Ipv4Addr = dst.parse().unwrap();
+        let host = &mut sim.node_mut::<SpeakerNode>(node).unwrap().host;
+        let cached = host.next_hop(dst);
+        let walked = host.speaker.loc_rib().lookup(dst.into());
+        (cached, walked.and_then(|r| host.egress(r)))
+    }
+
+    fn hop(port: u16, next_hop: &str) -> Hop {
+        Some((PortId(port), next_hop.parse().unwrap()))
+    }
+
+    #[test]
+    fn next_hop_follows_withdrawals_and_more_specifics() {
+        let (mut sim, [a1, a2, b]) = fan_in();
+        let dst = "10.1.2.3";
+        assert_eq!(next_hop_and_walk(&mut sim, b, dst), (None, None));
+        originate(&mut sim, a1, "10.0.0.0/8", true);
+        assert_eq!(next_hop_and_walk(&mut sim, b, dst).0, hop(0, "10.0.0.1"));
+        // A more-specific learned from a2 takes the next packet.
+        originate(&mut sim, a2, "10.1.0.0/16", true);
+        assert_eq!(next_hop_and_walk(&mut sim, b, dst).0, hop(1, "10.0.1.1"));
+        // Withdrawing it falls back to the covering route; withdrawing
+        // that leaves no route.
+        originate(&mut sim, a2, "10.1.0.0/16", false);
+        assert_eq!(next_hop_and_walk(&mut sim, b, dst).0, hop(0, "10.0.0.1"));
+        originate(&mut sim, a1, "10.0.0.0/8", false);
+        assert_eq!(next_hop_and_walk(&mut sim, b, dst), (None, None));
+    }
+
+    #[test]
+    fn next_hop_never_names_a_removed_session() {
+        let (mut sim, [a1, a2, b]) = fan_in();
+        originate(&mut sim, a1, "10.0.0.0/8", true);
+        originate(&mut sim, a2, "10.1.0.0/16", true);
+        assert_eq!(
+            next_hop_and_walk(&mut sim, b, "10.1.2.3").0,
+            hop(1, "10.0.1.1")
+        );
+        sim.with_node_ctx::<SpeakerNode, _>(b, |node, ctx| {
+            node.host.remove_session(ctx, PeerId(1));
+        });
+        let (cached, walked) = next_hop_and_walk(&mut sim, b, "10.1.2.3");
+        assert_eq!(cached, walked);
+        assert_ne!(cached.map(|(port, _)| port), Some(PortId(1)));
+    }
+
+    #[test]
+    fn destinations_sharing_a_low_byte_keep_their_own_answers() {
+        let (mut sim, [a1, a2, b]) = fan_in();
+        originate(&mut sim, a1, "10.0.0.0/16", true);
+        originate(&mut sim, a2, "10.1.0.0/16", true);
+        for _ in 0..3 {
+            assert_eq!(
+                next_hop_and_walk(&mut sim, b, "10.0.7.5").0,
+                hop(0, "10.0.0.1")
+            );
+            assert_eq!(
+                next_hop_and_walk(&mut sim, b, "10.1.7.5").0,
+                hop(1, "10.0.1.1")
+            );
+            assert_eq!(next_hop_and_walk(&mut sim, b, "10.2.7.5").0, None);
+        }
+    }
+
+    /// Under seeded announce and withdraw churn on two sessions,
+    /// `next_hop` answers what an uncached Loc-RIB walk answers, for
+    /// destinations asked before the change and for fresh ones.
+    #[test]
+    fn next_hop_matches_the_loc_rib_under_churn() {
+        let pool = [
+            "10.0.0.0/8",
+            "10.1.0.0/16",
+            "10.1.2.0/24",
+            "10.1.2.128/25",
+            "10.2.0.0/16",
+            "10.2.5.0/24",
+            "10.2.0.0/15",
+        ];
+        let repeated = [
+            "10.1.2.5",
+            "10.1.2.133",
+            "10.2.5.5",
+            "10.3.9.133",
+            "10.4.0.1",
+        ];
+        for seed in 1..=3u64 {
+            let (mut sim, [a1, a2, b]) = fan_in();
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            for step in 0..40 {
+                let node = if next() & 1 == 0 { a1 } else { a2 };
+                let p = pool[next() as usize % pool.len()];
+                originate(&mut sim, node, p, next() % 3 != 0);
+                let fresh: Vec<String> = (0..6)
+                    .map(|_| {
+                        let r = next();
+                        format!("10.{}.{}.{}", r % 5, (r >> 8) % 10, (r >> 16) as u8)
+                    })
+                    .collect();
+                for dst in repeated
+                    .iter()
+                    .copied()
+                    .chain(fresh.iter().map(String::as_str))
+                {
+                    let (cached, walked) = next_hop_and_walk(&mut sim, b, dst);
+                    assert_eq!(cached, walked, "seed {seed} step {step}: {dst} after {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! for the same address are paced.
 
 use crate::bytes::Bytes;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+use crate::fasthash::FastHashMap;
 use crate::mac::MacAddr;
 use crate::time::{SimDuration, SimTime};
 
@@ -127,8 +127,8 @@ struct CacheEntry {
 /// An ARP cache with expiry and request pacing.
 #[derive(Debug, Default)]
 pub struct ArpCache {
-    entries: HashMap<Ipv4Addr, CacheEntry>,
-    last_request: HashMap<Ipv4Addr, SimTime>,
+    entries: FastHashMap<Ipv4Addr, CacheEntry>,
+    last_request: FastHashMap<Ipv4Addr, SimTime>,
 }
 
 impl ArpCache {
@@ -167,24 +167,6 @@ impl ArpCache {
                 true
             }
         }
-    }
-
-    /// Drop expired entries; returns how many were evicted.
-    pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.expires > now);
-        before - self.entries.len()
-    }
-
-    /// Number of live entries (including possibly-expired ones not yet
-    /// evicted).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -237,8 +219,6 @@ mod tests {
             Some(mac(9))
         );
         assert_eq!(cache.lookup(ip, t0 + SimDuration::from_secs(61)), None);
-        assert_eq!(cache.evict_expired(t0 + SimDuration::from_secs(61)), 1);
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -2,9 +2,27 @@
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3, which is DoS-robust
 //! but costs ~1ns/byte — noticeable when the key is a 6-byte MAC or a
-//! 4-byte IP consulted per packet. Keys here are either platform-assigned
-//! (MACs, neighbor ids) or already constrained by enforcement, so a
-//! Fx-style multiply-rotate hash is safe and several times faster.
+//! 4-byte IP consulted per packet. A Fx-style multiply-rotate hash is
+//! several times faster and safe wherever the platform, not a peer or an
+//! experiment, chooses the keys. These maps use it:
+//!
+//! - the vBGP mux's neighbor and experiment slots (platform ids), its own
+//!   addresses and its resolved next hops (neighbors' configured
+//!   addresses), and its flow cache's slot choice (a direct-mapped cache:
+//!   a collision costs a miss, never a longer probe);
+//! - the vBGP router's port MACs, experiment ports and ingress neighbors
+//!   (ports and the MACs it configured);
+//! - the data enforcer's verdict-cache slot choice (direct-mapped too);
+//! - a host's ARP cache and pending queue
+//!   ([`crate::arp::ArpCache`], [`crate::host::IpHost`]): next hops on the
+//!   node's own segments, which its routes name;
+//! - a learning switch's MAC table ([`crate::switch::LearningSwitch`]):
+//!   the fabric's MACs, which the platform assigns;
+//! - a BGP host's session endpoints, keyed by session id and by the
+//!   configured (port, peer MAC) pair.
+//!
+//! Maps keyed by something a peer or an experiment chooses (a prefix it
+//! announces, a flood bucket it fills) keep SipHash.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

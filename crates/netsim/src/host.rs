@@ -10,10 +10,10 @@
 //! answers ARP for virtual next hops and resolves neighbors through its
 //! mux, a different role.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::arp::{ArpCache, ArpOp, ArpPacket};
+use crate::fasthash::FastHashMap;
 use crate::frame::{EtherFrame, EtherType};
 use crate::icmp::IcmpPacket;
 use crate::ip::{IpPacket, IpProto};
@@ -60,7 +60,7 @@ pub struct IpHost {
     ports: Vec<Option<Port>>,
     arp: ArpCache,
     /// Packets waiting for their next hop to resolve, in arrival order.
-    pending: HashMap<Ipv4Addr, Vec<(PortId, IpPacket)>>,
+    pending: FastHashMap<Ipv4Addr, Vec<(PortId, IpPacket)>>,
 }
 
 impl IpHost {

@@ -5,10 +5,16 @@
 //! forwarding path decrements TTL like a real router. Headers are encoded to
 //! and parsed from real wire bytes (including the header checksum) so tests
 //! exercise the same paths a kernel would.
+//!
+//! A hop pays for one copy of a packet, not three: [`IpPacket::decode`]
+//! returns a payload that is a view of the frame's buffer, and
+//! [`IpPacket::encode`] writes the header and payload straight into one new
+//! shared buffer.
 
 use crate::bytes::Bytes;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// IP protocol numbers carried in the simulator.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -159,21 +165,26 @@ impl IpPacket {
         pkt
     }
 
-    /// Serialize to wire bytes.
+    /// Serialize to wire bytes: one allocation, header and payload each
+    /// copied once.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.header.encode(self.payload.len()));
-        out.extend_from_slice(&self.payload);
-        Bytes::from(out)
+        let mut out = Arc::<[u8]>::new_uninit_slice(self.wire_len());
+        let buf = Arc::get_mut(&mut out).expect("a new buffer has one owner");
+        let (head, body) = buf.split_at_mut(IPV4_HEADER_LEN);
+        head.write_copy_of_slice(&self.header.encode(self.payload.len()));
+        body.write_copy_of_slice(&self.payload);
+        // SAFETY: the two writes above initialized every byte.
+        Bytes::from(unsafe { out.assume_init() })
     }
 
     /// Parse from wire bytes; drops trailing garbage beyond the declared
-    /// total length, rejects malformed or checksum-failing headers.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
+    /// total length, rejects malformed or checksum-failing headers. The
+    /// payload is a view of `buf`, not a copy.
+    pub fn decode(buf: &Bytes) -> Option<Self> {
         let (header, total_len) = Ipv4Header::decode(buf)?;
         Some(IpPacket {
             header,
-            payload: Bytes::copy_from_slice(&buf[IPV4_HEADER_LEN..total_len]),
+            payload: buf.slice(IPV4_HEADER_LEN..total_len),
         })
     }
 
@@ -248,13 +259,13 @@ mod tests {
         );
         let mut wire = pkt.encode().to_vec();
         wire[12] ^= 0xff; // flip a source-address octet
-        assert!(IpPacket::decode(&wire).is_none());
+        assert!(IpPacket::decode(&wire.into()).is_none());
     }
 
     #[test]
     fn short_and_bogus_buffers_rejected() {
-        assert!(IpPacket::decode(&[]).is_none());
-        assert!(IpPacket::decode(&[0x45; 10]).is_none());
+        assert!(IpPacket::decode(&Bytes::new()).is_none());
+        assert!(IpPacket::decode(&Bytes::from_static(&[0x45; 10])).is_none());
         let pkt = IpPacket::new(
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(2, 2, 2, 2),
@@ -263,7 +274,7 @@ mod tests {
         );
         let mut wire = pkt.encode().to_vec();
         wire[0] = 0x46; // IHL 6: options unsupported
-        assert!(IpPacket::decode(&wire).is_none());
+        assert!(IpPacket::decode(&wire.into()).is_none());
     }
 
     #[test]
@@ -291,7 +302,20 @@ mod tests {
         );
         let mut wire = pkt.encode().to_vec();
         wire.extend_from_slice(b"JUNK");
-        let parsed = IpPacket::decode(&wire).unwrap();
+        let parsed = IpPacket::decode(&wire.into()).unwrap();
         assert_eq!(&parsed.payload[..], b"ab");
+    }
+
+    #[test]
+    fn decoded_payload_points_into_the_frame() {
+        let pkt = IpPacket::new(
+            Ipv4Addr::new(1, 1, 1, 1),
+            Ipv4Addr::new(2, 2, 2, 2),
+            IpProto::Udp,
+            Bytes::from_static(b"payload"),
+        );
+        let wire = pkt.encode();
+        let parsed = IpPacket::decode(&wire).unwrap();
+        assert_eq!(parsed.payload.as_ptr(), wire[IPV4_HEADER_LEN..].as_ptr());
     }
 }

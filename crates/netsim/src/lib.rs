@@ -32,6 +32,7 @@ pub mod arp;
 pub mod bytes;
 pub mod chaos;
 pub mod event;
+pub mod fasthash;
 pub mod frame;
 pub mod host;
 pub mod icmp;

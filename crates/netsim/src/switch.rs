@@ -5,8 +5,7 @@
 //! learned port, and floods unknown unicast / broadcast to all other ports.
 //! Entries age out so topology changes converge.
 
-use std::collections::HashMap;
-
+use crate::fasthash::FastHashMap;
 use crate::frame::EtherFrame;
 use crate::mac::MacAddr;
 use crate::sim::{Ctx, Node, PortId};
@@ -24,8 +23,7 @@ struct TableEntry {
 /// A learning switch with a fixed number of ports.
 pub struct LearningSwitch {
     ports: u16,
-    table: HashMap<MacAddr, TableEntry>,
-    aging: SimDuration,
+    table: FastHashMap<MacAddr, TableEntry>,
     /// Frames forwarded to a single learned port.
     pub forwarded: u64,
     /// Frames flooded to all other ports.
@@ -34,12 +32,12 @@ pub struct LearningSwitch {
 }
 
 impl LearningSwitch {
-    /// A switch with `ports` ports and default aging.
+    /// A switch with `ports` ports whose entries age out after
+    /// [`MAC_AGING_TIME`].
     pub fn new(ports: u16) -> Self {
         LearningSwitch {
             ports,
-            table: HashMap::new(),
-            aging: MAC_AGING_TIME,
+            table: FastHashMap::default(),
             forwarded: 0,
             flooded: 0,
             label: "switch".to_string(),
@@ -52,22 +50,11 @@ impl LearningSwitch {
         self
     }
 
-    /// Override the MAC aging time.
-    pub fn with_aging(mut self, aging: SimDuration) -> Self {
-        self.aging = aging;
-        self
-    }
-
-    /// Number of learned (possibly stale) MAC entries.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
     /// The port a MAC was last learned on, if fresh.
     pub fn lookup(&self, mac: MacAddr, now: SimTime) -> Option<PortId> {
         self.table
             .get(&mac)
-            .filter(|e| now.saturating_since(e.last_seen) < self.aging)
+            .filter(|e| now.saturating_since(e.last_seen) < MAC_AGING_TIME)
             .map(|e| e.port)
     }
 }
@@ -203,7 +190,7 @@ mod tests {
 
     #[test]
     fn entries_age_out() {
-        let mut sw = LearningSwitch::new(2).with_aging(SimDuration::from_secs(10));
+        let mut sw = LearningSwitch::new(2);
         sw.table.insert(
             MacAddr::from_id(1),
             TableEntry {
@@ -212,11 +199,11 @@ mod tests {
             },
         );
         assert_eq!(
-            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(5_000_000_000)),
+            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(299_000_000_000)),
             Some(PortId(1))
         );
         assert_eq!(
-            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(11_000_000_000)),
+            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(301_000_000_000)),
             None
         );
     }

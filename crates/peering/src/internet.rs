@@ -401,8 +401,7 @@ impl InternetAs {
     }
 
     fn forward(&mut self, ctx: &mut Ctx<'_>, pkt: IpPacket, local_origin: bool) -> bool {
-        let route = self.host.speaker.loc_rib().lookup(pkt.header.dst.into());
-        let Some((port, next_hop)) = route.and_then(|r| self.host.egress(r)) else {
+        let Some((port, next_hop)) = self.host.next_hop(pkt.header.dst) else {
             self.no_route += 1;
             return false;
         };

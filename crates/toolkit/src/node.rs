@@ -248,10 +248,8 @@ impl ExperimentNode {
         dst: Ipv4Addr,
         payload: Bytes,
     ) -> bool {
-        let Some(route) = self.host.speaker.loc_rib().lookup(dst.into()).cloned() else {
-            return false;
-        };
-        self.send_via_route(ctx, &route, src, dst, payload)
+        let hop = self.host.next_hop(dst);
+        self.send_along(ctx, hop, IpPacket::new(src, dst, IpProto::Udp, payload))
     }
 
     /// Send an IP packet steering it via a specific received route — the
@@ -266,7 +264,8 @@ impl ExperimentNode {
         dst: Ipv4Addr,
         payload: Bytes,
     ) -> bool {
-        self.send_along(ctx, route, IpPacket::new(src, dst, IpProto::Udp, payload))
+        let hop = self.host.egress(route);
+        self.send_along(ctx, hop, IpPacket::new(src, dst, IpProto::Udp, payload))
     }
 
     /// Send a TTL-limited traceroute probe via a specific route. `ident`
@@ -281,11 +280,19 @@ impl ExperimentNode {
         ttl: u8,
         ident: u16,
     ) -> bool {
-        self.send_along(ctx, route, IpPacket::probe(src, dst, ttl, ident))
+        let hop = self.host.egress(route);
+        self.send_along(ctx, hop, IpPacket::probe(src, dst, ttl, ident))
     }
 
-    fn send_along(&mut self, ctx: &mut Ctx<'_>, route: &Route, pkt: IpPacket) -> bool {
-        let Some((port, next_hop)) = self.host.egress(route) else {
+    /// Send `pkt` out `hop`'s port toward its next hop; `false` if there
+    /// is no hop.
+    fn send_along(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        hop: Option<(PortId, Ipv4Addr)>,
+        pkt: IpPacket,
+    ) -> bool {
+        let Some((port, next_hop)) = hop else {
             return false;
         };
         self.ip.send(ctx, port, next_hop, pkt);

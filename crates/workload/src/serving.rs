@@ -15,11 +15,12 @@
 //! digest) the sharded-run battery compares bit-for-bit.
 //!
 //! Everything observable in the outcome is a pure function of the
-//! [`ServingSpec`]; only [`ServingOutcome::wall_ms`] (the pps
+//! [`ServingSpec`]; only [`ServingOutcome::wall`] (the pps
 //! denominator) varies run to run.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::time::{Duration, Instant};
 
 use peering_bgp::types::Prefix;
 use peering_netsim::{Bytes, IpPacket, IpProto};
@@ -106,7 +107,7 @@ impl ServingSpec {
 }
 
 /// What one serving run produced. Every field except
-/// [`ServingOutcome::wall_ms`] is deterministic in the spec, at any
+/// [`ServingOutcome::wall`] is deterministic in the spec, at any
 /// shard count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingOutcome {
@@ -151,18 +152,18 @@ pub struct ServingOutcome {
     /// Events the simulator processed over the whole run (a count of
     /// the event schedule, identical at any shard count).
     pub processed_events: u64,
-    /// Wall-clock milliseconds spent in the injection + simulation
-    /// phases (pps denominator; NOT deterministic).
-    pub wall_ms: u128,
+    /// Wall-clock time spent in the injection + simulation phases (pps
+    /// denominator; NOT deterministic).
+    pub wall: Duration,
 }
 
 impl ServingOutcome {
     /// Platform-level packets per second over the serve phase.
     pub fn packets_per_sec(&self) -> f64 {
-        if self.wall_ms == 0 {
+        if self.wall.is_zero() {
             return 0.0;
         }
-        self.injected as f64 * 1000.0 / self.wall_ms as f64
+        self.injected as f64 / self.wall.as_secs_f64()
     }
 
     /// Per-PoP share of delivered traffic during the serve phase.
@@ -339,7 +340,7 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
     }
 
     let predicted_catchment = net.predicted_catchment();
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
     // --- serve phase ---------------------------------------------------
     // Open loop at 1-second quanta: all packets of the flows starting in
@@ -483,6 +484,6 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
         snapshot,
         journal_digest,
         processed_events: net.platform.sim.processed_events,
-        wall_ms: started.elapsed().as_millis(),
+        wall: started.elapsed(),
     }
 }

@@ -806,6 +806,189 @@ mod tcp_props {
     }
 }
 
+mod packet_props {
+    //! The data plane's decoders over arbitrary bytes, and the `Bytes`
+    //! views they now decode from.
+    use super::*;
+    use peering_repro::netsim::{
+        ArpOp, ArpPacket, Bytes, EtherFrame, EtherType, IcmpPacket, IpPacket, IpProto, MacAddr,
+    };
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    /// One packet of each kind the data plane decodes.
+    #[derive(Debug, PartialEq)]
+    enum Packet {
+        Ip(IpPacket),
+        Icmp(IcmpPacket),
+        Arp(ArpPacket),
+        Frame(EtherFrame),
+    }
+
+    fn gen_bytes(g: &mut Gen, max: u64) -> Vec<u8> {
+        (0..g.below(max + 1)).map(|_| g.u64() as u8).collect()
+    }
+
+    fn gen_mac(g: &mut Gen) -> MacAddr {
+        let b = g.u64().to_be_bytes();
+        MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]])
+    }
+
+    fn gen_packet(g: &mut Gen) -> Packet {
+        let payload = Bytes::from(gen_bytes(g, 48));
+        match g.below(4) {
+            0 => {
+                let proto = IpProto::from_u8(g.u64() as u8);
+                let mut pkt = IpPacket::new(g.u32().into(), g.u32().into(), proto, payload);
+                pkt.header.ttl = g.u64() as u8;
+                pkt.header.ident = g.u64() as u16;
+                Packet::Ip(pkt)
+            }
+            1 => {
+                let (ident, seq) = (g.u64() as u16, g.u64() as u16);
+                Packet::Icmp(match g.below(3) {
+                    0 => IcmpPacket::EchoRequest {
+                        ident,
+                        seq,
+                        payload,
+                    },
+                    1 => IcmpPacket::EchoReply {
+                        ident,
+                        seq,
+                        payload,
+                    },
+                    _ => IcmpPacket::TimeExceeded { original: payload },
+                })
+            }
+            2 => Packet::Arp(ArpPacket {
+                op: if g.bool() {
+                    ArpOp::Request
+                } else {
+                    ArpOp::Reply
+                },
+                sender_mac: gen_mac(g),
+                sender_ip: g.u32().into(),
+                target_mac: gen_mac(g),
+                target_ip: g.u32().into(),
+            }),
+            _ => {
+                let ethertype = EtherType::from_u16(g.u64() as u16);
+                Packet::Frame(EtherFrame::new(gen_mac(g), gen_mac(g), ethertype, payload))
+            }
+        }
+    }
+
+    impl Packet {
+        fn encode(&self) -> Bytes {
+            match self {
+                Packet::Ip(p) => p.encode(),
+                Packet::Icmp(p) => p.encode(),
+                Packet::Arp(p) => p.encode(),
+                Packet::Frame(p) => p.encode().into(),
+            }
+        }
+
+        /// Decode `wire` as a packet of this one's kind.
+        fn decode_like(&self, wire: &Bytes) -> Option<Packet> {
+            match self {
+                Packet::Ip(_) => IpPacket::decode(wire).map(Packet::Ip),
+                Packet::Icmp(_) => IcmpPacket::decode(wire).map(Packet::Icmp),
+                Packet::Arp(_) => ArpPacket::decode(wire).map(Packet::Arp),
+                Packet::Frame(_) => EtherFrame::decode(wire).map(Packet::Frame),
+            }
+        }
+    }
+
+    /// `wire` at a random offset inside a larger buffer of random bytes,
+    /// as a view of it.
+    fn embedded(g: &mut Gen, wire: &[u8]) -> Bytes {
+        let mut buf = gen_bytes(g, 24);
+        let at = buf.len();
+        buf.extend_from_slice(wire);
+        buf.extend(gen_bytes(g, 24));
+        Bytes::from(buf).slice(at..at + wire.len())
+    }
+
+    fn hash_of(b: &Bytes) -> u64 {
+        let mut h = DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    /// Every packet kind decodes back from its own encoding.
+    #[test]
+    fn packets_roundtrip() {
+        check("packets_roundtrip", 512, |g| {
+            let pkt = gen_packet(g);
+            assert_eq!(pkt.decode_like(&pkt.encode()).as_ref(), Some(&pkt));
+        });
+    }
+
+    /// A truncated or bit-flipped encoding never panics a decoder.
+    #[test]
+    fn damaged_packets_never_panic() {
+        check("damaged_packets_never_panic", 1024, |g| {
+            let pkt = gen_packet(g);
+            let wire = pkt.encode();
+            let cut = g.below(wire.len() as u64) as usize;
+            let _ = pkt.decode_like(&wire.slice(..cut));
+            let mut flipped = wire.to_vec();
+            let pos = g.below(flipped.len() as u64) as usize;
+            flipped[pos] ^= 1 << g.below(8);
+            let _ = pkt.decode_like(&flipped.into());
+        });
+    }
+
+    /// Decoding a view at a random offset inside a larger buffer, or a
+    /// view of that view, reads what decoding a fresh copy of the same
+    /// bytes reads, whether they parse or not.
+    #[test]
+    fn views_decode_like_copies() {
+        check("views_decode_like_copies", 512, |g| {
+            let pkt = gen_packet(g);
+            let mut wire = pkt.encode().to_vec();
+            if g.bool() {
+                let pos = g.below(wire.len() as u64) as usize;
+                wire[pos] ^= 1 << g.below(8);
+            }
+            let view = embedded(g, &wire);
+            let copy = Bytes::copy_from_slice(&wire);
+            assert_eq!(pkt.decode_like(&view), pkt.decode_like(&copy));
+            let inner = embedded(g, &view).slice(..);
+            assert_eq!(pkt.decode_like(&inner), pkt.decode_like(&copy));
+        });
+    }
+
+    /// A view, and a slice of a view, equals, orders and hashes like a
+    /// copy of its bytes.
+    #[test]
+    fn views_behave_like_copies() {
+        check("views_behave_like_copies", 512, |g| {
+            let buf = Bytes::from(gen_bytes(g, 64));
+            let view = |g: &mut Gen| {
+                let lo = g.below(buf.len() as u64 + 1) as usize;
+                let hi = g.range(lo as u64, buf.len() as u64 + 1) as usize;
+                let outer = buf.slice(lo..hi);
+                let lo = g.below(outer.len() as u64 + 1) as usize;
+                let hi = g.range(lo as u64, outer.len() as u64 + 1) as usize;
+                if g.bool() {
+                    outer
+                } else {
+                    outer.slice(lo..hi)
+                }
+            };
+            let (a, b) = (view(g), view(g));
+            let (ca, cb) = (Bytes::copy_from_slice(&a), Bytes::copy_from_slice(&b));
+            assert_eq!(a, ca);
+            assert_eq!(a.len(), ca.len());
+            assert_eq!(hash_of(&a), hash_of(&ca));
+            assert_eq!(a.cmp(&b), ca.cmp(&cb));
+            assert_eq!(a == b, ca == cb);
+            assert_eq!(format!("{a:?}"), format!("{ca:?}"));
+        });
+    }
+}
+
 mod fsm_props {
     use super::*;
     use peering_repro::bgp::fsm::{FsmConfig, FsmEvent, SessionFsm, TimerKind};
