@@ -232,7 +232,7 @@ fn main() {
     "seed": {SEED},
     "runs": {runs},
     "host_cores": {host_cores},
-    "platform_pps": {pps},
+    "platform_pps": {defended_pps},
     "packets_injected": {injected},
     "packets_refused": {refused},
     "legit_delivery": {legit:.4},
@@ -255,7 +255,7 @@ fn main() {
       ]
     }},
     "ablation": {{
-      "platform_pps": {und_pps},
+      "platform_pps": {undefended_pps},
       "undefended_attack_block": {und_block:.4},
       "undefended_legit_delivery": {und_legit:.4},
       "interpretation": "with no ingress policy installed the same schedule delivers its attack share like client traffic — the SLO above is earned by the enforcement pipeline, not by the topology"
@@ -270,7 +270,6 @@ fn main() {
 "#,
             pops = params.pops,
             flows = params.flows,
-            pps = defended_pps,
             injected = defended.injected,
             refused = defended.refused,
             legit = defended.legit_delivery,
@@ -280,7 +279,6 @@ fn main() {
             blocked = blocked_rows.join(",\n"),
             catchment = catchment_rows.join(",\n"),
             churn = churn_rows.join(",\n"),
-            und_pps = undefended_pps,
             und_block = undefended.attack_block,
             und_legit = undefended.legit_delivery,
             shard_checks = params.shard_checks,

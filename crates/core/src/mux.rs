@@ -196,26 +196,28 @@ fn note_fib_sync(stats: &mut Counters<MuxCounter>, obs: &Obs, neighbor: u32, fib
 }
 
 /// Direct-mapped flow cache: dst address → last lookup outcome, valid only
-/// while the backing FIB's generation is unchanged. Invalidated wholesale
-/// by a generation bump (no per-entry work on route churn).
-struct FlowCache<T> {
-    /// `(dst ip, generation, value)`; generation 0 = empty (real
-    /// generations start at 1).
+/// while the backing table's generation is unchanged. Invalidated wholesale
+/// by a generation bump (no per-entry work on route churn). The caller
+/// picks each address's slot (taken modulo `SLOTS`, a power of two): the
+/// mux hashes it, [`crate::transport::BgpHost::next_hop`] uses its low byte.
+pub(crate) struct FlowCache<T, const SLOTS: usize> {
+    /// `(dst ip, generation, value)`; generation 0 = empty (a table at
+    /// generation 0 has never changed, so `T::default()` answers for it).
     slots: Box<[(u32, u64, T)]>,
 }
 
 const FLOW_CACHE_SLOTS: usize = 8192;
 
-impl<T: Copy + Default> FlowCache<T> {
-    fn new() -> Self {
+impl<T: Copy + Default, const SLOTS: usize> FlowCache<T, SLOTS> {
+    pub(crate) fn new() -> Self {
         FlowCache {
-            slots: vec![(0, 0, T::default()); FLOW_CACHE_SLOTS].into_boxed_slice(),
+            slots: vec![(0, 0, T::default()); SLOTS].into_boxed_slice(),
         }
     }
 
     #[inline]
-    fn get(&self, ip: u32, generation: u64) -> Option<T> {
-        let s = &self.slots[hash_u32(ip) as usize & (FLOW_CACHE_SLOTS - 1)];
+    pub(crate) fn get(&self, slot: usize, ip: u32, generation: u64) -> Option<T> {
+        let s = &self.slots[slot & (SLOTS - 1)];
         if s.0 == ip && s.1 == generation {
             Some(s.2)
         } else {
@@ -224,8 +226,8 @@ impl<T: Copy + Default> FlowCache<T> {
     }
 
     #[inline]
-    fn put(&mut self, ip: u32, generation: u64, value: T) {
-        self.slots[hash_u32(ip) as usize & (FLOW_CACHE_SLOTS - 1)] = (ip, generation, value);
+    pub(crate) fn put(&mut self, slot: usize, ip: u32, generation: u64, value: T) {
+        self.slots[slot & (SLOTS - 1)] = (ip, generation, value);
     }
 }
 
@@ -256,7 +258,7 @@ struct Table<T> {
     /// Source of truth (a refcount or a delivery-set index per prefix).
     trie: PrefixTrie<u32>,
     fib: Option<FlatFib>,
-    cache: Option<Box<FlowCache<T>>>,
+    cache: Option<Box<FlowCache<T, FLOW_CACHE_SLOTS>>>,
 }
 
 impl<T: FibAnswer> Table<T> {
@@ -313,7 +315,7 @@ impl<T: FibAnswer> Table<T> {
 /// FIB on a miss.
 struct Reader<'a, T> {
     fib: &'a FlatFib,
-    cache: &'a mut FlowCache<T>,
+    cache: &'a mut FlowCache<T, FLOW_CACHE_SLOTS>,
     generation: u64,
 }
 
@@ -321,13 +323,14 @@ impl<T: FibAnswer> Reader<'_, T> {
     #[inline]
     fn lookup(&mut self, ip: Ipv4Addr, stats: &mut Counters<MuxCounter>) -> T {
         let key = u32::from(ip);
-        if let Some(hit) = self.cache.get(key, self.generation) {
+        let slot = hash_u32(key) as usize;
+        if let Some(hit) = self.cache.get(slot, key, self.generation) {
             stats.inc(MuxCounter::FlowCacheHits);
             return hit;
         }
         stats.inc(MuxCounter::FlowCacheMisses);
         let answer = T::from_fib(self.fib, ip);
-        self.cache.put(key, self.generation, answer);
+        self.cache.put(slot, key, self.generation, answer);
         answer
     }
 }

@@ -26,6 +26,8 @@ use peering_netsim::fasthash::FastHashMap;
 use peering_netsim::{Ctx, EtherFrame, EtherType, MacAddr, PortId, SimDuration};
 use peering_obs::{counter_keys, Counters, EventKind as ObsEvent, Obs};
 
+use crate::mux::FlowCache;
+
 /// EtherType used for the simulated BGP transport.
 pub const ETHERTYPE_BGP: EtherType = EtherType::Other(0x0B69);
 
@@ -84,23 +86,13 @@ pub struct BgpHost {
     tx_seq: HashMap<PeerId, u32>,
     rx_seq: HashMap<PeerId, u32>,
     /// Remembered [`BgpHost::next_hop`] answers, one slot per destination
-    /// low byte; empty until first use.
-    next_hops: Vec<NextHopSlot>,
+    /// low byte so the 256 hosts of one /24 never evict each other;
+    /// allocated on first use.
+    next_hops: Option<FlowCache<Option<(PortId, Ipv4Addr)>, 256>>,
     /// Counters.
     pub stats: Counters<TransportCounter>,
     obs: Obs,
 }
-
-/// One remembered next-hop answer: the destination, the Loc-RIB
-/// generation it was computed at, and the answer.
-type NextHopSlot = (Ipv4Addr, u64, Option<(PortId, Ipv4Addr)>);
-
-/// Slots in the next-hop table: one per destination low byte, so the 256
-/// hosts of one /24 never evict each other.
-const NEXT_HOP_SLOTS: usize = 256;
-
-/// An empty slot: no Loc-RIB reaches this generation.
-const NO_NEXT_HOP: NextHopSlot = (Ipv4Addr::UNSPECIFIED, u64::MAX, None);
 
 counter_keys! {
     /// Transport counters.
@@ -167,7 +159,7 @@ impl BgpHost {
             transport_up: HashSet::new(),
             tx_seq: HashMap::new(),
             rx_seq: HashMap::new(),
-            next_hops: Vec::new(),
+            next_hops: None,
             stats: Counters::new(&obs),
             obs,
         }
@@ -190,7 +182,7 @@ impl BgpHost {
         interposed: bool,
     ) {
         self.speaker.add_peer(id, cfg);
-        self.next_hops.clear();
+        self.next_hops = None;
         self.by_addr
             .insert((endpoint.port, endpoint.remote_mac), id);
         self.endpoints.insert(id, endpoint);
@@ -202,7 +194,7 @@ impl BgpHost {
     /// Remove a session entirely.
     pub fn remove_session(&mut self, ctx: &mut Ctx<'_>, id: PeerId) -> Vec<HostEvent> {
         let mut events = Vec::new();
-        self.next_hops.clear();
+        self.next_hops = None;
         if let Some(ep) = self.endpoints.remove(&id) {
             self.by_addr.remove(&(ep.port, ep.remote_mac));
             self.send_op(ctx, &ep, OP_FIN, &[]);
@@ -240,21 +232,16 @@ impl BgpHost {
     /// it was computed at, so a host forwarding to a stable set of
     /// destinations walks the Loc-RIB only when it changes.
     pub fn next_hop(&mut self, dst: Ipv4Addr) -> Option<(PortId, Ipv4Addr)> {
-        let generation = self.speaker.loc_rib().generation();
-        if self.next_hops.is_empty() {
-            self.next_hops.resize(NEXT_HOP_SLOTS, NO_NEXT_HOP);
-        }
-        let i = usize::from(dst.octets()[3]);
-        let (at, seen, answer) = self.next_hops[i];
-        if at == dst && seen == generation {
+        // The Loc-RIB generation a remembered answer must carry.
+        let at = self.speaker.loc_rib().generation();
+        let (key, slot) = (u32::from(dst), usize::from(dst.octets()[3]));
+        if let Some(answer) = self.next_hops.as_ref().and_then(|c| c.get(slot, key, at)) {
             return answer;
         }
-        let answer = self
-            .speaker
-            .loc_rib()
-            .lookup(dst.into())
-            .and_then(|route| self.egress(route));
-        self.next_hops[i] = (dst, generation, answer);
+        let route = self.speaker.loc_rib().lookup(dst.into());
+        let answer = route.and_then(|route| self.egress(route));
+        let cache = self.next_hops.get_or_insert_with(FlowCache::new);
+        cache.put(slot, key, at, answer);
         answer
     }
 

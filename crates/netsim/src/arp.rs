@@ -168,6 +168,24 @@ impl ArpCache {
             }
         }
     }
+
+    /// Drop expired entries; returns how many were evicted.
+    pub fn evict_expired(&mut self, now: SimTime) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|_, e| e.expires > now);
+        before - self.entries.len()
+    }
+
+    /// Number of live entries (including possibly-expired ones not yet
+    /// evicted).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the cache holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +237,8 @@ mod tests {
             Some(mac(9))
         );
         assert_eq!(cache.lookup(ip, t0 + SimDuration::from_secs(61)), None);
+        assert_eq!(cache.evict_expired(t0 + SimDuration::from_secs(61)), 1);
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// An immutable, reference-counted view of a byte buffer. Cloning and
 /// slicing are O(1).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
     start: u32,
@@ -26,7 +26,7 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes::from(Arc::<[u8]>::from(&[][..]))
+        Bytes::default()
     }
 
     /// Wrap a static byte string.
@@ -56,19 +56,11 @@ impl Bytes {
     /// Where indexing the bytes with `range` would.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let view = &self[(range.start_bound().cloned(), range.end_bound().cloned())];
-        // A view of `data` starts at its distance from the buffer's start.
-        let start = view.as_ptr() as usize - self.data.as_ptr() as usize;
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: start as u32,
-            len: view.len() as u32,
-        }
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Self {
-        Bytes::new()
+        // A view of `data` starts at its distance from the buffer's start;
+        // both it and its length fit in u32 because the buffer does.
+        let start = (view.as_ptr() as usize - self.data.as_ptr() as usize) as u32;
+        let (data, len) = (Arc::clone(&self.data), view.len() as u32);
+        Bytes { data, start, len }
     }
 }
 
@@ -77,6 +69,12 @@ impl Deref for Bytes {
     fn deref(&self) -> &[u8] {
         let start = self.start as usize;
         &self.data[start..start + self.len as usize]
+    }
+}
+
+impl AsRef<[u8]> for Bytes {
+    fn as_ref(&self) -> &[u8] {
+        self
     }
 }
 
@@ -113,18 +111,20 @@ impl Hash for Bytes {
 /// If the buffer holds 4 GiB or more.
 impl From<Arc<[u8]>> for Bytes {
     fn from(data: Arc<[u8]>) -> Self {
-        let len = u32::try_from(data.len()).expect("a Bytes buffer holds less than 4 GiB");
-        Bytes {
-            data,
-            start: 0,
-            len,
-        }
+        let (start, len) = (0, u32::try_from(data.len()).expect("under 4 GiB"));
+        Bytes { data, start, len }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes::from(Arc::<[u8]>::from(v.into_boxed_slice()))
+    }
+}
+
+impl From<&[u8]> for Bytes {
+    fn from(v: &[u8]) -> Self {
+        Bytes::copy_from_slice(v)
     }
 }
 

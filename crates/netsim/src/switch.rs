@@ -24,6 +24,7 @@ struct TableEntry {
 pub struct LearningSwitch {
     ports: u16,
     table: FastHashMap<MacAddr, TableEntry>,
+    aging: SimDuration,
     /// Frames forwarded to a single learned port.
     pub forwarded: u64,
     /// Frames flooded to all other ports.
@@ -32,12 +33,12 @@ pub struct LearningSwitch {
 }
 
 impl LearningSwitch {
-    /// A switch with `ports` ports whose entries age out after
-    /// [`MAC_AGING_TIME`].
+    /// A switch with `ports` ports and default aging.
     pub fn new(ports: u16) -> Self {
         LearningSwitch {
             ports,
             table: FastHashMap::default(),
+            aging: MAC_AGING_TIME,
             forwarded: 0,
             flooded: 0,
             label: "switch".to_string(),
@@ -50,11 +51,22 @@ impl LearningSwitch {
         self
     }
 
+    /// Override the MAC aging time.
+    pub fn with_aging(mut self, aging: SimDuration) -> Self {
+        self.aging = aging;
+        self
+    }
+
+    /// Number of learned (possibly stale) MAC entries.
+    pub fn table_len(&self) -> usize {
+        self.table.len()
+    }
+
     /// The port a MAC was last learned on, if fresh.
     pub fn lookup(&self, mac: MacAddr, now: SimTime) -> Option<PortId> {
         self.table
             .get(&mac)
-            .filter(|e| now.saturating_since(e.last_seen) < MAC_AGING_TIME)
+            .filter(|e| now.saturating_since(e.last_seen) < self.aging)
             .map(|e| e.port)
     }
 }
@@ -190,7 +202,7 @@ mod tests {
 
     #[test]
     fn entries_age_out() {
-        let mut sw = LearningSwitch::new(2);
+        let mut sw = LearningSwitch::new(2).with_aging(SimDuration::from_secs(10));
         sw.table.insert(
             MacAddr::from_id(1),
             TableEntry {
@@ -199,11 +211,11 @@ mod tests {
             },
         );
         assert_eq!(
-            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(299_000_000_000)),
+            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(5_000_000_000)),
             Some(PortId(1))
         );
         assert_eq!(
-            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(301_000_000_000)),
+            sw.lookup(MacAddr::from_id(1), SimTime::from_nanos(11_000_000_000)),
             None
         );
     }

@@ -248,8 +248,12 @@ impl ExperimentNode {
         dst: Ipv4Addr,
         payload: Bytes,
     ) -> bool {
-        let hop = self.host.next_hop(dst);
-        self.send_along(ctx, hop, IpPacket::new(src, dst, IpProto::Udp, payload))
+        let Some((port, next_hop)) = self.host.next_hop(dst) else {
+            return false;
+        };
+        let pkt = IpPacket::new(src, dst, IpProto::Udp, payload);
+        self.ip.send(ctx, port, next_hop, pkt);
+        true
     }
 
     /// Send an IP packet steering it via a specific received route — the
@@ -264,8 +268,7 @@ impl ExperimentNode {
         dst: Ipv4Addr,
         payload: Bytes,
     ) -> bool {
-        let hop = self.host.egress(route);
-        self.send_along(ctx, hop, IpPacket::new(src, dst, IpProto::Udp, payload))
+        self.send_along(ctx, route, IpPacket::new(src, dst, IpProto::Udp, payload))
     }
 
     /// Send a TTL-limited traceroute probe via a specific route. `ident`
@@ -280,19 +283,11 @@ impl ExperimentNode {
         ttl: u8,
         ident: u16,
     ) -> bool {
-        let hop = self.host.egress(route);
-        self.send_along(ctx, hop, IpPacket::probe(src, dst, ttl, ident))
+        self.send_along(ctx, route, IpPacket::probe(src, dst, ttl, ident))
     }
 
-    /// Send `pkt` out `hop`'s port toward its next hop; `false` if there
-    /// is no hop.
-    fn send_along(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        hop: Option<(PortId, Ipv4Addr)>,
-        pkt: IpPacket,
-    ) -> bool {
-        let Some((port, next_hop)) = hop else {
+    fn send_along(&mut self, ctx: &mut Ctx<'_>, route: &Route, pkt: IpPacket) -> bool {
+        let Some((port, next_hop)) = self.host.egress(route) else {
             return false;
         };
         self.ip.send(ctx, port, next_hop, pkt);

@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::time::{Duration, Instant};
 
 use peering_bgp::types::Prefix;
 use peering_netsim::{Bytes, IpPacket, IpProto};
@@ -154,7 +153,7 @@ pub struct ServingOutcome {
     pub processed_events: u64,
     /// Wall-clock time spent in the injection + simulation phases (pps
     /// denominator; NOT deterministic).
-    pub wall: Duration,
+    pub wall: std::time::Duration,
 }
 
 impl ServingOutcome {
@@ -340,7 +339,7 @@ pub fn run_serving(spec: &ServingSpec) -> ServingOutcome {
     }
 
     let predicted_catchment = net.predicted_catchment();
-    let started = Instant::now();
+    let started = std::time::Instant::now();
 
     // --- serve phase ---------------------------------------------------
     // Open loop at 1-second quanta: all packets of the flows starting in
